@@ -12,15 +12,14 @@ from .harness import (ExperimentSpec, RunSummary, TrainingLoop, build_spec,
                       replay_summary, run_experiment, run_single,
                       run_spec_dict, save_checkpoint)
 from .nets import Adam, DenseNet, soft_update
-from .numerics import (make_rng, matmul, hermitian, sample_cn01, split_rng,
-                       trace)
+from .numerics import make_rng, sample_cn01
 from .phy import (NoiseParams, PowerConstraint, RateReport, db_to_linear,
-                  power_cap, project_beamformer, rate_report, sinr_active,
-                  sinr_passive)
+                  power_cap, project_beamformer, rate_report, sinrs,
+                  tx_power)
 from .ris import (ActiveParams, ConsumptionParams, EnergyLedger,
-                  HarvestParams, PassiveParams, RisMode, RisState,
-                  build_reflection, energy_consumed, energy_gain, harvest,
-                  passive_amplitude, resolve_mode, wrap_phase)
+                  HarvestParams, PassiveParams, RisMode, build_reflection,
+                  energy_consumed, energy_gain, harvest, passive_amplitude,
+                  resolve_mode, wrap_phase)
 from .security import (AttackConfig, DefenseConfig, RewardFilter,
                        RewardPipeline, RewardPipelineRecord, attack, defend)
 

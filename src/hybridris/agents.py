@@ -69,6 +69,21 @@ class ReplayBuffer:
         self.size = n
 
 
+def _check_config(cfg, *rules):
+    """Raise one ValueError naming every field that breaks its rule.
+
+    ``rules`` are (broken, message) pairs added to the gamma/lr/batch rules
+    that every learning agent shares. gamma = 0 is allowed as a degenerate
+    case (no bootstrapping).
+    """
+    rules = ((not 0.0 <= cfg.gamma <= 1.0, "gamma must lie in [0, 1]"),
+             (cfg.lr <= 0, "lr must be > 0"),
+             (cfg.batch < 1, "batch must be >= 1")) + rules
+    errors = [msg for broken, msg in rules if broken]
+    if errors:
+        raise ValueError("; ".join(errors))
+
+
 @dataclass(frozen=True)
 class SacConfig:
     gamma: float = 0.99
@@ -86,11 +101,7 @@ class SacConfig:
     reward_baseline: bool = False
 
     def __post_init__(self):
-        # gamma = 0 is allowed as a degenerate case (no bootstrapping)
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError("gamma must lie in [0, 1]")
-        if self.lr <= 0 or self.batch < 1:
-            raise ValueError("lr must be > 0 and batch >= 1")
+        _check_config(self)
 
 
 @dataclass(frozen=True)
@@ -105,12 +116,22 @@ class DdpgConfig:
     expl_noise: float = 0.1
     reward_baseline: bool = False
 
+    def __post_init__(self):
+        _check_config(self)
+
 
 @dataclass(frozen=True)
 class Td3Config(DdpgConfig):
     policy_noise: float = 0.2
     noise_clip: float = 0.5
     policy_delay: int = 2
+
+    def __post_init__(self):
+        _check_config(
+            self,
+            (self.policy_delay < 1, "policy_delay must be >= 1"),
+            (self.policy_noise < 0, "policy_noise must be >= 0"),
+            (self.noise_clip < 0, "noise_clip must be >= 0"))
 
 
 def _adam_state(opt: Adam) -> dict:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import CMatrix, sample_cn01
+from .numerics import sample_cn01
 
 
 @dataclass(frozen=True)
@@ -58,22 +58,22 @@ class ChannelSet:
     """One time slot of channel realizations.
 
     H_s:  R x A, SU transmitter to RIS
-    h_b:  list of B vectors (R x 1), RIS to each SU receiver
+    h_b:  R x B, RIS to the SU receivers, one column per receiver
     H_p:  A x W, SU transmitter to PU receivers
     h_PB: R x 1, power beacon to RIS (plain Rayleigh)
     g_sp: W per-PU power gains, squared norm of the matching H_p column
     """
-    H_s: CMatrix
-    h_b: list
-    H_p: CMatrix
-    h_PB: CMatrix
+    H_s: np.ndarray
+    h_b: np.ndarray
+    H_p: np.ndarray
+    h_PB: np.ndarray
     g_sp: np.ndarray = field(default=None)
 
     def tobytes(self) -> bytes:
-        parts = [self.H_s.tobytes(), self.H_p.tobytes(), self.h_PB.tobytes()]
-        parts += [h.tobytes() for h in self.h_b]
-        parts.append(np.asarray(self.g_sp).tobytes())
-        return b"".join(parts)
+        """Raw bytes of every link; h_b is laid out receiver by receiver."""
+        return b"".join([self.H_s.tobytes(), self.H_p.tobytes(),
+                         self.h_PB.tobytes(), self.h_b.T.tobytes(),
+                         np.asarray(self.g_sp).tobytes()])
 
 
 def sample_cascaded(rng: np.random.Generator, kappa: int, size=None):
@@ -90,7 +90,7 @@ def sample_cascaded(rng: np.random.Generator, kappa: int, size=None):
     return complex(out) if size is None else out
 
 
-def pu_power_gains(H_p: CMatrix) -> np.ndarray:
+def pu_power_gains(H_p: np.ndarray) -> np.ndarray:
     """Per-PU channel power gain: squared Euclidean norm of each column,
     i.e. the total gain from all transmit antennas to that PU."""
     return np.sum(np.abs(H_p) ** 2, axis=0)
@@ -102,11 +102,13 @@ def sample_channel_set(rng: np.random.Generator, topo: Topology,
 
     The beacon link is plain Rayleigh (cascade level 1); everything else
     uses the configured cascade levels. Entries are drawn in a fixed order
-    (H_s, each h_b, H_p, h_PB), so a fixed seed reproduces the set
-    byte-for-byte.
+    (H_s, each h_b column, H_p, h_PB), so a fixed seed reproduces the set
+    byte-for-byte. The receiver columns are drawn one at a time because a
+    single R x B draw would consume the stream in another order.
     """
     H_s = sample_cascaded(rng, spec.kappa_s, (topo.R, topo.A))
-    h_b = [sample_cascaded(rng, spec.kappa_b, (topo.R, 1)) for _ in range(topo.B)]
+    h_b = np.hstack([sample_cascaded(rng, spec.kappa_b, (topo.R, 1))
+                     for _ in range(topo.B)])
     H_p = sample_cascaded(rng, spec.kappa_p, (topo.A, topo.W))
     h_PB = sample_cascaded(rng, 1, (topo.R, 1))
     return ChannelSet(H_s=H_s, h_b=h_b, H_p=H_p, h_PB=h_PB,

@@ -2,7 +2,6 @@
 
     hybridris run <spec.json> [--seeds N] [--steps N] [--out DIR] [--workers N]
     hybridris compare <dir>... --out table.csv
-    hybridris accept [pytest-args...]
 
 Spec files are JSON; see the README for the schema. HYBRIDRIS_WORKERS caps
 the worker pool when --workers is not given.
@@ -45,16 +44,6 @@ def _cmd_compare(args):
     return 0
 
 
-def _cmd_accept(args):
-    import pytest
-    target = os.path.join("tests", "test_acceptance.py")
-    if not os.path.exists(target):
-        print("tests/test_acceptance.py not found; run from the repo root",
-              file=sys.stderr)
-        return 2
-    return pytest.main(["-v", target] + (args.pytest_args or []))
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="hybridris",
                                      description=__doc__.splitlines()[0])
@@ -75,10 +64,6 @@ def main(argv=None) -> int:
     p_cmp.add_argument("dirs", nargs="+", help="run output directories")
     p_cmp.add_argument("--out", required=True, help="output CSV path")
     p_cmp.set_defaults(func=_cmd_compare)
-
-    p_acc = sub.add_parser("accept", help="run the acceptance suite")
-    p_acc.add_argument("pytest_args", nargs="*", default=None)
-    p_acc.set_defaults(func=_cmd_accept)
 
     args = parser.parse_args(argv)
     return args.func(args)

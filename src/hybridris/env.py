@@ -12,7 +12,7 @@ Observation layout (flat float64 vector, length 2 + 2RA + 2RB + 2AW + 2AB
     [0]                 P_t, configured max transmit power (linear W)
     [1]                 I_thr, PU interference threshold (linear W)
     [2 : 2+2RA]         H_s, real parts row-major then imaginary parts
-    [.. : ..+2RB]       for each receiver b: Re(h_b) then Im(h_b)
+    [.. : ..+2RB]       for each receiver b: Re(h_b[:, b]) then Im(h_b[:, b])
     [.. : ..+2AW]       H_p, real parts row-major then imaginary parts
     [.. : ..+2AB]       previous beamformer G, real then imaginary parts
     [.. : ..+R]         previous phase shifts (wrapped radians)
@@ -145,6 +145,8 @@ class RisCrnEnv:
     def step(self, action) -> StepOutcome:
         if self._channels is None:
             raise RuntimeError("call reset() before step()")
+        if not np.all(np.isfinite(action)):
+            raise ValueError(f"non-finite action at step {self._t}")
         cfg = self.cfg
         topo = cfg.topo
         ch = self._channels
@@ -166,14 +168,11 @@ class RisCrnEnv:
         if resolved == ACTIVE:
             mask = None
             if cfg.mode.kind == FIXED_HYBRID:
-                mask = np.zeros(topo.R, dtype=bool)
-                mask[:int(np.floor(cfg.mode.active_fraction * topo.R))] = True
-            sinrs = [phy.sinr_active(ch, refl, G, cfg.noise,
-                                     cfg.ap.amp_noise_var, b, amp_mask=mask)
-                     for b in range(topo.B)]
+                mask = np.arange(topo.R) < cfg.mode.n_active(topo.R)
+            sinrs = phy.sinrs(ch, refl, G, cfg.noise.sigma_a_sq,
+                              cfg.ap.amp_noise_var, mask)
         else:
-            sinrs = [phy.sinr_passive(ch, refl, G, cfg.noise, b)
-                     for b in range(topo.B)]
+            sinrs = phy.sinrs(ch, refl, G, cfg.noise.sigma_b_sq)
         report = phy.rate_report(sinrs)
 
         if resolved == ACTIVE:
@@ -187,8 +186,7 @@ class RisCrnEnv:
         else:
             energy = ris.energy_consumed(resolved, alpha, topo.R, cfg.cp)
 
-        tx_power = float(np.real(phy.trace(phy.matmul_gram(G))))
-        if tx_power > cap + CONSTRAINT_TOL:
+        if phy.tx_power(G) > cap + CONSTRAINT_TOL:
             self._violations += 1
 
         self._prev_G = G
@@ -219,7 +217,7 @@ class RisCrnEnv:
             "rng": rng_state(self._rng),
             "channels": None if ch is None else {
                 "H_s": ch.H_s.copy(),
-                "h_b": [h.copy() for h in ch.h_b],
+                "h_b": ch.h_b.copy(),
                 "H_p": ch.H_p.copy(),
                 "h_PB": ch.h_PB.copy(),
                 "g_sp": np.asarray(ch.g_sp).copy(),
@@ -236,7 +234,7 @@ class RisCrnEnv:
         self._rng = restore_rng(st["rng"])
         chd = st["channels"]
         self._channels = None if chd is None else ChannelSet(
-            H_s=chd["H_s"], h_b=list(chd["h_b"]), H_p=chd["H_p"],
+            H_s=chd["H_s"], h_b=chd["h_b"], H_p=chd["H_p"],
             h_PB=chd["h_PB"], g_sp=chd["g_sp"])
         self._t = int(st["t"])
         self._violations = int(st["violations"])
@@ -251,8 +249,8 @@ class RisCrnEnv:
             np.array([self.cfg.pc.P_t, self.cfg.pc.I_thr]),
             np.real(ch.H_s).ravel(), np.imag(ch.H_s).ravel(),
         ]
-        for h in ch.h_b:
-            parts += [np.real(h).ravel(), np.imag(h).ravel()]
+        for h in ch.h_b.T:
+            parts += [np.real(h), np.imag(h)]
         parts += [
             np.real(ch.H_p).ravel(), np.imag(ch.H_p).ravel(),
             np.real(self._prev_G).ravel(), np.imag(self._prev_G).ravel(),

@@ -31,7 +31,7 @@ from .numerics import make_rng
 
 MA_WINDOW = 200
 CONVERGED_FRACTION = 0.1
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 AGENT_KINDS = {
     "sac": (SacAgent, SacConfig),
@@ -513,9 +513,16 @@ def compare(run_dirs, out_csv: str) -> dict:
     per-seed paired differences against the first run.
 
     Writes ``out_csv`` plus an aligned moving-average curve file next to it.
-    Raises on mismatched step counts or seed sets.
+    Raises on mismatched step counts or seed sets, and on runs that share a
+    name, since each run's column is keyed by its name.
     """
     aggs = [_load_aggregate(p) for p in run_dirs]
+    names = [a["name"] for a in aggs]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValueError(
+                f"runs {run_dirs[names.index(name)]} and {run_dirs[i]} share "
+                f"the name {name!r}; give each run a distinct name")
     base = aggs[0]
     for agg in aggs[1:]:
         if agg["total_steps"] != base["total_steps"]:
@@ -527,7 +534,6 @@ def compare(run_dirs, out_csv: str) -> dict:
             raise ValueError("alignment error: seed sets differ")
 
     seeds = base["seeds"]
-    names = [a["name"] for a in aggs]
     conv = {a["name"]: {p["seed"]: p["converged_mean"] for p in a["per_seed"]}
             for a in aggs}
 

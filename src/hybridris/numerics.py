@@ -1,15 +1,11 @@
-"""Complex linear algebra primitives and seeded random sampling.
+"""Seeded random sampling.
 
-All matrices in this package are dense row-major ``numpy`` arrays of
-``complex128``; problem sizes are tiny (tens of elements), so no sparse or
-blocked kernels are provided. Randomness comes from counter-based Philox
-streams so that every experiment is bit-reproducible and streams can be
-split without overlap.
+Randomness comes from counter-based Philox streams, so every experiment is
+bit-reproducible and a generator's exact position can be saved and
+restored.
 """
 
 import numpy as np
-
-CMatrix = np.ndarray  # 2-D complex128 array, row-major
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -19,11 +15,6 @@ def make_rng(seed: int) -> np.random.Generator:
     independent streams.
     """
     return np.random.Generator(np.random.Philox(seed))
-
-
-def split_rng(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
-    """Split off ``n`` independent child streams. The parent stays usable."""
-    return rng.spawn(n)
 
 
 def rng_state(rng: np.random.Generator) -> dict:
@@ -51,38 +42,6 @@ def restore_rng(state: dict) -> np.random.Generator:
     bg = getattr(np.random, st["bit_generator"])()
     bg.state = st
     return np.random.Generator(bg)
-
-
-def as_cmatrix(a) -> CMatrix:
-    """Coerce to a 2-D complex128 array (row vectors become 1xN)."""
-    m = np.asarray(a, dtype=np.complex128)
-    if m.ndim == 1:
-        m = m.reshape(1, -1)
-    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-        raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
-    return m
-
-
-def matmul(a: CMatrix, b: CMatrix) -> CMatrix:
-    """Complex matrix product with an explicit shape check."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"shape mismatch for matmul: {a.shape} x {b.shape}")
-    return a @ b
-
-
-def hermitian(a: CMatrix) -> CMatrix:
-    """Conjugate transpose."""
-    return np.conj(np.asarray(a).T)
-
-
-def trace(a: CMatrix) -> complex:
-    """Sum of diagonal entries; raises on non-square input."""
-    a = np.asarray(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"trace requires a square matrix, got {a.shape}")
-    return complex(np.trace(a))
 
 
 def sample_cn01(rng: np.random.Generator, size=None):

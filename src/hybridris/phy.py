@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelSet
-from .numerics import CMatrix, hermitian, trace
 
 
 @dataclass(frozen=True)
@@ -57,7 +56,12 @@ def power_cap(pc: PowerConstraint, g_sp) -> float:
     return min(pc.P_t, pc.I_thr / g_max)
 
 
-def project_beamformer(G: CMatrix, cap: float) -> CMatrix:
+def tx_power(G: np.ndarray) -> float:
+    """Transmit power tr(G G^H) of a beamformer."""
+    return float(np.real(np.trace(G @ G.conj().T)))
+
+
+def project_beamformer(G: np.ndarray, cap: float) -> np.ndarray:
     """Scale G down (never up) so tr(G G^H) <= cap.
 
     Feasible inputs pass through unchanged; infeasible ones are rescaled by
@@ -65,57 +69,32 @@ def project_beamformer(G: CMatrix, cap: float) -> CMatrix:
     """
     if cap <= 0:
         raise ValueError("cap must be > 0")
-    power = float(np.real(trace(matmul_gram(G))))
+    power = tx_power(G)
     if power <= cap:
         return G
     return G * np.sqrt(cap / power)
 
 
-def matmul_gram(G: CMatrix) -> CMatrix:
-    return np.asarray(G) @ hermitian(G)
+def sinrs(ch: ChannelSet, refl: np.ndarray, G: np.ndarray, noise_var: float,
+          amp_noise_var: float = 0.0, amp_mask=None) -> np.ndarray:
+    """SINR at every SU receiver through the reflection vector ``refl``.
 
-
-def _effective_rows(ch: ChannelSet, refl: CMatrix, b: int):
-    """h_b^T * reflection (1 x R) and its product with H_s (1 x A)."""
-    hrow = ch.h_b[b].ravel()[None, :] @ refl
-    return hrow, hrow @ ch.H_s
-
-
-def sinr_passive(ch: ChannelSet, refl: CMatrix, G: CMatrix,
-                 noise: NoiseParams, b: int) -> float:
-    """SINR at SU receiver b through a passive reflection matrix.
-
-    Interference is the co-channel leakage from beams intended for the
-    other receivers.
+    Receiver b sees the cascaded link h_b^T diag(refl) H_s G; the beams
+    intended for the other receivers are its interference. An amplifying
+    surface adds the thermal noise it re-radiates,
+    amp_noise_var * ||h_b^T diag(refl)||^2, restricted to the amplifying
+    elements when ``amp_mask`` is given (mixed fixed-hybrid surfaces). A
+    passive surface is amp_noise_var = 0.
     """
-    _, eff = _effective_rows(ch, refl, b)
-    v = (eff @ G).ravel()
-    powers = np.abs(v) ** 2
-    signal = powers[b]
-    interf = float(np.sum(powers) - signal)
-    return float(signal / (interf + noise.sigma_b_sq))
-
-
-def sinr_active(ch: ChannelSet, refl: CMatrix, G: CMatrix,
-                noise: NoiseParams, amp_noise_var: float, b: int,
-                amp_mask=None) -> float:
-    """SINR at SU receiver b with an amplifying reflection matrix.
-
-    Adds the thermal noise re-radiated by the amplifiers,
-    amp_noise_var * ||h_b^T Psi||^2, restricted to the amplifying elements
-    when ``amp_mask`` is given (mixed fixed-hybrid surfaces); passive
-    elements carry no amplifier.
-    """
-    hrow, eff = _effective_rows(ch, refl, b)
-    v = (eff @ G).ravel()
-    powers = np.abs(v) ** 2
-    signal = powers[b]
-    interf = float(np.sum(powers) - signal)
-    amp_terms = np.abs(hrow.ravel()) ** 2
+    hrow = ch.h_b.T * refl                       # B x R
+    powers = np.abs(hrow @ ch.H_s @ G) ** 2      # receiver x beam
+    signal = powers.diagonal()
+    interf = powers.sum(axis=1) - signal
+    amp_terms = np.abs(hrow) ** 2
     if amp_mask is not None:
-        amp_terms = amp_terms[np.asarray(amp_mask, dtype=bool)]
-    amp_noise = amp_noise_var * float(np.sum(amp_terms))
-    return float(signal / (interf + amp_noise + noise.sigma_a_sq))
+        amp_terms = amp_terms[:, amp_mask]
+    amp_noise = amp_noise_var * amp_terms.sum(axis=1)
+    return signal / (interf + amp_noise + noise_var)
 
 
 def rate_report(sinrs) -> RateReport:

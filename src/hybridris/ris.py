@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import CMatrix
-
 PASSIVE = "passive"
 ACTIVE = "active"
 DYNAMIC_HYBRID = "dynamic_hybrid"
@@ -132,17 +130,10 @@ class RisMode:
     def fixed_hybrid(cls, active_fraction=0.5, fixed_gain=2.0):
         return cls(FIXED_HYBRID, active_fraction, fixed_gain)
 
-
-@dataclass(frozen=True)
-class RisState:
-    """Snapshot of the surface for one slot: wrapped phases, the resolved
-    passive/active decision, the diagonal reflection matrix, the uniform
-    gain in force (1.0 when passive), and the harvest ledger."""
-    phases: np.ndarray
-    resolved_mode: str
-    reflection: CMatrix
-    alpha_scaled: float
-    ledger: EnergyLedger
+    def n_active(self, R: int) -> int:
+        """Elements that amplify under the fixed-hybrid split: the first
+        floor(active_fraction * R) of the R elements."""
+        return int(np.floor(self.active_fraction * R))
 
 
 def passive_amplitude(eps, p: PassiveParams):
@@ -155,7 +146,7 @@ def passive_amplitude(eps, p: PassiveParams):
     return (1.0 - p.beta_min) * shaped + p.beta_min
 
 
-def harvest(h_PB: CMatrix, hp: HarvestParams) -> EnergyLedger:
+def harvest(h_PB: np.ndarray, hp: HarvestParams) -> EnergyLedger:
     """Per-element harvested energy E_r = eta * |h_PB_r|^2 * P_PB * T."""
     per = hp.eta * np.abs(np.asarray(h_PB).ravel()) ** 2 * hp.P_PB * hp.T
     return EnergyLedger(per_element=per, total=float(np.sum(per)))
@@ -180,7 +171,7 @@ def resolve_mode(mode: RisMode, ledger: EnergyLedger, hp: HarvestParams) -> str:
     The dynamic hybrid goes active iff the harvested total reaches tau and
     defaults to passive otherwise; forced modes return themselves, and the
     fixed hybrid always runs its active subset (split applied when the
-    reflection matrix is built).
+    reflection is built).
     """
     if mode.kind == DYNAMIC_HYBRID:
         return ACTIVE if ledger.total >= hp.tau else PASSIVE
@@ -195,29 +186,26 @@ def wrap_phase(eps):
 
 
 def build_reflection(phases, resolved: str, pp: PassiveParams,
-                     ap: ActiveParams, alpha: float, mode: RisMode) -> CMatrix:
-    """Diagonal reflection matrix for the resolved mode.
+                     ap: ActiveParams, alpha: float,
+                     mode: RisMode) -> np.ndarray:
+    """Per-element reflection coefficients (length R) for the resolved mode.
 
-    Passive: diag(beta(eps_r) e^{j eps_r}). Active: uniform gain alpha on
-    every element. Fixed hybrid: the first floor(active_fraction * R)
-    elements amplify at the fixed gain, the rest reflect passively. Phases
-    outside [0, 2*pi) are wrapped, never rejected.
+    Passive: beta(eps_r) e^{j eps_r}. Active: uniform gain alpha on every
+    element. Fixed hybrid: the first ``mode.n_active(R)`` elements amplify
+    at the fixed gain, the rest reflect passively. Phases outside
+    [0, 2*pi) are wrapped, never rejected.
     """
     eps = wrap_phase(np.asarray(phases, dtype=float).ravel())
-    R = eps.size
-    unit = np.exp(1j * eps)
     if mode.kind == FIXED_HYBRID:
-        n_active = int(np.floor(mode.active_fraction * R))
         mag = passive_amplitude(eps, pp)
-        mag[:n_active] = mode.fixed_gain
-        diag = mag * unit
+        mag[:mode.n_active(eps.size)] = mode.fixed_gain
     elif resolved == ACTIVE:
         if not ap.alpha_min <= alpha <= ap.alpha_max:
             raise ValueError("active gain outside [alpha_min, alpha_max]")
-        diag = alpha * unit
+        mag = alpha
     else:
-        diag = passive_amplitude(eps, pp) * unit
-    return np.diag(diag).astype(np.complex128)
+        mag = passive_amplitude(eps, pp)
+    return mag * np.exp(1j * eps)
 
 
 def energy_consumed(resolved: str, alpha: float, R: int,
@@ -237,7 +225,7 @@ def energy_consumed(resolved: str, alpha: float, R: int,
 def fixed_hybrid_energy(mode: RisMode, R: int, cp: ConsumptionParams) -> float:
     """Slot energy for the fixed hybrid split: the amplifying subset is
     billed at its fixed gain, the remainder at passive control power."""
-    n_active = int(np.floor(mode.active_fraction * R))
+    n_active = mode.n_active(R)
     e = 0.0
     if n_active:
         e += energy_consumed(ACTIVE, mode.fixed_gain, n_active, cp)

@@ -7,20 +7,6 @@ and never calls into the package code it checks.
 import numpy as np
 
 
-def naive_matmul(a, b):
-    n, k = a.shape
-    k2, m = b.shape
-    assert k == k2
-    out = np.zeros((n, m), dtype=complex)
-    for i in range(n):
-        for j in range(m):
-            acc = 0.0 + 0.0j
-            for p in range(k):
-                acc += a[i, p] * b[p, j]
-            out[i, j] = acc
-    return out
-
-
 def naive_frobenius_sq(g):
     total = 0.0
     for i in range(g.shape[0]):

@@ -50,7 +50,7 @@ def test_channel_set_shapes():
     topo = Topology(A=2, B=2, R=4, W=2)
     ch = sample_channel_set(make_rng(1), topo, CascadeSpec())
     assert ch.H_s.shape == (4, 2)
-    assert len(ch.h_b) == 2 and all(h.shape == (4, 1) for h in ch.h_b)
+    assert ch.h_b.shape == (4, 2)
     assert ch.H_p.shape == (2, 2)
     assert ch.h_PB.shape == (4, 1)
     assert ch.g_sp.shape == (2,)
@@ -80,6 +80,24 @@ def test_fixed_seed_bitwise_identical():
     a = sample_channel_set(make_rng(42), topo, spec)
     b = sample_channel_set(make_rng(42), topo, spec)
     assert a.tobytes() == b.tobytes()
+
+
+def test_receiver_channels_are_sequential_column_draws():
+    # each receiver's column is its own (R, 1) draw, taken in receiver
+    # order right after H_s; one (R, B) draw would use the stream in
+    # another order and change every channel
+    topo = Topology(A=2, B=3, R=5, W=2)
+    spec = CascadeSpec(kappa_s=2, kappa_b=3, kappa_p=1)
+    rng = make_rng(42)
+    H_s = sample_cascaded(rng, spec.kappa_s, (topo.R, topo.A))
+    cols = [sample_cascaded(rng, spec.kappa_b, (topo.R, 1))
+            for _ in range(topo.B)]
+    H_p = sample_cascaded(rng, spec.kappa_p, (topo.A, topo.W))
+    h_PB = sample_cascaded(rng, 1, (topo.R, 1))
+    expected = b"".join([H_s.tobytes(), H_p.tobytes(), h_PB.tobytes(),
+                         *(c.tobytes() for c in cols),
+                         pu_power_gains(H_p).tobytes()])
+    assert sample_channel_set(make_rng(42), topo, spec).tobytes() == expected
 
 
 def test_cascade_spec_validation():

@@ -1,0 +1,48 @@
+"""Smoke tests of the command-line entry points: ``python -m hybridris.cli``
+and the demo scripts, each run in a fresh interpreter."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def run_python(args, cwd):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], cwd=cwd, timeout=300,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
+def test_run_twice_then_compare(tmp_path):
+    spec = {
+        "env": {"topology": {"A": 1, "B": 1, "R": 2, "W": 1}},
+        "agent": {"kind": "random"},
+        "seeds": [0, 1],
+        "total_steps": 20,
+    }
+    for name in ("a", "b"):
+        (tmp_path / f"{name}.json").write_text(
+            json.dumps({**spec, "name": name}))
+        res = run_python(["-m", "hybridris.cli", "run", f"{name}.json",
+                          "--out", name], tmp_path)
+        assert res.returncode == 0, res.stderr
+    res = run_python(["-m", "hybridris.cli", "compare", "a", "b",
+                      "--out", "table.csv"], tmp_path)
+    assert res.returncode == 0, res.stderr
+    # the runs differ only in name, so every paired difference is zero
+    assert "diff_b_vs_a: mean +0.0000" in res.stdout
+    assert (tmp_path / "table.csv").exists()
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_exits_zero(demo, tmp_path):
+    res = run_python([str(demo)], tmp_path)
+    assert res.returncode == 0, res.stderr

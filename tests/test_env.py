@@ -3,12 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from hybridris.channel import CascadeSpec, FadingMode, Topology
+from hybridris.channel import (CascadeSpec, FadingMode, Topology,
+                               pu_power_gains, sample_cascaded)
 from hybridris.env import (EnvConfig, RisCrnEnv, action_size, decode_action,
                            observation_size, step_log_record)
 from hybridris.numerics import make_rng
-from hybridris.phy import PowerConstraint
+from hybridris.phy import PowerConstraint, power_cap
 from hybridris.ris import PassiveParams, RisMode
+from oracles import naive_beta, naive_passive_rates
 
 
 def small_cfg(**kw):
@@ -135,6 +137,17 @@ class TestStep:
         r2 = [env2.step(a).reward for a in actions]
         assert r1 == r2
 
+    def test_non_finite_action_raises_with_step_index(self):
+        env = RisCrnEnv(EnvConfig())
+        env.reset(0)
+        env.step(np.zeros(env.action_size))
+        for bad in (np.nan, np.inf):
+            a = np.zeros(env.action_size)
+            a[-1] = bad
+            with pytest.raises(ValueError, match="step 1"):
+                env.step(a)
+        assert env.violations == 0
+
     def test_ideal_reflection_degenerate_case(self):
         cfg = small_cfg(mode=RisMode.passive(),
                         pp=PassiveParams(beta_min=1.0, exponent=2.7))
@@ -153,6 +166,40 @@ class TestStep:
         out1 = env.step(np.zeros(env.action_size))
         # fresh channels appear in the next observation
         assert not np.allclose(obs0[2:6], out1.observation[2:6])
+
+    def test_observed_receiver_channels_are_the_scored_ones(self):
+        # the h_b block holds [Re, Im] of each receiver's channel column in
+        # receiver order, and the next step is scored on exactly those
+        topo = Topology(A=2, B=3, R=4, W=2)
+        cfg = EnvConfig(topo=topo, mode=RisMode.passive())
+        R, A, B = topo.R, topo.A, topo.B
+        pp, kappa = cfg.pp, cfg.cascade
+        env = RisCrnEnv(cfg)
+        obs = env.reset(5)
+        draws = make_rng(5)      # replays the env's channel stream
+        act_rng = make_rng(6)
+        block = slice(2 + 2 * R * A, 2 + 2 * R * A + 2 * R * B)
+        for _ in range(3):
+            H_s = sample_cascaded(draws, kappa.kappa_s, (R, A))
+            cols = [sample_cascaded(draws, kappa.kappa_b, (R, 1))
+                    for _ in range(B)]
+            H_p = sample_cascaded(draws, kappa.kappa_p, (A, topo.W))
+            sample_cascaded(draws, 1, (R, 1))          # h_PB
+            expected = np.concatenate([np.concatenate([c.real.ravel(),
+                                                       c.imag.ravel()])
+                                       for c in cols])
+            assert np.array_equal(obs[block], expected)
+            a = act_rng.uniform(-1, 1, env.action_size)
+            out = env.step(a)
+            G, phases = decode_action(
+                a, power_cap(cfg.pc, pu_power_gains(H_p)), topo)
+            refl = (naive_beta(phases, pp.beta_min, pp.exponent, pp.offset_l)
+                    * np.exp(1j * phases))
+            _, _, naive_sum = naive_passive_rates(cols, refl, H_s, G,
+                                                  cfg.noise.sigma_b_sq)
+            assert out.info["sum_rate"] == pytest.approx(naive_sum,
+                                                         abs=1e-10)
+            obs = out.observation
 
     def test_frozen_fading_keeps_channels(self):
         env = RisCrnEnv(small_cfg(fading=FadingMode(block_length=10 ** 9)))

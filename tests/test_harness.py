@@ -135,6 +135,14 @@ class TestCheckpoints:
         resumed.run(120)  # a restored loop logs only its own steps
         assert straight.rewards == loop.rewards + resumed.rewards
 
+    def test_older_checkpoint_version_refused(self):
+        # version 1 checkpoints hold h_b as a list of per-receiver columns
+        loop = build_loop(tiny_spec(), 0)
+        st = loop.get_state()
+        st["version"] = 1
+        with pytest.raises(ValueError, match="version 1"):
+            build_loop(tiny_spec(), 0).set_state(st)
+
 
 class TestSpecParsing:
     def test_defaults_build(self):
@@ -171,6 +179,15 @@ class TestSpecParsing:
         assert "agent.kind" in msg
         assert "total_steps" in msg
 
+    def test_td3_and_ddpg_configs_validated(self):
+        with pytest.raises(SpecError) as err:
+            build_spec({"agent": {"kind": "td3", "policy_delay": 0,
+                                  "gamma": 5}})
+        msg = str(err.value)
+        assert "gamma" in msg and "policy_delay" in msg
+        with pytest.raises(SpecError, match="batch"):
+            build_spec({"agent": {"kind": "ddpg", "batch": 0}})
+
     def test_attack_and_defense_sections(self):
         spec = build_spec({
             "attack": {"kind": "scale", "scale": 0.5, "threshold": 0.4},
@@ -206,15 +223,24 @@ class TestSweepRun:
 
 class TestCompare:
     def test_self_comparison_zero_diff(self, tmp_path):
-        spec = tiny_spec(steps=150, seeds=(0, 1))
-        run_experiment(spec, str(tmp_path / "r1"), workers=1)
-        run_experiment(spec, str(tmp_path / "r2"), workers=1)
+        # same spec under two names: the name does not enter the seeds
+        for name in ("t1", "t2"):
+            run_experiment(tiny_spec(name=name, steps=150, seeds=(0, 1)),
+                           str(tmp_path / name), workers=1)
         out = str(tmp_path / "table.csv")
-        res = compare([str(tmp_path / "r1"), str(tmp_path / "r2")], out)
-        diffs = [row[f"diff_t_vs_t"] for row in res["rows"]]
+        res = compare([str(tmp_path / "t1"), str(tmp_path / "t2")], out)
+        diffs = [row["diff_t2_vs_t1"] for row in res["rows"]]
         assert all(d == 0.0 for d in diffs)
         assert os.path.exists(out)
         assert os.path.exists(str(tmp_path / "table_curves.csv"))
+
+    def test_shared_name_rejected(self, tmp_path):
+        dirs = [str(tmp_path / d) for d in ("a", "b")]
+        for d in dirs:
+            run_experiment(tiny_spec(steps=100), d, workers=1)
+        with pytest.raises(ValueError, match="'t'") as err:
+            compare(dirs, str(tmp_path / "t.csv"))
+        assert dirs[0] in str(err.value) and dirs[1] in str(err.value)
 
     def test_alignment_error_on_step_mismatch(self, tmp_path):
         run_experiment(tiny_spec(steps=100), str(tmp_path / "a"), workers=1)
@@ -235,14 +261,13 @@ class TestCli:
             "seeds": [0],
             "total_steps": 100,
         }
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(spec))
         out1 = tmp_path / "o1"
         out2 = tmp_path / "o2"
-        assert main(["run", str(spec_path), "--out", str(out1),
-                     "--workers", "1"]) == 0
-        assert main(["run", str(spec_path), "--out", str(out2),
-                     "--workers", "1"]) == 0
+        for name, out in (("cli1", out1), ("cli2", out2)):
+            spec_path = tmp_path / f"{name}.json"
+            spec_path.write_text(json.dumps({**spec, "name": name}))
+            assert main(["run", str(spec_path), "--out", str(out),
+                         "--workers", "1"]) == 0
         table = tmp_path / "cmp.csv"
         assert main(["compare", str(out1), str(out2),
                      "--out", str(table)]) == 0

@@ -1,92 +1,7 @@
 import numpy as np
 import pytest
 
-from hybridris.numerics import (hermitian, make_rng, matmul, restore_rng,
-                                rng_state, sample_cn01, split_rng, trace)
-from oracles import naive_matmul
-
-
-def crandom(rng, shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def test_matmul_identity():
-    rng = make_rng(0)
-    m = crandom(rng, (2, 3))
-    assert np.array_equal(matmul(np.eye(2, dtype=complex), m), m)
-
-
-def test_matmul_imaginary_unit():
-    out = matmul(np.array([[1j]]), np.array([[1j]]))
-    assert out[0, 0] == pytest.approx(-1.0)
-
-
-def test_matmul_matches_naive_loop():
-    rng = make_rng(1)
-    a = crandom(rng, (3, 2))
-    b = crandom(rng, (2, 4))
-    assert np.max(np.abs(matmul(a, b) - naive_matmul(a, b))) < 1e-10
-
-
-def test_matmul_shape_error():
-    with pytest.raises(ValueError):
-        matmul(np.zeros((2, 3), dtype=complex), np.zeros((2, 3), dtype=complex))
-
-
-def test_matmul_associative():
-    rng = make_rng(2)
-    for _ in range(20):
-        a = crandom(rng, (3, 4))
-        b = crandom(rng, (4, 2))
-        c = crandom(rng, (2, 5))
-        lhs = matmul(matmul(a, b), c)
-        rhs = matmul(a, matmul(b, c))
-        denom = max(np.max(np.abs(lhs)), 1.0)
-        assert np.max(np.abs(lhs - rhs)) / denom < 1e-10
-
-
-def test_hermitian_real_symmetric_fixed_point():
-    m = np.array([[1.0, 2.0], [2.0, 5.0]], dtype=complex)
-    assert np.array_equal(hermitian(m), m)
-
-
-def test_hermitian_scalar_conjugate():
-    assert hermitian(np.array([[1 + 1j]]))[0, 0] == 1 - 1j
-
-
-def test_hermitian_involution():
-    rng = make_rng(3)
-    for _ in range(20):
-        a = crandom(rng, (3, 5))
-        assert np.array_equal(hermitian(hermitian(a)), a)
-
-
-def test_trace_identity():
-    assert trace(np.eye(3, dtype=complex)) == pytest.approx(3.0)
-
-
-def test_trace_diagonal():
-    assert trace(np.diag([1 + 1j, 2 + 0j])) == pytest.approx(3 + 1j)
-
-
-def test_trace_requires_square():
-    with pytest.raises(ValueError):
-        trace(np.zeros((2, 3), dtype=complex))
-
-
-def test_trace_gram_equals_frobenius():
-    rng = make_rng(4)
-    g = crandom(rng, (3, 4))
-    frob = sum(abs(g[i, j]) ** 2 for i in range(3) for j in range(4))
-    assert trace(matmul(g, hermitian(g))).real == pytest.approx(frob, abs=1e-10)
-
-
-def test_trace_cyclic():
-    rng = make_rng(5)
-    for _ in range(20):
-        a = crandom(rng, (3, 4))
-        b = crandom(rng, (4, 3))
-        assert abs(trace(matmul(a, b)) - trace(matmul(b, a))) < 1e-10
+from hybridris.numerics import make_rng, restore_rng, rng_state, sample_cn01
 
 
 def test_cn01_unit_power():
@@ -111,14 +26,6 @@ def test_cn01_rayleigh_magnitude():
     z = sample_cn01(make_rng(9), 100_000)
     empirical = np.mean(np.abs(z) <= 1.0)
     assert empirical == pytest.approx(1.0 - np.exp(-1.0), abs=0.01)
-
-
-def test_split_rng_streams_differ():
-    parent = make_rng(10)
-    a, b = split_rng(parent, 2)
-    xa = a.standard_normal(50)
-    xb = b.standard_normal(50)
-    assert not np.allclose(xa, xb)
 
 
 def test_rng_state_roundtrip():

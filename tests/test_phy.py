@@ -5,11 +5,12 @@ from hybridris.channel import CascadeSpec, ChannelSet, Topology, \
     pu_power_gains, sample_channel_set
 from hybridris.numerics import make_rng
 from hybridris.phy import (NoiseParams, PowerConstraint, power_cap,
-                           project_beamformer, rate_report, sinr_active,
-                           sinr_passive)
+                           project_beamformer, rate_report, sinrs, tx_power)
 from hybridris.ris import PASSIVE, PassiveParams, RisMode, build_reflection, \
     ActiveParams
-from oracles import naive_active_sinr, naive_passive_rates
+from oracles import naive_active_sinr, naive_frobenius_sq, naive_passive_rates
+
+NOISE = NoiseParams()
 
 
 def scalar_channels(h=1.0, hs=1.0, B=1):
@@ -17,9 +18,14 @@ def scalar_channels(h=1.0, hs=1.0, B=1):
     H_p = np.zeros((1, 1), dtype=complex)
     return ChannelSet(
         H_s=np.array([[hs]], dtype=complex),
-        h_b=[np.array([[h]], dtype=complex) for _ in range(B)],
+        h_b=np.full((1, B), h, dtype=complex),
         H_p=H_p, h_PB=np.ones((1, 1), dtype=complex),
         g_sp=pu_power_gains(H_p))
+
+
+def receiver_columns(ch):
+    """h_b as the oracles take it: one R x 1 column per receiver."""
+    return [ch.h_b[:, [b]] for b in range(ch.h_b.shape[1])]
 
 
 class TestPowerCap:
@@ -67,16 +73,16 @@ class TestProjectBeamformer:
 class TestSinrPassive:
     def test_scalar_case(self):
         ch = scalar_channels()
-        refl = np.array([[1.0 + 0j]])
+        refl = np.array([1.0 + 0j])
         G = np.array([[2.0 + 0j]])
-        lam = sinr_passive(ch, refl, G, NoiseParams(), 0)
+        lam = sinrs(ch, refl, G, NOISE.sigma_b_sq)[0]
         assert lam == pytest.approx(4.0)
         assert rate_report([lam]).sum_rate == pytest.approx(np.log2(5.0))
 
     def test_zero_beam_zero_sinr(self):
         ch = scalar_channels()
-        lam = sinr_passive(ch, np.array([[1.0 + 0j]]),
-                           np.array([[0.0 + 0j]]), NoiseParams(), 0)
+        lam = sinrs(ch, np.array([1.0 + 0j]), np.array([[0.0 + 0j]]),
+                    NOISE.sigma_b_sq)[0]
         assert lam == 0.0
 
     def test_global_phase_invariance(self):
@@ -86,57 +92,54 @@ class TestSinrPassive:
         refl = build_reflection(rng.uniform(0, 2 * np.pi, 4), PASSIVE, pp,
                                 ActiveParams(), 1.0, RisMode.passive())
         G = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        base = [sinr_passive(ch, refl, G, NoiseParams(), b) for b in range(2)]
+        base = sinrs(ch, refl, G, NOISE.sigma_b_sq)
         rot = refl * np.exp(1j * 1.234)
-        rotated = [sinr_passive(ch, rot, G, NoiseParams(), b) for b in range(2)]
+        rotated = sinrs(ch, rot, G, NOISE.sigma_b_sq)
         assert np.allclose(base, rotated, atol=1e-12)
 
     def test_single_user_monotone_in_aligned_magnitudes(self):
-        # all unit phases: growing any diagonal magnitude grows the SINR
+        # all unit phases: growing any reflection magnitude grows the SINR
         ch = ChannelSet(H_s=np.ones((3, 1), dtype=complex),
-                        h_b=[np.ones((3, 1), dtype=complex)],
+                        h_b=np.ones((3, 1), dtype=complex),
                         H_p=np.zeros((1, 1), dtype=complex),
                         h_PB=np.ones((3, 1), dtype=complex),
                         g_sp=np.array([0.0]))
         G = np.array([[1.0 + 0j]])
         mags = np.array([0.6, 0.7, 0.8])
-        lam = sinr_passive(ch, np.diag(mags).astype(complex), G,
-                           NoiseParams(), 0)
+        lam = sinrs(ch, mags.astype(complex), G, NOISE.sigma_b_sq)[0]
         for k in range(3):
             bigger = mags.copy()
             bigger[k] += 0.1
-            lam2 = sinr_passive(ch, np.diag(bigger).astype(complex), G,
-                                NoiseParams(), 0)
+            lam2 = sinrs(ch, bigger.astype(complex), G, NOISE.sigma_b_sq)[0]
             assert lam2 > lam
 
 
 class TestSinrActive:
     def test_scalar_case(self):
         ch = scalar_channels()
-        refl = np.array([[2.0 + 0j]])
+        refl = np.array([2.0 + 0j])
         G = np.array([[1.0 + 0j]])
-        lam = sinr_active(ch, refl, G, NoiseParams(), 0.01, 0)
+        lam = sinrs(ch, refl, G, NOISE.sigma_a_sq, 0.01)[0]
         assert lam == pytest.approx(4.0 / 1.04)
         assert lam == pytest.approx(3.8462, abs=1e-4)
 
     def test_no_amp_noise_reduces_to_passive(self):
         rng = make_rng(2)
         ch = sample_channel_set(rng, Topology(), CascadeSpec())
-        refl = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, 4)))
+        refl = np.exp(1j * rng.uniform(0, 2 * np.pi, 4))
         G = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         noise = NoiseParams(sigma_b_sq=1.0, sigma_a_sq=1.0)
-        for b in range(2):
-            active = sinr_active(ch, refl, G, noise, 0.0, b)
-            passive = sinr_passive(ch, refl, G, noise, b)
-            assert active == pytest.approx(passive, rel=1e-12)
+        active = sinrs(ch, refl, G, noise.sigma_a_sq, 0.0)
+        passive = sinrs(ch, refl, G, noise.sigma_b_sq)
+        assert active == pytest.approx(passive, rel=1e-12)
 
     def test_amp_noise_grows_with_gain_squared(self):
         ch = scalar_channels()
         G = np.array([[1.0 + 0j]])
 
         def amp_term(alpha):
-            lam = sinr_active(ch, np.array([[alpha + 0j]]), G, NoiseParams(),
-                              1.0, 0)
+            lam = sinrs(ch, np.array([alpha + 0j]), G, NOISE.sigma_a_sq,
+                        1.0)[0]
             # lam = alpha^2 / (alpha^2 + 1) here, so recover the noise term
             return alpha ** 2 / lam - 1.0
 
@@ -145,16 +148,17 @@ class TestSinrActive:
     def test_mask_restricts_amplifier_noise(self):
         rng = make_rng(3)
         ch = sample_channel_set(rng, Topology(), CascadeSpec())
-        refl = np.diag(2.0 * np.exp(1j * rng.uniform(0, 2 * np.pi, 4)))
+        refl = 2.0 * np.exp(1j * rng.uniform(0, 2 * np.pi, 4))
         G = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         mask = np.array([True, True, False, False])
-        full = sinr_active(ch, refl, G, NoiseParams(), 0.05, 0)
-        masked = sinr_active(ch, refl, G, NoiseParams(), 0.05, 0,
-                             amp_mask=mask)
-        oracle = naive_active_sinr(ch.h_b, np.diag(refl), ch.H_s, G, 1.0,
-                                   0.05, 0, amp_mask=mask)
-        assert masked == pytest.approx(oracle, rel=1e-12)
-        assert masked > full  # fewer noisy elements, higher SINR
+        full = sinrs(ch, refl, G, NOISE.sigma_a_sq, 0.05)
+        masked = sinrs(ch, refl, G, NOISE.sigma_a_sq, 0.05, amp_mask=mask)
+        cols = receiver_columns(ch)
+        for b in range(len(cols)):
+            oracle = naive_active_sinr(cols, refl, ch.H_s, G, 1.0, 0.05, b,
+                                       amp_mask=mask)
+            assert masked[b] == pytest.approx(oracle, rel=1e-12)
+        assert np.all(masked > full)  # fewer noisy elements, higher SINR
 
 
 class TestRateReport:
@@ -186,9 +190,13 @@ def test_sum_rate_matches_naive_reimplementation():
         refl = build_reflection(phases, PASSIVE, pp, ActiveParams(), 1.0,
                                 RisMode.passive())
         G = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-        sinrs = [sinr_passive(ch, refl, G, NoiseParams(), b)
-                 for b in range(topo.B)]
-        rep = rate_report(sinrs)
-        _, _, naive_sum = naive_passive_rates(ch.h_b, np.diag(refl), ch.H_s,
-                                              G, 1.0)
+        rep = rate_report(sinrs(ch, refl, G, NOISE.sigma_b_sq))
+        _, _, naive_sum = naive_passive_rates(receiver_columns(ch), refl,
+                                              ch.H_s, G, 1.0)
         assert rep.sum_rate == pytest.approx(naive_sum, abs=1e-10)
+
+
+def test_tx_power_equals_frobenius():
+    rng = make_rng(4)
+    g = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    assert tx_power(g) == pytest.approx(naive_frobenius_sq(g), abs=1e-10)
