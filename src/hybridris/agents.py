@@ -134,19 +134,6 @@ class Td3Config(DdpgConfig):
             (self.noise_clip < 0, "noise_clip must be >= 0"))
 
 
-def _adam_state(opt: Adam) -> dict:
-    return {"t": opt.t, "m": [m.copy() for m in opt.m],
-            "v": [v.copy() for v in opt.v]}
-
-
-def _adam_restore(opt: Adam, st: dict):
-    opt.t = int(st["t"])
-    for dst, src in zip(opt.m, st["m"]):
-        dst[...] = src
-    for dst, src in zip(opt.v, st["v"]):
-        dst[...] = src
-
-
 class RandomAgent:
     """Chooses uniform random actions; never learns."""
 
@@ -170,33 +157,99 @@ class RandomAgent:
         self.rng = restore_rng(st["rng"])
 
 
-class SacAgent:
-    """Soft actor-critic with twin critics, target critics, squashed
-    Gaussian policy, and automatic entropy-temperature tuning."""
+class _OffPolicyAgent:
+    """Replay buffer, reward baseline, warmup gate, critic regression and
+    checkpoint state shared by the learners. Subclasses set ``config_cls``,
+    build their nets from ``self.rng`` after this constructor and name
+    them in ``_nets``/``_opts``, the keys of their checkpointed buffers."""
 
-    def __init__(self, obs_dim: int, act_dim: int, cfg: SacConfig = None,
-                 seed: int = 0):
-        cfg = cfg or SacConfig()
-        self.cfg = cfg
+    def __init__(self, obs_dim: int, act_dim: int, cfg=None, seed: int = 0):
+        self.cfg = cfg or self.config_cls()
         self.obs_dim = obs_dim
         self.act_dim = act_dim
         self.rng = make_rng(seed)
+        self.buffer = ReplayBuffer(self.cfg.buffer_capacity, obs_dim, act_dim)
+        self._reward_sum = 0.0
+        self._reward_count = 0
+
+    def observe(self, s, a, r, s2):
+        self.buffer.store(s, a, r, s2)
+        self._reward_sum += r
+        self._reward_count += 1
+
+    def _baseline(self) -> float:
+        if not self.cfg.reward_baseline or self._reward_count == 0:
+            return 0.0
+        return self._reward_sum / self._reward_count
+
+    def _sample(self, t: int):
+        """``(batch, None)`` when step ``t`` trains, else ``(None, diag)``
+        with what ``update`` returns instead: None during warmup, a
+        warning while the buffer holds fewer transitions than a batch."""
+        if t < self.cfg.warmup_steps:
+            return None, None
+        if self.buffer.size < self.cfg.batch:
+            return None, {"warning": "batch underflow"}
+        return self.buffer.sample(self.rng, self.cfg.batch), None
+
+    @staticmethod
+    def _fit_critics(critics, opts, s, a, U):
+        """One Adam step of each critic on its mean squared error to the
+        targets ``U``; returns the losses."""
+        x = np.concatenate([s, a], axis=1)
+        losses = []
+        for q, opt in zip(critics, opts):
+            pred, cache = q.forward_cache(x)
+            diff = pred - U
+            losses.append(float(np.mean(diff ** 2)))
+            grad, _ = q.backward(cache, 2.0 * diff / diff.shape[0])
+            opt.step(q.flat, grad)
+        return losses
+
+    def get_state(self) -> dict:
+        return {
+            "nets": {k: net.flat.copy() for k, net in self._nets().items()},
+            "opts": {k: opt.get_state() for k, opt in self._opts().items()},
+            "rng": rng_state(self.rng),
+            "buffer": self.buffer.get_state(),
+            "reward_sum": self._reward_sum,
+            "reward_count": self._reward_count,
+        }
+
+    def set_state(self, st: dict):
+        for k, net in self._nets().items():
+            net.flat[...] = st["nets"][k]
+        for k, opt in self._opts().items():
+            opt.set_state(st["opts"][k])
+        self.rng = restore_rng(st["rng"])
+        self.buffer.set_state(st["buffer"])
+        self._reward_sum = float(st["reward_sum"])
+        self._reward_count = int(st["reward_count"])
+
+
+class SacAgent(_OffPolicyAgent):
+    """Soft actor-critic with twin critics, target critics, squashed
+    Gaussian policy, and automatic entropy-temperature tuning."""
+
+    config_cls = SacConfig
+
+    def __init__(self, obs_dim: int, act_dim: int, cfg: SacConfig = None,
+                 seed: int = 0):
+        super().__init__(obs_dim, act_dim, cfg, seed)
+        cfg = self.cfg
         hid = list(cfg.hidden)
         self.policy = DenseNet([obs_dim] + hid + [2 * act_dim], self.rng)
         self.q1 = DenseNet([obs_dim + act_dim] + hid + [1], self.rng)
         self.q2 = DenseNet([obs_dim + act_dim] + hid + [1], self.rng)
         self.q1_target = self.q1.copy()
         self.q2_target = self.q2.copy()
-        self.opt_policy = Adam(self.policy.params, cfg.lr)
-        self.opt_q1 = Adam(self.q1.params, cfg.lr)
-        self.opt_q2 = Adam(self.q2.params, cfg.lr)
+        self.opt_policy = Adam(self.policy.flat, cfg.lr)
+        self.opt_q1 = Adam(self.q1.flat, cfg.lr)
+        self.opt_q2 = Adam(self.q2.flat, cfg.lr)
         self.log_alpha = np.array([np.log(cfg.entropy_alpha)])
-        self.opt_alpha = Adam([self.log_alpha], cfg.lr)
+        self.opt_alpha = Adam(self.log_alpha, cfg.lr)
         self.target_entropy = (cfg.target_entropy if cfg.target_entropy
                                is not None else -float(act_dim))
-        self.buffer = ReplayBuffer(cfg.buffer_capacity, obs_dim, act_dim)
-        self._reward_sum = 0.0
-        self._reward_count = 0
 
     @property
     def entropy_alpha(self) -> float:
@@ -234,16 +287,6 @@ class SacAgent:
         a, _, _, _ = self._squash(mu, log_std, eps)
         return a[0]
 
-    def observe(self, s, a, r, s2):
-        self.buffer.store(s, a, r, s2)
-        self._reward_sum += r
-        self._reward_count += 1
-
-    def _baseline(self) -> float:
-        if not self.cfg.reward_baseline or self._reward_count == 0:
-            return 0.0
-        return self._reward_sum / self._reward_count
-
     def critic_target(self, s2, r, eps2=None):
         """Bootstrapped target: r + gamma * (min of the two target critics
         at a fresh policy action, minus the entropy term)."""
@@ -259,15 +302,8 @@ class SacAgent:
 
     def update_critics(self, s, a, r, s2, eps2=None):
         U = self.critic_target(s2, r, eps2)
-        x = np.concatenate([s, a], axis=1)
-        losses = []
-        for q, opt in ((self.q1, self.opt_q1), (self.q2, self.opt_q2)):
-            pred, cache = q.forward_cache(x)
-            diff = pred - U
-            losses.append(float(np.mean(diff ** 2)))
-            grads, _ = q.backward(cache, 2.0 * diff / diff.shape[0])
-            opt.step(q.params, grads)
-        return U, losses
+        return U, self._fit_critics((self.q1, self.q2),
+                                    (self.opt_q1, self.opt_q2), s, a, U)
 
     def update_policy(self, s, eps=None):
         """One gradient step on mean(alpha * logp - min_i Q_i(s, a)) with a
@@ -296,22 +332,21 @@ class SacAgent:
         g_mu = g_u / M
         clamp_mask = ((log_std_raw > LOG_STD_MIN) & (log_std_raw < LOG_STD_MAX))
         g_log_std = (g_u * std * eps - alpha) / M * clamp_mask
-        grads, _ = self.policy.backward(
+        grad, _ = self.policy.backward(
             cache, np.concatenate([g_mu, g_log_std], axis=1))
-        self.opt_policy.step(self.policy.params, grads)
+        self.opt_policy.step(self.policy.flat, grad)
         return loss, logp
 
     def update_temperature(self, logp):
         g = -float(np.mean(logp + self.target_entropy))
-        self.opt_alpha.step([self.log_alpha], [np.array([g])])
+        self.opt_alpha.step(self.log_alpha, np.array([g]))
 
     def update(self, t: int):
+        batch, idle = self._sample(t)
+        if batch is None:
+            return idle
         cfg = self.cfg
-        if t < cfg.warmup_steps:
-            return None
-        if self.buffer.size < cfg.batch:
-            return {"warning": "batch underflow"}
-        s, a, r, s2 = self.buffer.sample(self.rng, cfg.batch)
+        s, a, r, s2 = batch
         U, critic_losses = self.update_critics(s, a, r, s2)
         policy_loss, logp = self.update_policy(s)
         if cfg.auto_entropy:
@@ -323,71 +358,44 @@ class SacAgent:
                 "target_mean": float(np.mean(U))}
 
     def get_state(self) -> dict:
-        return {
-            "nets": {name: [p.copy() for p in net.params]
-                     for name, net in self._net_map().items()},
-            "opts": {name: _adam_state(opt)
-                     for name, opt in self._opt_map().items()},
-            "log_alpha": self.log_alpha.copy(),
-            "rng": rng_state(self.rng),
-            "buffer": self.buffer.get_state(),
-            "reward_sum": self._reward_sum,
-            "reward_count": self._reward_count,
-        }
+        return {**super().get_state(), "log_alpha": self.log_alpha.copy()}
 
     def set_state(self, st: dict):
-        for name, net in self._net_map().items():
-            net.set_params(st["nets"][name])
-        for name, opt in self._opt_map().items():
-            _adam_restore(opt, st["opts"][name])
+        super().set_state(st)
         self.log_alpha[...] = st["log_alpha"]
-        self.rng = restore_rng(st["rng"])
-        self.buffer.set_state(st["buffer"])
-        self._reward_sum = float(st["reward_sum"])
-        self._reward_count = int(st["reward_count"])
 
-    def _net_map(self):
+    def _nets(self):
         return {"policy": self.policy, "q1": self.q1, "q2": self.q2,
                 "q1_target": self.q1_target, "q2_target": self.q2_target}
 
-    def _opt_map(self):
+    def _opts(self):
         return {"policy": self.opt_policy, "q1": self.opt_q1,
                 "q2": self.opt_q2, "alpha": self.opt_alpha}
 
 
-class DdpgAgent:
+class DdpgAgent(_OffPolicyAgent):
     """Deterministic actor with one critic, additive Gaussian exploration
     noise, and target networks."""
 
+    config_cls = DdpgConfig
     n_critics = 1
 
     def __init__(self, obs_dim: int, act_dim: int, cfg: DdpgConfig = None,
                  seed: int = 0):
-        cfg = cfg or DdpgConfig()
-        self.cfg = cfg
-        self.obs_dim = obs_dim
-        self.act_dim = act_dim
-        self.rng = make_rng(seed)
+        super().__init__(obs_dim, act_dim, cfg, seed)
+        cfg = self.cfg
         hid = list(cfg.hidden)
         self.actor = DenseNet([obs_dim] + hid + [act_dim], self.rng)
         self.critics = [DenseNet([obs_dim + act_dim] + hid + [1], self.rng)
                         for _ in range(self.n_critics)]
         self.actor_target = self.actor.copy()
         self.critic_targets = [q.copy() for q in self.critics]
-        self.opt_actor = Adam(self.actor.params, cfg.lr)
-        self.opt_critics = [Adam(q.params, cfg.lr) for q in self.critics]
-        self.buffer = ReplayBuffer(cfg.buffer_capacity, obs_dim, act_dim)
+        self.opt_actor = Adam(self.actor.flat, cfg.lr)
+        self.opt_critics = [Adam(q.flat, cfg.lr) for q in self.critics]
         self.n_updates = 0
-        self._reward_sum = 0.0
-        self._reward_count = 0
 
     def _policy_action(self, net: DenseNet, s):
         return np.tanh(net.forward(s))
-
-    def _baseline(self) -> float:
-        if not self.cfg.reward_baseline or self._reward_count == 0:
-            return 0.0
-        return self._reward_sum / self._reward_count
 
     def act(self, obs, t: int, deterministic: bool = False):
         if not deterministic and t < self.cfg.warmup_steps:
@@ -397,11 +405,6 @@ class DdpgAgent:
             return a
         noise = self.cfg.expl_noise * self.rng.standard_normal(self.act_dim)
         return np.clip(a + noise, -1.0, 1.0)
-
-    def observe(self, s, a, r, s2):
-        self.buffer.store(s, a, r, s2)
-        self._reward_sum += r
-        self._reward_count += 1
 
     def _target_action(self, s2):
         return self._policy_action(self.actor_target, s2)
@@ -424,26 +427,18 @@ class DdpgAgent:
         pred, qc = q.forward_cache(x)
         _, gx = q.backward(qc, np.full_like(pred, -1.0 / M))
         g_out = gx[:, self.obs_dim:] * (1.0 - a ** 2)
-        grads, _ = self.actor.backward(cache, g_out)
-        self.opt_actor.step(self.actor.params, grads)
+        grad, _ = self.actor.backward(cache, g_out)
+        self.opt_actor.step(self.actor.flat, grad)
         return float(-np.mean(pred))
 
     def update(self, t: int):
+        batch, idle = self._sample(t)
+        if batch is None:
+            return idle
         cfg = self.cfg
-        if t < cfg.warmup_steps:
-            return None
-        if self.buffer.size < cfg.batch:
-            return {"warning": "batch underflow"}
-        s, a, r, s2 = self.buffer.sample(self.rng, cfg.batch)
+        s, a, r, s2 = batch
         U = self.critic_target_value(s2, r)
-        x = np.concatenate([s, a], axis=1)
-        losses = []
-        for q, opt in zip(self.critics, self.opt_critics):
-            pred, cache = q.forward_cache(x)
-            diff = pred - U
-            losses.append(float(np.mean(diff ** 2)))
-            grads, _ = q.backward(cache, 2.0 * diff / diff.shape[0])
-            opt.step(q.params, grads)
+        losses = self._fit_critics(self.critics, self.opt_critics, s, a, U)
         self.n_updates += 1
         diag = {"critic_losses": losses, "actor_updated": False}
         if self._actor_due():
@@ -458,48 +453,29 @@ class DdpgAgent:
         return True
 
     def get_state(self) -> dict:
-        nets = {"actor": self.actor, "actor_target": self.actor_target}
-        nets.update({f"q{i}": q for i, q in enumerate(self.critics)})
-        nets.update({f"q{i}_target": q
-                     for i, q in enumerate(self.critic_targets)})
-        opts = {"actor": self.opt_actor}
-        opts.update({f"q{i}": o for i, o in enumerate(self.opt_critics)})
-        return {
-            "nets": {k: [p.copy() for p in n.params] for k, n in nets.items()},
-            "opts": {k: _adam_state(o) for k, o in opts.items()},
-            "rng": rng_state(self.rng),
-            "buffer": self.buffer.get_state(),
-            "n_updates": self.n_updates,
-            "reward_sum": self._reward_sum,
-            "reward_count": self._reward_count,
-        }
+        return {**super().get_state(), "n_updates": self.n_updates}
 
     def set_state(self, st: dict):
-        nets = {"actor": self.actor, "actor_target": self.actor_target}
-        nets.update({f"q{i}": q for i, q in enumerate(self.critics)})
-        nets.update({f"q{i}_target": q
-                     for i, q in enumerate(self.critic_targets)})
-        for k, n in nets.items():
-            n.set_params(st["nets"][k])
-        _adam_restore(self.opt_actor, st["opts"]["actor"])
-        for i, o in enumerate(self.opt_critics):
-            _adam_restore(o, st["opts"][f"q{i}"])
-        self.rng = restore_rng(st["rng"])
-        self.buffer.set_state(st["buffer"])
+        super().set_state(st)
         self.n_updates = int(st["n_updates"])
-        self._reward_sum = float(st["reward_sum"])
-        self._reward_count = int(st["reward_count"])
+
+    def _nets(self):
+        nets = {"actor": self.actor, "actor_target": self.actor_target}
+        for i, (q, qt) in enumerate(zip(self.critics, self.critic_targets)):
+            nets[f"q{i}"], nets[f"q{i}_target"] = q, qt
+        return nets
+
+    def _opts(self):
+        return {"actor": self.opt_actor,
+                **{f"q{i}": o for i, o in enumerate(self.opt_critics)}}
 
 
 class Td3Agent(DdpgAgent):
     """Twin critics, target-policy smoothing noise, and delayed actor
     updates on top of the DDPG skeleton."""
 
+    config_cls = Td3Config
     n_critics = 2
-
-    def __init__(self, obs_dim: int, act_dim: int, cfg: Td3Config = None,
-                 seed: int = 0):
-        super().__init__(obs_dim, act_dim, cfg or Td3Config(), seed)
 
     def _target_action(self, s2):
         a2 = self._policy_action(self.actor_target, s2)

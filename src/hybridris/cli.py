@@ -66,7 +66,13 @@ def main(argv=None) -> int:
     p_cmp.set_defaults(func=_cmd_compare)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        # bad specs, missing files and mismatched runs: the message names
+        # what to fix, so a traceback would only bury it
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

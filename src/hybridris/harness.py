@@ -31,7 +31,7 @@ from .numerics import make_rng
 
 MA_WINDOW = 200
 CONVERGED_FRACTION = 0.1
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 AGENT_KINDS = {
     "sac": (SacAgent, SacConfig),

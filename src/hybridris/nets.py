@@ -2,9 +2,10 @@
 an Adam optimizer.
 
 Networks are fully-connected with tanh hidden activations and a linear
-output layer, stored as plain float64 arrays. Backward passes return both
-parameter gradients and the gradient with respect to the input, which the
-actor-critic updates need to push value gradients through action inputs.
+output layer, with all parameters in one flat float64 buffer. Backward
+passes return both the parameter gradient, laid out like that buffer, and
+the gradient with respect to the input, which the actor-critic updates
+need to push value gradients through action inputs.
 """
 
 import numpy as np
@@ -14,7 +15,8 @@ class DenseNet:
     """Feed-forward net over ``sizes = [in, hidden..., out]``.
 
     Weights are Glorot-uniform initialized from the provided generator;
-    biases start at zero. Parameters live in ``self.params`` as
+    biases start at zero. All parameters live in the flat buffer
+    ``self.flat``; ``self.params`` holds views into it as
     ``[W0, b0, W1, b1, ...]`` with ``W`` of shape (out, in).
     """
 
@@ -22,15 +24,26 @@ class DenseNet:
         if len(sizes) < 2:
             raise ValueError("need at least an input and an output layer")
         self.sizes = list(sizes)
-        self.params = []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            limit = np.sqrt(6.0 / (fan_in + fan_out))
-            self.params.append(rng.uniform(-limit, limit, (fan_out, fan_in)))
-            self.params.append(np.zeros(fan_out))
+        self.flat = np.zeros(sum((n_in + 1) * n_out
+                                 for n_in, n_out in zip(sizes, sizes[1:])))
+        self.params = self.views(self.flat)
+        for W in self.params[::2]:
+            limit = np.sqrt(6.0 / sum(W.shape))
+            W[...] = rng.uniform(-limit, limit, W.shape)
 
     @property
     def n_layers(self) -> int:
         return len(self.sizes) - 1
+
+    def views(self, buf: np.ndarray) -> list:
+        """``[W0, b0, W1, b1, ...]`` as views into ``buf``, a buffer laid
+        out like ``self.flat``."""
+        out, start = [], 0
+        for n_in, n_out in zip(self.sizes, self.sizes[1:]):
+            mid, end = start + n_in * n_out, start + (n_in + 1) * n_out
+            out += [buf[start:mid].reshape(n_out, n_in), buf[mid:end]]
+            start = end
+        return out
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         y, _ = self.forward_cache(x)
@@ -58,75 +71,78 @@ class DenseNet:
         """Exact gradients of sum(grad_out * output) w.r.t. params and input.
 
         ``acts`` is the cache from :meth:`forward_cache`; ``grad_out`` is
-        (batch, out). Returns ``(param_grads, grad_input)`` with
-        ``param_grads`` matching the layout of ``self.params``.
+        (batch, out). Returns ``(grad, grad_input)`` with ``grad`` laid out
+        like ``self.flat``; ``self.views(grad)`` splits it per layer.
         """
         delta = np.atleast_2d(np.asarray(grad_out, dtype=float))
-        grads = [None] * len(self.params)
+        grad = np.empty_like(self.flat)
+        grads = self.views(grad)
         for i in range(self.n_layers - 1, -1, -1):
             W = self.params[2 * i]
             a_in = acts[i]
-            grads[2 * i] = delta.T @ a_in
-            grads[2 * i + 1] = delta.sum(axis=0)
+            grads[2 * i][...] = delta.T @ a_in
+            grads[2 * i + 1][...] = delta.sum(axis=0)
             delta = delta @ W
             if i > 0:
                 delta = delta * (1.0 - acts[i] ** 2)
-        return grads, delta
+        return grad, delta
 
     def copy(self) -> "DenseNet":
         clone = DenseNet.__new__(DenseNet)
         clone.sizes = list(self.sizes)
-        clone.params = [p.copy() for p in self.params]
+        clone.flat = self.flat.copy()
+        clone.params = clone.views(clone.flat)
         return clone
-
-    def set_params(self, params):
-        for dst, src in zip(self.params, params):
-            dst[...] = src
 
 
 def soft_update(target: DenseNet, source: DenseNet, tau: float):
     """Polyak averaging: target <- tau * source + (1 - tau) * target."""
-    for pt, ps in zip(target.params, source.params):
-        pt *= 1.0 - tau
-        pt += tau * ps
+    target.flat *= 1.0 - tau
+    target.flat += tau * source.flat
 
 
 class Adam:
-    """Per-parameter adaptive moment estimation over a list of arrays.
+    """Per-parameter adaptive moment estimation over one float64 array.
 
     Updates p -= lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps),
     computed with the bias corrections folded into the step size to avoid
     per-parameter temporaries.
     """
 
-    def __init__(self, params, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, p, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
-        self._scratch = [np.empty_like(p) for p in params]
+        self.m = np.zeros_like(p)
+        self.v = np.zeros_like(p)
+        self._scratch = np.empty_like(p)
 
-    def step(self, params, grads):
+    def step(self, p, g):
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
         step_size = self.lr * np.sqrt(bc2) / bc1
         eps_hat = self.eps * np.sqrt(bc2)
-        for p, g, m, v, s in zip(params, grads, self.m, self.v,
-                                 self._scratch):
-            g = np.asarray(g, dtype=float)
-            m *= self.beta1
-            np.multiply(g, 1.0 - self.beta1, out=s)
-            m += s
-            v *= self.beta2
-            np.multiply(g, g, out=s)
-            s *= 1.0 - self.beta2
-            v += s
-            np.sqrt(v, out=s)
-            s += eps_hat
-            np.divide(m, s, out=s)
-            s *= step_size
-            p -= s
+        m, v, s = self.m, self.v, self._scratch
+        m *= self.beta1
+        np.multiply(g, 1.0 - self.beta1, out=s)
+        m += s
+        v *= self.beta2
+        np.multiply(g, g, out=s)
+        s *= 1.0 - self.beta2
+        v += s
+        np.sqrt(v, out=s)
+        s += eps_hat
+        np.divide(m, s, out=s)
+        s *= step_size
+        p -= s
+
+    def get_state(self) -> dict:
+        return {"t": self.t, "m": self.m.copy(), "v": self.v.copy()}
+
+    def set_state(self, st: dict):
+        self.t = int(st["t"])
+        self.m[...] = st["m"]
+        self.v[...] = st["v"]

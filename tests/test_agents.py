@@ -228,19 +228,28 @@ class TestSacUpdate:
         assert ag.entropy_alpha < before
 
 
+LEARNERS = {"sac": (SacAgent, SacConfig), "ddpg": (DdpgAgent, DdpgConfig),
+            "td3": (Td3Agent, Td3Config)}
+
+
 class TestSacStateRoundtrip:
-    def test_bitwise_resume(self):
-        cfg = SacConfig(warmup_steps=5, batch=4, hidden=(16, 16))
-        ag = SacAgent(OBS, ACT, cfg, seed=21)
+    # TD3 also stops after an odd number of updates, so the restored update
+    # count must put the delayed actor update back in phase
+    @pytest.mark.parametrize("kind,n_updates", [("sac", 20), ("ddpg", 20),
+                                                ("td3", 20), ("td3", 21)])
+    def test_bitwise_resume(self, kind, n_updates):
+        agent_cls, cfg_cls = LEARNERS[kind]
+        cfg = cfg_cls(warmup_steps=5, batch=4, hidden=(16, 16))
+        ag = agent_cls(OBS, ACT, cfg, seed=21)
         filled_agent(ag, n=30, seed=22)
-        for t in range(10, 30):
+        for t in range(10, 10 + n_updates):
             ag.update(t)
         st = ag.get_state()
         obs = np.linspace(-1, 1, OBS)
         expected_actions = [ag.act(obs, t) for t in range(30, 40)]
         expected_diag = ag.update(50)
 
-        ag2 = SacAgent(OBS, ACT, cfg, seed=999)
+        ag2 = agent_cls(OBS, ACT, cfg, seed=999)
         ag2.set_state(st)
         got_actions = [ag2.act(obs, t) for t in range(30, 40)]
         got_diag = ag2.update(50)

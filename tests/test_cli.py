@@ -42,6 +42,21 @@ def test_run_twice_then_compare(tmp_path):
     assert (tmp_path / "table.csv").exists()
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["run", "bad.json"], "policy_delay"),
+    (["run", "missing.json"], "missing.json"),
+    (["compare", "no_such_run", "--out", "t.csv"], "no_such_run"),
+], ids=["bad_spec", "missing_spec", "missing_run_dir"])
+def test_user_error_is_one_line(argv, named, tmp_path):
+    (tmp_path / "bad.json").write_text(json.dumps(
+        {"name": "bad", "agent": {"kind": "td3", "policy_delay": 0}}))
+    res = run_python(["-m", "hybridris.cli", *argv], tmp_path)
+    assert res.returncode == 2
+    assert res.stderr.startswith("hybridris: error: ")
+    assert named in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_exits_zero(demo, tmp_path):
     res = run_python([str(demo)], tmp_path)

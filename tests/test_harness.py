@@ -100,22 +100,31 @@ class TestRunExperiment:
         assert savings == pytest.approx(replay_savings, abs=1e-9)
 
 
+LEARNER_CONFIGS = {"sac": hr.SacConfig, "ddpg": hr.DdpgConfig,
+                   "td3": hr.Td3Config}
+
+
 class TestCheckpoints:
-    def test_resume_is_bitwise_identical(self, tmp_path):
+    # TD3 also stops at an odd step, so the restored update count must put
+    # the delayed actor update back in phase
+    @pytest.mark.parametrize("kind,stop", [("sac", 120), ("ddpg", 120),
+                                           ("td3", 120), ("td3", 121)])
+    def test_resume_is_bitwise_identical(self, tmp_path, kind, stop):
         spec = tiny_spec(
-            agent_kind="sac",
-            agent=hr.SacConfig(warmup_steps=30, batch=4, hidden=(12, 12)),
-            steps=220)
+            agent_kind=kind,
+            agent=LEARNER_CONFIGS[kind](warmup_steps=30, batch=4,
+                                        hidden=(12, 12)),
+            steps=stop + 100)
         loop = build_loop(spec, 0)
-        loop.run(120)
+        loop.run(stop)
         path = str(tmp_path / "ck.pkl")
         save_checkpoint(path, loop)
         loop.run(100)
-        expected_tail = loop.rewards[120:]
+        expected_tail = loop.rewards[stop:]
 
         loop2 = build_loop(spec, 0)
         load_checkpoint(path, loop2)
-        assert loop2.t == 120
+        assert loop2.t == stop
         loop2.run(100)
         assert loop2.rewards == expected_tail
 
@@ -135,12 +144,15 @@ class TestCheckpoints:
         resumed.run(120)  # a restored loop logs only its own steps
         assert straight.rewards == loop.rewards + resumed.rewards
 
-    def test_older_checkpoint_version_refused(self):
-        # version 1 checkpoints hold h_b as a list of per-receiver columns
+    # version 1 checkpoints hold h_b as a list of per-receiver columns;
+    # version 2 ones hold each net and Adam moment as a list of per-layer
+    # arrays
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_older_checkpoint_version_refused(self, version):
         loop = build_loop(tiny_spec(), 0)
         st = loop.get_state()
-        st["version"] = 1
-        with pytest.raises(ValueError, match="version 1"):
+        st["version"] = version
+        with pytest.raises(ValueError, match=f"version {version}"):
             build_loop(tiny_spec(), 0).set_state(st)
 
 

@@ -30,6 +30,22 @@ def test_forward_matches_scalar_loop():
     assert np.max(np.abs(net.forward(x)[0] - expected)) < 1e-12
 
 
+def test_params_are_views_into_one_flat_buffer():
+    net = DenseNet([4, 8, 3], make_rng(10))
+    start = 0
+    for p in net.params:
+        assert np.shares_memory(p, net.flat)
+        assert p.ravel().ctypes.data == net.flat[start:].ctypes.data
+        start += p.size
+    assert start == net.flat.size
+    net.params[0][0, 0] = 42.0
+    assert net.flat[0] == 42.0
+    clone = net.copy()
+    assert not np.shares_memory(clone.flat, net.flat)
+    assert not any(np.shares_memory(c, p)
+                   for c in clone.params for p in net.params)
+
+
 def test_forward_shape_check():
     net = DenseNet([4, 2], make_rng(3))
     with pytest.raises(ValueError):
@@ -43,7 +59,8 @@ def test_linear_regression_gradient_closed_form():
     b = float(net.params[1][0])
     x, y = 1.7, -0.4
     pred, cache = net.forward_cache(np.array([[x]]))
-    grads, _ = net.backward(cache, 2.0 * (pred - y))
+    grad, _ = net.backward(cache, 2.0 * (pred - y))
+    grads = net.views(grad)
     residual = w * x + b - y
     assert grads[0][0, 0] == pytest.approx(2.0 * residual * x, rel=1e-12)
     assert grads[1][0] == pytest.approx(2.0 * residual, rel=1e-12)
@@ -56,7 +73,8 @@ def test_backward_matches_central_differences(sizes):
     x = rng.standard_normal((4, sizes[0]))
     gout = rng.standard_normal((4, sizes[-1]))
     _, cache = net.forward_cache(x)
-    grads, _ = net.backward(cache, gout)
+    grad, _ = net.backward(cache, gout)
+    grads = net.views(grad)
     fd = fd_param_gradients(net, x, gout, h=1e-5)
     worst = 0.0
     for (pi, i), est in fd.items():
@@ -120,9 +138,9 @@ def test_soft_update_interpolates():
 
 def test_adam_minimizes_quadratic():
     p = np.array([10.0])
-    opt = Adam([p], lr=0.1)
+    opt = Adam(p, lr=0.1)
     for _ in range(500):
-        opt.step([p], [2.0 * (p - 3.0)])
+        opt.step(p, 2.0 * (p - 3.0))
     assert p[0] == pytest.approx(3.0, abs=1e-3)
 
 
@@ -130,9 +148,9 @@ def test_adam_matches_reference_formula():
     # one step of the canonical update from zero moments
     p = np.array([1.0, -2.0])
     g = np.array([0.3, -0.7])
-    opt = Adam([p.copy()], lr=1e-2)
+    opt = Adam(p.copy(), lr=1e-2)
     q = p.copy()
-    opt.step([q], [g.copy()])
+    opt.step(q, g.copy())
     m = 0.1 * g
     v = 0.001 * g * g
     mhat = m / (1 - 0.9)
