@@ -37,8 +37,8 @@ from .channel import (CascadeSpec, ChannelSet, FadingMode, Topology,
                       sample_channel_set)
 from .numerics import make_rng, restore_rng, rng_state
 from .phy import NoiseParams, PowerConstraint
-from .ris import (ACTIVE, FIXED_HYBRID, ActiveParams, ConsumptionParams,
-                  HarvestParams, PassiveParams, RisMode)
+from .ris import (ACTIVE, ActiveParams, ConsumptionParams, HarvestParams,
+                  PassiveParams, RisMode)
 
 CONSTRAINT_TOL = 1e-9
 
@@ -152,39 +152,22 @@ class RisCrnEnv:
         ch = self._channels
 
         ledger = ris.harvest(ch.h_PB, cfg.hp)
-        resolved = ris.resolve_mode(cfg.mode, ledger, cfg.hp)
+        resolved, n_active, alpha = ris.resolve_mode(cfg.mode, ledger, topo.R,
+                                                     cfg.hp, cfg.ap)
+        active = resolved == ACTIVE
         cap = phy.power_cap(cfg.pc, ch.g_sp)
         G, phases = decode_action(action, cap, topo)
 
-        if cfg.mode.kind == FIXED_HYBRID:
-            alpha = cfg.mode.fixed_gain
-        elif resolved == ACTIVE:
-            alpha = ris.energy_gain(ledger, topo.R, cfg.ap)
-        else:
-            alpha = 1.0
-        refl = ris.build_reflection(phases, resolved, cfg.pp, cfg.ap,
-                                    alpha, cfg.mode)
-
-        if resolved == ACTIVE:
-            mask = None
-            if cfg.mode.kind == FIXED_HYBRID:
-                mask = np.arange(topo.R) < cfg.mode.n_active(topo.R)
-            sinrs = phy.sinrs(ch, refl, G, cfg.noise.sigma_a_sq,
-                              cfg.ap.amp_noise_var, mask)
-        else:
-            sinrs = phy.sinrs(ch, refl, G, cfg.noise.sigma_b_sq)
+        refl = ris.build_reflection(phases, n_active, alpha, cfg.pp)
+        noise_var = cfg.noise.sigma_a_sq if active else cfg.noise.sigma_b_sq
+        sinrs = phy.sinrs(ch, refl, G, noise_var, cfg.ap.amp_noise_var,
+                          n_active)
         report = phy.rate_report(sinrs)
 
-        if resolved == ACTIVE:
-            penalty = cfg.penalty_weight * max(0.0, cfg.hp.tau - ledger.total)
-        else:
-            penalty = 0.0
+        penalty = (cfg.penalty_weight * max(0.0, cfg.hp.tau - ledger.total)
+                   if active else 0.0)
         reward = report.sum_rate - penalty
-
-        if cfg.mode.kind == FIXED_HYBRID:
-            energy = ris.fixed_hybrid_energy(cfg.mode, topo.R, cfg.cp)
-        else:
-            energy = ris.energy_consumed(resolved, alpha, topo.R, cfg.cp)
+        energy = ris.energy_consumed(n_active, alpha, topo.R, cfg.cp)
 
         if phy.tx_power(G) > cap + CONSTRAINT_TOL:
             self._violations += 1
@@ -192,7 +175,7 @@ class RisCrnEnv:
         self._prev_G = G
         self._prev_phases = phases
         self._prev_alpha = alpha
-        self._prev_mode_flag = 1.0 if resolved == ACTIVE else 0.0
+        self._prev_mode_flag = 1.0 if active else 0.0
         self._t += 1
         if self._t % cfg.fading.block_length == 0:
             self._channels = sample_channel_set(self._rng, topo, cfg.cascade)

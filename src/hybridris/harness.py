@@ -15,7 +15,7 @@ import os
 import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -59,6 +59,10 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.agent_kind not in AGENT_KINDS:
             raise SpecError(f"agent_kind: unknown kind {self.agent_kind!r}")
+        cfg_cls = AGENT_KINDS[self.agent_kind][1]
+        if self.agent is not None and type(self.agent) is not cfg_cls:
+            raise SpecError(f"agent: a {type(self.agent).__name__} cannot "
+                            f"configure a {self.agent_kind!r} agent")
         if not self.seeds:
             raise SpecError("seeds: must be non-empty")
         if self.total_steps < 1:
@@ -443,13 +447,19 @@ def expand_sweep(d: dict):
     """Expand the optional sweep section into (label, spec-dict) points.
 
     Each sweep entry is {"path": "env.harvest.tau", "values": [...]};
-    multiple entries expand as a cartesian product.
+    multiple entries expand as a cartesian product. Every point's label
+    names its run directory, so values that format to the same label are
+    refused.
     """
     sweep = d.get("sweep")
     if not sweep:
         return [("", d)]
     points = [("", d)]
-    for entry in sweep:
+    for i, entry in enumerate(sweep):
+        if not (isinstance(entry, dict) and isinstance(entry.get("path"), str)
+                and isinstance(entry.get("values"), (list, tuple))):
+            raise SpecError(f"sweep[{i}]: needs a \"path\" string and a "
+                            f"\"values\" list")
         path, values = entry["path"], entry["values"]
         leaf = path.split(".")[-1]
         new_points = []
@@ -465,6 +475,11 @@ def expand_sweep(d: dict):
                        else f"{leaf}={v}")
                 new_points.append((f"{label}_{tag}" if label else tag, dd))
         points = new_points
+    labels = [label for label, _ in points]
+    clashes = sorted({label for label in labels if labels.count(label) > 1})
+    if clashes:
+        raise SpecError(f"sweep: points share the label {', '.join(clashes)}"
+                        f" and would overwrite each other's runs")
     return points
 
 
@@ -487,16 +502,9 @@ def run_spec_dict(d: dict, out_dir: str, seeds_override=None,
         spec = build_spec(point)
         sub = out_dir if not label else os.path.join(out_dir, label)
         if label:
-            spec = ExperimentSpec(**{**_spec_fields(spec),
-                                     "name": f"{spec.name}_{label}"})
+            spec = replace(spec, name=f"{spec.name}_{label}")
         results.append(run_experiment(spec, sub, workers=workers))
     return results
-
-
-def _spec_fields(spec: ExperimentSpec) -> dict:
-    return {k: getattr(spec, k) for k in
-            ("name", "env", "agent_kind", "agent", "attack", "defense",
-             "seeds", "total_steps")}
 
 
 # ---------------------------------------------------------------------------

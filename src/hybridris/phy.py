@@ -76,24 +76,20 @@ def project_beamformer(G: np.ndarray, cap: float) -> np.ndarray:
 
 
 def sinrs(ch: ChannelSet, refl: np.ndarray, G: np.ndarray, noise_var: float,
-          amp_noise_var: float = 0.0, amp_mask=None) -> np.ndarray:
+          amp_noise_var: float = 0.0, n_amp=None) -> np.ndarray:
     """SINR at every SU receiver through the reflection vector ``refl``.
 
     Receiver b sees the cascaded link h_b^T diag(refl) H_s G; the beams
-    intended for the other receivers are its interference. An amplifying
-    surface adds the thermal noise it re-radiates,
-    amp_noise_var * ||h_b^T diag(refl)||^2, restricted to the amplifying
-    elements when ``amp_mask`` is given (mixed fixed-hybrid surfaces). A
-    passive surface is amp_noise_var = 0.
+    intended for the other receivers are its interference. The first
+    ``n_amp`` elements (all when None) amplify and add the thermal noise
+    they re-radiate, amp_noise_var * |h_b,r refl_r|^2 summed over them. A
+    passive surface is n_amp = 0 or amp_noise_var = 0.
     """
     hrow = ch.h_b.T * refl                       # B x R
     powers = np.abs(hrow @ ch.H_s @ G) ** 2      # receiver x beam
     signal = powers.diagonal()
     interf = powers.sum(axis=1) - signal
-    amp_terms = np.abs(hrow) ** 2
-    if amp_mask is not None:
-        amp_terms = amp_terms[:, amp_mask]
-    amp_noise = amp_noise_var * amp_terms.sum(axis=1)
+    amp_noise = amp_noise_var * (np.abs(hrow[:, :n_amp]) ** 2).sum(axis=1)
     return signal / (interf + amp_noise + noise_var)
 
 

@@ -10,6 +10,10 @@ Covers four operating modes:
 * fixed hybrid: a static subset of elements amplifies at a fixed gain while
   the rest reflect passively.
 
+Each slot, ``resolve_mode`` turns any of them into one setting: the logged
+mode, how many leading elements amplify and their gain. Reflection and
+energy bill read only that setting.
+
 Harvested energy is collected fresh each slot from a dedicated power beacon;
 there is no battery carry-over between slots.
 """
@@ -165,19 +169,24 @@ def energy_gain(ledger: EnergyLedger, R: int, ap: ActiveParams) -> float:
     return float(min(alpha, ap.alpha_max))
 
 
-def resolve_mode(mode: RisMode, ledger: EnergyLedger, hp: HarvestParams) -> str:
-    """Per-slot passive/active decision.
+def resolve_mode(mode: RisMode, ledger: EnergyLedger, R: int,
+                 hp: HarvestParams, ap: ActiveParams):
+    """One slot's surface setting ``(resolved, n_active, gain)``: the logged
+    mode, how many leading elements amplify, and their gain.
 
-    The dynamic hybrid goes active iff the harvested total reaches tau and
-    defaults to passive otherwise; forced modes return themselves, and the
-    fixed hybrid always runs its active subset (split applied when the
-    reflection is built).
+    Passive is (passive, 0, 1.0) and active (active, R, energy_gain). The
+    dynamic hybrid is active iff the harvested total reaches tau and
+    passive otherwise; the fixed hybrid runs its static split at its fixed
+    gain and is logged as active.
     """
-    if mode.kind == DYNAMIC_HYBRID:
-        return ACTIVE if ledger.total >= hp.tau else PASSIVE
-    if mode.kind == FIXED_HYBRID:
-        return ACTIVE
-    return mode.kind
+    kind = mode.kind
+    if kind == DYNAMIC_HYBRID:
+        kind = ACTIVE if ledger.total >= hp.tau else PASSIVE
+    if kind == PASSIVE:
+        return PASSIVE, 0, 1.0
+    if kind == ACTIVE:
+        return ACTIVE, R, energy_gain(ledger, R, ap)
+    return ACTIVE, mode.n_active(R), mode.fixed_gain
 
 
 def wrap_phase(eps):
@@ -185,50 +194,33 @@ def wrap_phase(eps):
     return np.mod(eps, 2.0 * np.pi)
 
 
-def build_reflection(phases, resolved: str, pp: PassiveParams,
-                     ap: ActiveParams, alpha: float,
-                     mode: RisMode) -> np.ndarray:
-    """Per-element reflection coefficients (length R) for the resolved mode.
+def build_reflection(phases, n_active: int, gain: float,
+                     pp: PassiveParams) -> np.ndarray:
+    """Per-element reflection coefficients (length R) for one slot.
 
-    Passive: beta(eps_r) e^{j eps_r}. Active: uniform gain alpha on every
-    element. Fixed hybrid: the first ``mode.n_active(R)`` elements amplify
-    at the fixed gain, the rest reflect passively. Phases outside
-    [0, 2*pi) are wrapped, never rejected.
+    The first ``n_active`` elements amplify at ``gain``; the rest reflect
+    passively with beta(eps_r). Every element applies its phase e^{j eps_r};
+    phases outside [0, 2*pi) are wrapped, never rejected.
     """
     eps = wrap_phase(np.asarray(phases, dtype=float).ravel())
-    if mode.kind == FIXED_HYBRID:
-        mag = passive_amplitude(eps, pp)
-        mag[:mode.n_active(eps.size)] = mode.fixed_gain
-    elif resolved == ACTIVE:
-        if not ap.alpha_min <= alpha <= ap.alpha_max:
-            raise ValueError("active gain outside [alpha_min, alpha_max]")
-        mag = alpha
-    else:
-        mag = passive_amplitude(eps, pp)
+    if n_active == eps.size:
+        return gain * np.exp(1j * eps)
+    mag = passive_amplitude(eps, pp)
+    mag[:n_active] = gain
     return mag * np.exp(1j * eps)
 
 
-def energy_consumed(resolved: str, alpha: float, R: int,
+def energy_consumed(n_active: int, gain: float, R: int,
                     cp: ConsumptionParams) -> float:
     """Energy drawn by the surface in one slot (joules).
 
-    Passive elements cost control power only; active elements add power
-    proportional to the amplification gain.
+    The ``n_active`` amplifying elements draw control power plus power
+    proportional to their gain; the other R - n_active elements cost
+    passive control power only.
     """
-    if resolved == ACTIVE:
-        power = R * (alpha * cp.P_amp + cp.P_ctrl)
-    else:
-        power = R * cp.P_passive
-    return float(power * cp.slot_seconds)
-
-
-def fixed_hybrid_energy(mode: RisMode, R: int, cp: ConsumptionParams) -> float:
-    """Slot energy for the fixed hybrid split: the amplifying subset is
-    billed at its fixed gain, the remainder at passive control power."""
-    n_active = mode.n_active(R)
     e = 0.0
     if n_active:
-        e += energy_consumed(ACTIVE, mode.fixed_gain, n_active, cp)
+        e += float(n_active * (gain * cp.P_amp + cp.P_ctrl) * cp.slot_seconds)
     if R - n_active:
-        e += energy_consumed(PASSIVE, 1.0, R - n_active, cp)
+        e += float((R - n_active) * cp.P_passive * cp.slot_seconds)
     return e

@@ -19,6 +19,7 @@ SCALE = "scale"
 RANDOM_SCALE = "random_scale"
 
 STD_FLOOR = 1e-6
+CLIP_BOUNDS = (-2.0, 2.0)   # reward clip when no defense sets its own
 
 
 @dataclass(frozen=True)
@@ -161,8 +162,7 @@ class RewardPipeline:
 
     def __init__(self, attack_cfg: AttackConfig = None,
                  defense_cfg: DefenseConfig = None,
-                 rng: np.random.Generator = None,
-                 clip_bounds=(-2.0, 2.0)):
+                 rng: np.random.Generator = None):
         self.attack_cfg = attack_cfg
         self.defense_cfg = defense_cfg
         self.rng = rng
@@ -171,7 +171,7 @@ class RewardPipeline:
             self.filter = RewardFilter(defense_cfg)
             self._clean_warmup = defense_cfg.warmup_count
         else:
-            self.clip = tuple(clip_bounds)
+            self.clip = CLIP_BOUNDS
             self.filter = None
             self._clean_warmup = 0
         self._raw_history = deque(

@@ -256,6 +256,16 @@ class TestSacStateRoundtrip:
         for a, b in zip(expected_actions, got_actions):
             assert np.array_equal(a, b)
         assert expected_diag == got_diag
+        # the update's diagnostics precede its optimizer steps, so compare
+        # the weights and Adam moments it leaves behind as well
+        after, after2 = ag.get_state(), ag2.get_state()
+        for k, flat in after["nets"].items():
+            assert np.array_equal(flat, after2["nets"][k]), k
+        for k, opt in after["opts"].items():
+            got = after2["opts"][k]
+            assert opt["t"] == got["t"], k
+            assert np.array_equal(opt["m"], got["m"]), k
+            assert np.array_equal(opt["v"], got["v"]), k
 
 
 class TestDdpg:

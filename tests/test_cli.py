@@ -46,10 +46,13 @@ def test_run_twice_then_compare(tmp_path):
     (["run", "bad.json"], "policy_delay"),
     (["run", "missing.json"], "missing.json"),
     (["compare", "no_such_run", "--out", "t.csv"], "no_such_run"),
-], ids=["bad_spec", "missing_spec", "missing_run_dir"])
+    (["run", "bad_sweep.json"], "sweep[0]"),
+], ids=["bad_spec", "missing_spec", "missing_run_dir", "malformed_sweep"])
 def test_user_error_is_one_line(argv, named, tmp_path):
     (tmp_path / "bad.json").write_text(json.dumps(
         {"name": "bad", "agent": {"kind": "td3", "policy_delay": 0}}))
+    (tmp_path / "bad_sweep.json").write_text(json.dumps(
+        {"name": "bad", "sweep": [{"values": [10, 40]}]}))
     res = run_python(["-m", "hybridris.cli", *argv], tmp_path)
     assert res.returncode == 2
     assert res.stderr.startswith("hybridris: error: ")

@@ -10,7 +10,7 @@ from hybridris.env import (EnvConfig, RisCrnEnv, action_size, decode_action,
 from hybridris.numerics import make_rng
 from hybridris.phy import PowerConstraint, power_cap
 from hybridris.ris import PassiveParams, RisMode
-from oracles import naive_beta, naive_passive_rates
+from oracles import naive_active_sinr, naive_beta, naive_passive_rates
 
 
 def small_cfg(**kw):
@@ -200,6 +200,51 @@ class TestStep:
             assert out.info["sum_rate"] == pytest.approx(naive_sum,
                                                          abs=1e-10)
             obs = out.observation
+
+    @pytest.mark.parametrize("mode,n_amp", [
+        (RisMode.active(), 4),
+        (RisMode.fixed_hybrid(0.5, 2.0), 2),
+    ], ids=["active", "fixed_hybrid"])
+    def test_amplifying_slots_are_scored_on_the_observed_channels(self, mode,
+                                                                  n_amp):
+        # the first n_amp elements amplify and add amplifier noise; the
+        # fully active surface takes its gain from the slot's harvest
+        topo = Topology(A=2, B=3, R=4, W=2)
+        cfg = EnvConfig(topo=topo, mode=mode)
+        R, A, B = topo.R, topo.A, topo.B
+        pp, ap, hp, kappa = cfg.pp, cfg.ap, cfg.hp, cfg.cascade
+        env = RisCrnEnv(cfg)
+        env.reset(5)
+        draws = make_rng(5)      # replays the env's channel stream
+        act_rng = make_rng(6)
+        amp_mask = np.arange(R) < n_amp
+        for _ in range(3):
+            H_s = sample_cascaded(draws, kappa.kappa_s, (R, A))
+            cols = [sample_cascaded(draws, kappa.kappa_b, (R, 1))
+                    for _ in range(B)]
+            H_p = sample_cascaded(draws, kappa.kappa_p, (A, topo.W))
+            h_PB = sample_cascaded(draws, 1, (R, 1))
+            a = act_rng.uniform(-1, 1, env.action_size)
+            out = env.step(a)
+            G, phases = decode_action(
+                a, power_cap(cfg.pc, pu_power_gains(H_p)), topo)
+            if n_amp == R:
+                E = hp.eta * np.sum(np.abs(h_PB) ** 2) * hp.P_PB * hp.T
+                gain = min(ap.alpha_min + (ap.alpha_max - ap.alpha_min)
+                           * (E / R) / ap.E_max, ap.alpha_max)
+            else:
+                gain = mode.fixed_gain
+            mag = naive_beta(phases, pp.beta_min, pp.exponent, pp.offset_l)
+            mag[amp_mask] = gain
+            refl = mag * np.exp(1j * phases)
+            naive_sum = sum(
+                np.log2(1.0 + naive_active_sinr(
+                    cols, refl, H_s, G, cfg.noise.sigma_a_sq,
+                    ap.amp_noise_var, b, amp_mask))
+                for b in range(B))
+            assert out.info["alpha"] == pytest.approx(gain, rel=1e-12)
+            assert out.info["sum_rate"] == pytest.approx(naive_sum,
+                                                         abs=1e-10)
 
     def test_frozen_fading_keeps_channels(self):
         env = RisCrnEnv(small_cfg(fading=FadingMode(block_length=10 ** 9)))

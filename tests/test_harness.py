@@ -216,6 +216,31 @@ class TestSpecParsing:
         assert points[0][1]["env"]["harvest"]["tau"] == 10
         assert d["env"]["harvest"]["tau"] == 50.0  # original untouched
 
+    def test_sweep_values_with_one_label_rejected(self):
+        # both values format as tau=10, so their runs would share a directory
+        d = {"sweep": [{"path": "env.harvest.tau",
+                        "values": [10, 10.0000001, 40]}]}
+        with pytest.raises(SpecError, match="tau=10") as err:
+            expand_sweep(d)
+        assert "tau=40" not in str(err.value)
+
+    def test_malformed_sweep_entry_rejected(self):
+        d = {"sweep": [{"path": "env.harvest.tau", "values": [10]},
+                       {"values": [1, 2]}]}
+        with pytest.raises(SpecError, match=r"sweep\[1\]"):
+            expand_sweep(d)
+
+    def test_agent_config_of_another_kind_rejected(self):
+        with pytest.raises(SpecError, match="td3"):
+            ExperimentSpec(name="x", agent_kind="td3", agent=hr.SacConfig())
+        with pytest.raises(SpecError, match="random"):
+            ExperimentSpec(name="x", agent_kind="random",
+                           agent=hr.SacConfig())
+        with pytest.raises(SpecError, match="td3"):
+            ExperimentSpec(name="x", agent_kind="td3", agent=hr.DdpgConfig())
+        spec = ExperimentSpec(name="x", agent_kind="td3", agent=hr.Td3Config())
+        assert isinstance(spec.agent, hr.Td3Config)
+
 
 class TestSweepRun:
     def test_tau_sweep_orders_active_fraction(self, tmp_path):

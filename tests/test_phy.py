@@ -6,8 +6,7 @@ from hybridris.channel import CascadeSpec, ChannelSet, Topology, \
 from hybridris.numerics import make_rng
 from hybridris.phy import (NoiseParams, PowerConstraint, power_cap,
                            project_beamformer, rate_report, sinrs, tx_power)
-from hybridris.ris import PASSIVE, PassiveParams, RisMode, build_reflection, \
-    ActiveParams
+from hybridris.ris import PassiveParams, build_reflection
 from oracles import naive_active_sinr, naive_frobenius_sq, naive_passive_rates
 
 NOISE = NoiseParams()
@@ -89,8 +88,7 @@ class TestSinrPassive:
         rng = make_rng(1)
         ch = sample_channel_set(rng, Topology(), CascadeSpec())
         pp = PassiveParams()
-        refl = build_reflection(rng.uniform(0, 2 * np.pi, 4), PASSIVE, pp,
-                                ActiveParams(), 1.0, RisMode.passive())
+        refl = build_reflection(rng.uniform(0, 2 * np.pi, 4), 0, 1.0, pp)
         G = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         base = sinrs(ch, refl, G, NOISE.sigma_b_sq)
         rot = refl * np.exp(1j * 1.234)
@@ -152,7 +150,7 @@ class TestSinrActive:
         G = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         mask = np.array([True, True, False, False])
         full = sinrs(ch, refl, G, NOISE.sigma_a_sq, 0.05)
-        masked = sinrs(ch, refl, G, NOISE.sigma_a_sq, 0.05, amp_mask=mask)
+        masked = sinrs(ch, refl, G, NOISE.sigma_a_sq, 0.05, n_amp=2)
         cols = receiver_columns(ch)
         for b in range(len(cols)):
             oracle = naive_active_sinr(cols, refl, ch.H_s, G, 1.0, 0.05, b,
@@ -187,8 +185,7 @@ def test_sum_rate_matches_naive_reimplementation():
         ch = sample_channel_set(rng, topo, CascadeSpec(kappa_s=2, kappa_b=2))
         pp = PassiveParams()
         phases = rng.uniform(0, 2 * np.pi, topo.R)
-        refl = build_reflection(phases, PASSIVE, pp, ActiveParams(), 1.0,
-                                RisMode.passive())
+        refl = build_reflection(phases, 0, 1.0, pp)
         G = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
         rep = rate_report(sinrs(ch, refl, G, NOISE.sigma_b_sq))
         _, _, naive_sum = naive_passive_rates(receiver_columns(ch), refl,

@@ -5,8 +5,8 @@ from hybridris.numerics import make_rng
 from hybridris.ris import (ACTIVE, PASSIVE, ActiveParams, ConsumptionParams,
                            EnergyLedger, HarvestParams, PassiveParams,
                            RisMode, build_reflection, energy_consumed,
-                           energy_gain, fixed_hybrid_energy, harvest,
-                           passive_amplitude, resolve_mode, wrap_phase)
+                           energy_gain, harvest, passive_amplitude,
+                           resolve_mode, wrap_phase)
 
 PP = PassiveParams(beta_min=0.6, exponent=1.5, offset_l=0.0)
 AP = ActiveParams(alpha_min=1.2, alpha_max=2.0, E_max=20.0)
@@ -84,82 +84,93 @@ class TestEnergyGain:
 
 class TestResolveMode:
     def test_below_threshold_is_passive(self):
-        assert resolve_mode(RisMode.dynamic_hybrid(), ledger(49.9), HP) == PASSIVE
+        assert resolve_mode(RisMode.dynamic_hybrid(), ledger(49.9), 4, HP,
+                            AP)[0] == PASSIVE
 
     def test_at_threshold_is_active(self):
-        assert resolve_mode(RisMode.dynamic_hybrid(), ledger(50.0), HP) == ACTIVE
+        assert resolve_mode(RisMode.dynamic_hybrid(), ledger(50.0), 4, HP,
+                            AP)[0] == ACTIVE
 
     def test_forced_modes_ignore_energy(self):
-        assert resolve_mode(RisMode.passive(), ledger(1e6), HP) == PASSIVE
-        assert resolve_mode(RisMode.active(), ledger(0.0), HP) == ACTIVE
-        assert resolve_mode(RisMode.fixed_hybrid(), ledger(0.0), HP) == ACTIVE
+        assert resolve_mode(RisMode.passive(), ledger(1e6), 4, HP,
+                            AP)[0] == PASSIVE
+        assert resolve_mode(RisMode.active(), ledger(0.0), 4, HP,
+                            AP)[0] == ACTIVE
+        assert resolve_mode(RisMode.fixed_hybrid(), ledger(0.0), 4, HP,
+                            AP)[0] == ACTIVE
 
     def test_raising_tau_never_flips_to_active(self):
         led = ledger(30.0)
         taus = np.linspace(0, 100, 50)
-        states = [resolve_mode(RisMode.dynamic_hybrid(), led,
-                               HarvestParams(tau=float(t))) for t in taus]
+        states = [resolve_mode(RisMode.dynamic_hybrid(), led, 4,
+                               HarvestParams(tau=float(t)), AP)[0]
+                  for t in taus]
         flips = [(a, b) for a, b in zip(states, states[1:])
                  if a == PASSIVE and b == ACTIVE]
         assert not flips
 
+    def test_slot_settings(self):
+        # (resolved, leading amplifying elements, their gain) per mode
+        assert resolve_mode(RisMode.passive(), ledger(1e6), 4, HP,
+                            AP) == (PASSIVE, 0, 1.0)
+        assert resolve_mode(RisMode.active(), ledger(40.0), 4, HP,
+                            AP) == (ACTIVE, 4, energy_gain(ledger(40.0), 4, AP))
+        assert resolve_mode(RisMode.dynamic_hybrid(), ledger(49.9), 4, HP,
+                            AP) == (PASSIVE, 0, 1.0)
+        assert resolve_mode(RisMode.dynamic_hybrid(), ledger(60.0), 4, HP,
+                            AP) == (ACTIVE, 4, energy_gain(ledger(60.0), 4, AP))
+        for frac, n in ((0.0, 0), (0.5, 2), (0.6, 2), (1.0, 4)):
+            assert resolve_mode(RisMode.fixed_hybrid(frac, 3.0), ledger(0.0),
+                                4, HP, AP) == (ACTIVE, n, 3.0)
+
 
 class TestBuildReflection:
     def test_passive_peak_amplitude(self):
-        refl = build_reflection(np.full(3, np.pi / 2), PASSIVE, PP, AP, 1.0,
-                                RisMode.passive())
+        refl = build_reflection(np.full(3, np.pi / 2), 0, 1.0, PP)
         assert refl.shape == (3,)
         assert np.allclose(refl, 1j, atol=1e-12)
 
     def test_active_uniform_gain(self):
-        refl = build_reflection(np.zeros(3), ACTIVE, PP, AP, 1.6,
-                                RisMode.active())
+        refl = build_reflection(np.zeros(3), 3, 1.6, PP)
         assert np.allclose(refl, 1.6)
 
     def test_fixed_hybrid_split(self):
-        refl = build_reflection(np.zeros(4), ACTIVE, PP, AP, 2.0,
-                                RisMode.fixed_hybrid(0.5, 2.0))
+        refl = build_reflection(np.zeros(4), 2, 2.0, PP)
         d = np.real(refl)
         assert d[0] == pytest.approx(2.0) and d[1] == pytest.approx(2.0)
         assert d[2] == pytest.approx(0.74142, abs=1e-5)
         assert d[3] == pytest.approx(0.74142, abs=1e-5)
 
     def test_phases_wrap_not_reject(self):
-        refl = build_reflection(np.array([2 * np.pi + 0.3, -0.3]), PASSIVE,
-                                PP, AP, 1.0, RisMode.passive())
+        refl = build_reflection(np.array([2 * np.pi + 0.3, -0.3]), 0, 1.0,
+                                PP)
         angles = np.angle(refl)
         assert angles[0] == pytest.approx(0.3, abs=1e-12)
         assert wrap_phase(-0.3) == pytest.approx(2 * np.pi - 0.3)
 
-    def test_active_gain_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            build_reflection(np.zeros(2), ACTIVE, PP, AP, 5.0,
-                             RisMode.active())
-
 
 class TestEnergyConsumed:
     def test_passive_slot(self):
-        assert energy_consumed(PASSIVE, 1.0, 4, CP) == pytest.approx(4.0e-4)
+        assert energy_consumed(0, 1.0, 4, CP) == pytest.approx(4.0e-4)
 
     def test_active_slot_at_full_gain(self):
-        assert energy_consumed(ACTIVE, 2.0, 4, CP) == pytest.approx(0.44)
+        assert energy_consumed(4, 2.0, 4, CP) == pytest.approx(0.44)
 
     def test_active_range_for_gain_band(self):
-        lo = energy_consumed(ACTIVE, 1.2, 4, CP)
-        hi = energy_consumed(ACTIVE, 2.0, 4, CP)
+        lo = energy_consumed(4, 1.2, 4, CP)
+        hi = energy_consumed(4, 2.0, 4, CP)
         assert lo == pytest.approx(0.28)
         assert hi == pytest.approx(0.44)
 
     def test_passive_cheaper_than_active(self):
         for alpha in (1.2, 1.5, 2.0):
-            assert (energy_consumed(PASSIVE, 1.0, 4, CP)
-                    <= energy_consumed(ACTIVE, alpha, 4, CP))
+            assert (energy_consumed(0, 1.0, 4, CP)
+                    <= energy_consumed(4, alpha, 4, CP))
 
     def test_fixed_hybrid_bills_split(self):
-        mode = RisMode.fixed_hybrid(0.5, 2.0)
-        expected = (energy_consumed(ACTIVE, 2.0, 2, CP)
-                    + energy_consumed(PASSIVE, 1.0, 2, CP))
-        assert fixed_hybrid_energy(mode, 4, CP) == pytest.approx(expected)
+        expected = (energy_consumed(2, 2.0, 2, CP)
+                    + energy_consumed(0, 1.0, 2, CP))
+        assert energy_consumed(2, 2.0, 4, CP) == pytest.approx(expected)
 
 
 def test_param_validation():

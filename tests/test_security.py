@@ -92,7 +92,7 @@ class TestRewardFilter:
 
 class TestPipeline:
     def test_passthrough_without_attack_or_defense(self):
-        p = RewardPipeline(None, None, clip_bounds=(-2.0, 2.0))
+        p = RewardPipeline(None, None)
         rec = p.step(1.2)
         assert rec.accepted and rec.value == 1.2 and rec.post_attack == 1.2
         rec = p.step(5.0)
@@ -133,8 +133,7 @@ class TestPipeline:
 
     def test_clip_bounds_always_respected(self):
         atk = AttackConfig(kind="invert", threshold=-100.0, trigger_window=1)
-        p = RewardPipeline(atk, None, clip_bounds=(-2.0, 2.0),
-                           rng=make_rng(3))
+        p = RewardPipeline(atk, None, rng=make_rng(3))
         rng = make_rng(4)
         for _ in range(200):
             rec = p.step(float(rng.uniform(-10, 10)))
