@@ -92,24 +92,53 @@ def sample_cascaded(rng: np.random.Generator, kappa: int, size=None):
 
 def pu_power_gains(H_p: np.ndarray) -> np.ndarray:
     """Per-PU channel power gain: squared Euclidean norm of each column,
-    i.e. the total gain from all transmit antennas to that PU."""
-    return np.sum(np.abs(H_p) ** 2, axis=0)
+    i.e. the total gain from all transmit antennas to that PU. A leading
+    slot axis is kept."""
+    return np.sum(np.abs(H_p) ** 2, axis=-2)
+
+
+def slot_draws(topo: Topology, spec: CascadeSpec) -> list:
+    """Standard normals that one slot consumes for H_s, h_b (all
+    receivers), H_p and h_PB, in draw order."""
+    return [2 * spec.kappa_s * topo.R * topo.A,
+            2 * spec.kappa_b * topo.R * topo.B,
+            2 * spec.kappa_p * topo.A * topo.W, 2 * topo.R]
+
+
+def _cascade(x: np.ndarray, kappa: int, shape: tuple) -> np.ndarray:
+    """Cascade products from normals laid out as ``sample_cascaded`` draws
+    them: along the last axis, every real part, then every imaginary part.
+    Leading axes are kept; the last becomes ``shape``."""
+    x = x.reshape(x.shape[:-1] + (2, kappa, -1))
+    factors = (x[..., 0, :, :] + 1j * x[..., 1, :, :]) / np.sqrt(2.0)
+    return np.prod(factors, axis=-2).reshape(x.shape[:-3] + shape)
 
 
 def sample_channel_set(rng: np.random.Generator, topo: Topology,
-                       spec: CascadeSpec) -> ChannelSet:
-    """Draw all channels for one time slot.
+                       spec: CascadeSpec, slots: int = None):
+    """Draw all channels for one time slot, or for ``slots`` slots at once.
 
     The beacon link is plain Rayleigh (cascade level 1); everything else
-    uses the configured cascade levels. Entries are drawn in a fixed order
-    (H_s, each h_b column, H_p, h_PB), so a fixed seed reproduces the set
-    byte-for-byte. The receiver columns are drawn one at a time because a
-    single R x B draw would consume the stream in another order.
+    uses the configured cascade levels. Within a slot the entries are drawn
+    in a fixed order (H_s, each h_b column, H_p, h_PB), one slot after
+    another, so a fixed seed reproduces every set byte-for-byte. One
+    ``standard_normal`` call feeds the whole block: it consumes the stream
+    exactly as consecutive per-link ``sample_cascaded`` calls would.
+
+    Returns one ``ChannelSet`` when ``slots`` is None, else a list of
+    ``slots`` sets whose arrays are views into the block's arrays.
     """
-    H_s = sample_cascaded(rng, spec.kappa_s, (topo.R, topo.A))
-    h_b = np.hstack([sample_cascaded(rng, spec.kappa_b, (topo.R, 1))
-                     for _ in range(topo.B)])
-    H_p = sample_cascaded(rng, spec.kappa_p, (topo.A, topo.W))
-    h_PB = sample_cascaded(rng, 1, (topo.R, 1))
-    return ChannelSet(H_s=H_s, h_b=h_b, H_p=H_p, h_PB=h_PB,
-                      g_sp=pu_power_gains(H_p))
+    R, A, B, W = topo.R, topo.A, topo.B, topo.W
+    n = 1 if slots is None else slots
+    draws = slot_draws(topo, spec)
+    z = rng.standard_normal((n, sum(draws)))
+    z_s, z_b, z_p, z_pb = np.split(z, np.cumsum(draws[:-1]), axis=1)
+    H_s = _cascade(z_s, spec.kappa_s, (R, A))
+    h_b = _cascade(z_b.reshape(n, B, -1), spec.kappa_b, (R,))
+    h_b = np.ascontiguousarray(h_b.transpose(0, 2, 1))     # slot x R x B
+    H_p = _cascade(z_p, spec.kappa_p, (A, W))
+    h_PB = _cascade(z_pb, 1, (R, 1))
+    g_sp = pu_power_gains(H_p)
+    sets = [ChannelSet(H_s=H_s[i], h_b=h_b[i], H_p=H_p[i], h_PB=h_PB[i],
+                       g_sp=g_sp[i]) for i in range(n)]
+    return sets[0] if slots is None else sets

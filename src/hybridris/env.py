@@ -34,13 +34,16 @@ import numpy as np
 
 from . import phy, ris
 from .channel import (CascadeSpec, ChannelSet, FadingMode, Topology,
-                      sample_channel_set)
+                      sample_channel_set, slot_draws)
 from .numerics import make_rng, restore_rng, rng_state
 from .phy import NoiseParams, PowerConstraint
 from .ris import (ACTIVE, ActiveParams, ConsumptionParams, HarvestParams,
                   PassiveParams, RisMode)
 
 CONSTRAINT_TOL = 1e-9
+# Slots of channels drawn per refill; one draw per block instead of per slot
+# leaves the stream, and so every result, unchanged.
+CHANNEL_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -108,6 +111,9 @@ class RisCrnEnv:
         self.cfg = cfg
         self._rng = None
         self._channels = None
+        self._block = []          # drawn slots; the first _used are taken
+        self._used = 0
+        self._block_start = None  # generator state before the block's draw
         self._t = 0
         self._violations = 0
         self._prev_G = None
@@ -131,8 +137,8 @@ class RisCrnEnv:
     def reset(self, seed=None) -> np.ndarray:
         seed = self.cfg.seed if seed is None else seed
         self._rng = make_rng(seed)
-        self._channels = sample_channel_set(self._rng, self.cfg.topo,
-                                            self.cfg.cascade)
+        self._block, self._used = [], 0
+        self._channels = self._next_slot(1)
         self._t = 0
         self._violations = 0
         topo = self.cfg.topo
@@ -178,7 +184,7 @@ class RisCrnEnv:
         self._prev_mode_flag = 1.0 if active else 0.0
         self._t += 1
         if self._t % cfg.fading.block_length == 0:
-            self._channels = sample_channel_set(self._rng, topo, cfg.cascade)
+            self._channels = self._next_slot(CHANNEL_BLOCK)
 
         info = {
             "sum_rate": report.sum_rate,
@@ -194,10 +200,17 @@ class RisCrnEnv:
 
     def get_state(self) -> dict:
         """Snapshot for exact run continuation (channels, RNG position,
-        previous-action fields, counters)."""
+        previous-action fields, counters). The saved RNG position is the
+        one right after the current slot's draw, as if slots were drawn one
+        at a time."""
         ch = self._channels
+        rng = self._rng
+        if self._used < len(self._block):
+            rng = restore_rng(self._block_start)
+            rng.standard_normal(
+                self._used * sum(slot_draws(self.cfg.topo, self.cfg.cascade)))
         return {
-            "rng": rng_state(self._rng),
+            "rng": rng_state(rng),
             "channels": None if ch is None else {
                 "H_s": ch.H_s.copy(),
                 "h_b": ch.h_b.copy(),
@@ -215,6 +228,7 @@ class RisCrnEnv:
 
     def set_state(self, st: dict):
         self._rng = restore_rng(st["rng"])
+        self._block, self._used = [], 0
         chd = st["channels"]
         self._channels = None if chd is None else ChannelSet(
             H_s=chd["H_s"], h_b=chd["h_b"], H_p=chd["H_p"],
@@ -225,6 +239,17 @@ class RisCrnEnv:
         self._prev_phases = st["prev_phases"]
         self._prev_alpha = float(st["prev_alpha"])
         self._prev_mode_flag = float(st["prev_mode_flag"])
+
+    def _next_slot(self, block: int) -> ChannelSet:
+        """The next slot's channels; draws ``block`` slots when the current
+        block is used up."""
+        if self._used == len(self._block):
+            self._block_start = self._rng.bit_generator.state
+            self._block = sample_channel_set(self._rng, self.cfg.topo,
+                                             self.cfg.cascade, block)
+            self._used = 0
+        self._used += 1
+        return self._block[self._used - 1]
 
     def _observe(self) -> np.ndarray:
         ch = self._channels

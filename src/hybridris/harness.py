@@ -583,7 +583,7 @@ def compare(run_dirs, out_csv: str) -> dict:
     curves = []
     for path, agg in zip(run_dirs, aggs):
         data = np.genfromtxt(os.path.join(path, "curve_mean.csv"),
-                             delimiter=",", skip_header=1)
+                             delimiter=",", skip_header=1, ndmin=2)
         curves.append(data[:, 1])
     with open(curve_path, "w") as fh:
         fh.write(",".join(["t"] + names) + "\n")

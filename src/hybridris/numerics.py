@@ -31,7 +31,8 @@ def rng_state(rng: np.random.Generator) -> dict:
 
 
 def restore_rng(state: dict) -> np.random.Generator:
-    """Rebuild a generator at the exact position captured by rng_state."""
+    """Rebuild a generator at the exact position captured by rng_state
+    (a raw ``bit_generator.state`` dict works too)."""
     def dec(v):
         if isinstance(v, dict):
             if "__ndarray__" in v:

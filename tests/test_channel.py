@@ -3,7 +3,7 @@ import pytest
 
 from hybridris.channel import (CascadeSpec, Topology, pu_power_gains,
                                sample_cascaded, sample_channel_set)
-from hybridris.numerics import make_rng
+from hybridris.numerics import make_rng, rng_state
 from oracles import naive_column_gains
 
 
@@ -98,6 +98,41 @@ def test_receiver_channels_are_sequential_column_draws():
                          *(c.tobytes() for c in cols),
                          pu_power_gains(H_p).tobytes()])
     assert sample_channel_set(make_rng(42), topo, spec).tobytes() == expected
+
+
+def replay_slot(rng, topo, spec) -> bytes:
+    """One slot drawn link by link in the order H_s, each h_b column, H_p,
+    h_PB, as ``ChannelSet.tobytes`` lays it out."""
+    H_s = sample_cascaded(rng, spec.kappa_s, (topo.R, topo.A))
+    cols = [sample_cascaded(rng, spec.kappa_b, (topo.R, 1))
+            for _ in range(topo.B)]
+    H_p = sample_cascaded(rng, spec.kappa_p, (topo.A, topo.W))
+    h_PB = sample_cascaded(rng, 1, (topo.R, 1))
+    return b"".join([H_s.tobytes(), H_p.tobytes(), h_PB.tobytes(),
+                     *(c.tobytes() for c in cols),
+                     pu_power_gains(H_p).tobytes()])
+
+
+@pytest.mark.parametrize("topo,spec", [
+    (Topology(A=1, B=1, R=1, W=1), CascadeSpec(1, 1, 1)),
+    (Topology(), CascadeSpec()),
+    (Topology(A=2, B=3, R=5, W=2), CascadeSpec(2, 3, 1)),
+    (Topology(A=3, B=2, R=8, W=1), CascadeSpec(3, 5, 5)),
+    (Topology(A=4, B=4, R=16, W=3), CascadeSpec(5, 2, 3)),
+], ids=["A1B1R1W1", "default", "A2B3R5W2", "A3B2R8W1", "A4B4R16W3"])
+@pytest.mark.parametrize("slots", [None, 1, 5, 64])
+def test_block_draw_equals_per_slot_replay(topo, spec, slots):
+    # one standard_normal call for the whole block consumes the stream as
+    # the per-link draws do, slot after slot, and leaves the same position
+    rng, replay = make_rng(17), make_rng(17)
+    if slots is None:      # the default one-slot call form
+        sets = [sample_channel_set(rng, topo, spec)]
+    else:
+        sets = sample_channel_set(rng, topo, spec, slots=slots)
+    assert len(sets) == (1 if slots is None else slots)
+    for ch in sets:
+        assert ch.tobytes() == replay_slot(replay, topo, spec)
+    assert rng_state(rng) == rng_state(replay)
 
 
 def test_cascade_spec_validation():

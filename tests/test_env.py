@@ -5,9 +5,9 @@ import pytest
 
 from hybridris.channel import (CascadeSpec, FadingMode, Topology,
                                pu_power_gains, sample_cascaded)
-from hybridris.env import (EnvConfig, RisCrnEnv, action_size, decode_action,
-                           observation_size, step_log_record)
-from hybridris.numerics import make_rng
+from hybridris.env import (CHANNEL_BLOCK, EnvConfig, RisCrnEnv, action_size,
+                           decode_action, observation_size, step_log_record)
+from hybridris.numerics import make_rng, rng_state
 from hybridris.phy import PowerConstraint, power_cap
 from hybridris.ris import PassiveParams, RisMode
 from oracles import naive_active_sinr, naive_beta, naive_passive_rates
@@ -50,6 +50,15 @@ class TestReset:
         a = env.reset(7)
         b = RisCrnEnv(EnvConfig()).reset(7)
         assert np.array_equal(a, b)
+
+    def test_reset_mid_run_restarts_the_stream(self):
+        # a reset drops the slots left in the env's current block
+        env = RisCrnEnv(EnvConfig())
+        actions = make_rng(1).uniform(-1, 1, (10, env.action_size))
+        first = env.reset(7)
+        rewards = [env.step(a).reward for a in actions]
+        assert np.array_equal(env.reset(7), first)
+        assert [env.step(a).reward for a in actions] == rewards
 
     def test_observation_length_default_topology(self):
         env = RisCrnEnv(EnvConfig())
@@ -267,6 +276,54 @@ class TestStep:
         assert obs[-R - 1] == pytest.approx(1.5 * np.pi)    # phase from 0.5
         assert obs[-2] == 1.0   # passive slots report unit gain
         assert obs[-1] == 0.0   # passive mode flag
+
+
+class TestCheckpointInsideBlock:
+    @staticmethod
+    def advance_per_slot(rng, cfg, slots):
+        """Moves rng as one-slot-at-a-time link draws would."""
+        topo, kappa = cfg.topo, cfg.cascade
+        for _ in range(slots):
+            sample_cascaded(rng, kappa.kappa_s, (topo.R, topo.A))
+            for _ in range(topo.B):
+                sample_cascaded(rng, kappa.kappa_b, (topo.R, 1))
+            sample_cascaded(rng, kappa.kappa_p, (topo.A, topo.W))
+            sample_cascaded(rng, 1, (topo.R, 1))
+
+    @pytest.mark.parametrize("fading_block", [1, 3])
+    def test_rng_is_the_per_slot_position(self, fading_block):
+        cfg = EnvConfig(fading=FadingMode(fading_block))
+        env = RisCrnEnv(cfg)
+        env.reset(4)
+        # reset's slot, a full block and 5 slots of the second block; the
+        # last step sits inside its fading block when fading_block > 1
+        slots = 1 + CHANNEL_BLOCK + 5
+        act_rng = make_rng(8)
+        for _ in range(slots * fading_block - 1):
+            env.step(act_rng.uniform(-1, 1, env.action_size))
+        expected = make_rng(4)
+        self.advance_per_slot(expected, cfg, slots)
+        assert env.get_state()["rng"] == rng_state(expected)
+
+    @pytest.mark.parametrize("fading_block", [1, 3])
+    def test_checkpointing_leaves_the_run_unchanged(self, fading_block):
+        cfg = EnvConfig(fading=FadingMode(fading_block))
+        actions = make_rng(9).uniform(-1, 1, (300, action_size(cfg.topo)))
+        plain, checked = RisCrnEnv(cfg), RisCrnEnv(cfg)
+        plain.reset(2)
+        checked.reset(2)
+        expected = [plain.step(a).reward for a in actions]
+        rewards, states = [], {}
+        for t, a in enumerate(actions):
+            if t in (1, 70, 130):
+                states[t] = checked.get_state()
+            rewards.append(checked.step(a).reward)
+        assert rewards == expected
+        # restoring drops the slots left in the env's current block
+        for t, st in states.items():
+            checked.set_state(st)
+            assert [checked.step(a).reward for a in actions[t:]] == \
+                expected[t:]
 
 
 class TestFixedHybrid:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -156,6 +157,22 @@ class TestCheckpoints:
             build_loop(tiny_spec(), 0).set_state(st)
 
 
+# sha256 of steps.jsonl for a 300-step random-agent run on the paper-default
+# env (dynamic hybrid) at seed 7. Any change to the channel stream, the PHY
+# arithmetic or the log format moves it. Recorded with numpy 2.4 on x86-64;
+# another numpy or CPU may round some step differently.
+STEP_LOG_SHA256 = ("5657c32e5794a2a266cd48b163a8c1ea"
+                   "74af0cbd2c3b0ac8a7689ff92cfb4151")
+
+
+def test_step_log_digest_pinned(tmp_path):
+    spec = ExperimentSpec(name="pin", env=hr.EnvConfig(), agent_kind="random",
+                          seeds=(7,), total_steps=300)
+    run_single(spec, 7, str(tmp_path))
+    digest = hashlib.sha256((tmp_path / "steps.jsonl").read_bytes())
+    assert digest.hexdigest() == STEP_LOG_SHA256
+
+
 class TestSpecParsing:
     def test_defaults_build(self):
         spec = build_spec({"name": "d"})
@@ -270,6 +287,17 @@ class TestCompare:
         assert all(d == 0.0 for d in diffs)
         assert os.path.exists(out)
         assert os.path.exists(str(tmp_path / "table_curves.csv"))
+
+    def test_one_step_runs(self, tmp_path):
+        # one step leaves a single data row in each curve_mean.csv
+        for name in ("t1", "t2"):
+            run_experiment(tiny_spec(name=name, steps=1), str(tmp_path / name),
+                           workers=1)
+        res = compare([str(tmp_path / "t1"), str(tmp_path / "t2")],
+                      str(tmp_path / "table.csv"))
+        assert res["rows"][0]["diff_t2_vs_t1"] == 0.0
+        curves = (tmp_path / "table_curves.csv").read_text().splitlines()
+        assert curves[0] == "t,t1,t2" and len(curves) == 2
 
     def test_shared_name_rejected(self, tmp_path):
         dirs = [str(tmp_path / d) for d in ("a", "b")]
