@@ -76,6 +76,19 @@ class ChannelSet:
                          np.asarray(self.g_sp).tobytes()])
 
 
+class ChannelBlock(ChannelSet):
+    """Channels of consecutive slots: every ``ChannelSet`` field with a
+    leading slot axis. Item i is slot i's ``ChannelSet``, whose arrays are
+    views into the block's."""
+
+    def __len__(self) -> int:
+        return self.H_s.shape[0]
+
+    def __getitem__(self, i: int) -> ChannelSet:
+        return ChannelSet(H_s=self.H_s[i], h_b=self.h_b[i], H_p=self.H_p[i],
+                          h_PB=self.h_PB[i], g_sp=self.g_sp[i])
+
+
 def sample_cascaded(rng: np.random.Generator, kappa: int, size=None):
     """Product of ``kappa`` independent unit-power complex Gaussian factors.
 
@@ -125,20 +138,20 @@ def sample_channel_set(rng: np.random.Generator, topo: Topology,
     ``standard_normal`` call feeds the whole block: it consumes the stream
     exactly as consecutive per-link ``sample_cascaded`` calls would.
 
-    Returns one ``ChannelSet`` when ``slots`` is None, else a list of
-    ``slots`` sets whose arrays are views into the block's arrays.
+    Returns one ``ChannelSet`` when ``slots`` is None, else a
+    ``ChannelBlock`` of ``slots`` slots.
     """
     R, A, B, W = topo.R, topo.A, topo.B, topo.W
     n = 1 if slots is None else slots
     draws = slot_draws(topo, spec)
     z = rng.standard_normal((n, sum(draws)))
-    z_s, z_b, z_p, z_pb = np.split(z, np.cumsum(draws[:-1]), axis=1)
+    ends = np.cumsum(draws)
+    z_s, z_b, z_p, z_pb = (z[:, e - d:e] for d, e in zip(draws, ends))
     H_s = _cascade(z_s, spec.kappa_s, (R, A))
     h_b = _cascade(z_b.reshape(n, B, -1), spec.kappa_b, (R,))
     h_b = np.ascontiguousarray(h_b.transpose(0, 2, 1))     # slot x R x B
     H_p = _cascade(z_p, spec.kappa_p, (A, W))
     h_PB = _cascade(z_pb, 1, (R, 1))
-    g_sp = pu_power_gains(H_p)
-    sets = [ChannelSet(H_s=H_s[i], h_b=h_b[i], H_p=H_p[i], h_PB=h_PB[i],
-                       g_sp=g_sp[i]) for i in range(n)]
-    return sets[0] if slots is None else sets
+    block = ChannelBlock(H_s=H_s, h_b=h_b, H_p=H_p, h_PB=h_PB,
+                         g_sp=pu_power_gains(H_p))
+    return block[0] if slots is None else block

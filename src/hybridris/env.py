@@ -6,6 +6,11 @@ resulting sum rate, and charge the energy-shortfall penalty when the
 surface amplifies without enough harvest. Runs have no terminal state; a
 "run" is simply a fixed number of steps.
 
+Channels are drawn a block of slots at a time. Everything a step needs
+that its action does not change (harvest, surface setting, power cap,
+penalty, energy bill, noise variance and the channel part of the
+observation) is worked out for the whole block at once.
+
 Observation layout (flat float64 vector, length 2 + 2RA + 2RB + 2AW + 2AB
 + R + 2):
 
@@ -29,11 +34,12 @@ eps = (x + 1) * pi.
 """
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import phy, ris
-from .channel import (CascadeSpec, ChannelSet, FadingMode, Topology,
+from .channel import (CascadeSpec, ChannelBlock, FadingMode, Topology,
                       sample_channel_set, slot_draws)
 from .numerics import make_rng, restore_rng, rng_state
 from .phy import NoiseParams, PowerConstraint
@@ -67,6 +73,19 @@ class EnvConfig:
 
     def with_(self, **kwargs) -> "EnvConfig":
         return replace(self, **kwargs)
+
+
+class SlotSetting(NamedTuple):
+    """What one slot fixes for its step, whatever the action."""
+    resolved: str        # logged mode, "active" or "passive"
+    n_active: int        # leading amplifying elements
+    alpha: float         # their gain (1.0 on passive slots)
+    cap: float           # transmit power ceiling
+    noise_var: float     # receiver noise variance
+    penalty: float       # energy-shortfall penalty
+    energy: float        # energy bill (J)
+    E_total: float       # harvested total (J)
+    mode_flag: float     # 1.0 active, 0.0 passive
 
 
 @dataclass(frozen=True)
@@ -110,10 +129,12 @@ class RisCrnEnv:
     def __init__(self, cfg: EnvConfig):
         self.cfg = cfg
         self._rng = None
-        self._channels = None
-        self._block = []          # drawn slots; the first _used are taken
+        self._channels = None     # the current slot's ChannelSet
+        self._block = None        # drawn slots; the first _used are taken
         self._used = 0
         self._block_start = None  # generator state before the block's draw
+        self._rows = None         # channel part of each slot's observation
+        self._settings = None     # SlotSetting per slot, made at first step
         self._t = 0
         self._violations = 0
         self._prev_G = None
@@ -137,8 +158,8 @@ class RisCrnEnv:
     def reset(self, seed=None) -> np.ndarray:
         seed = self.cfg.seed if seed is None else seed
         self._rng = make_rng(seed)
-        self._block, self._used = [], 0
-        self._channels = self._next_slot(1)
+        self._block = None
+        self._next_slot(1)
         self._t = 0
         self._violations = 0
         topo = self.cfg.topo
@@ -154,46 +175,36 @@ class RisCrnEnv:
         if not np.all(np.isfinite(action)):
             raise ValueError(f"non-finite action at step {self._t}")
         cfg = self.cfg
-        topo = cfg.topo
-        ch = self._channels
+        if self._settings is None:
+            self._settings = self._slot_settings(self._block)
+        slot = self._settings[self._used - 1]
 
-        ledger = ris.harvest(ch.h_PB, cfg.hp)
-        resolved, n_active, alpha = ris.resolve_mode(cfg.mode, ledger, topo.R,
-                                                     cfg.hp, cfg.ap)
-        active = resolved == ACTIVE
-        cap = phy.power_cap(cfg.pc, ch.g_sp)
-        G, phases = decode_action(action, cap, topo)
-
-        refl = ris.build_reflection(phases, n_active, alpha, cfg.pp)
-        noise_var = cfg.noise.sigma_a_sq if active else cfg.noise.sigma_b_sq
-        sinrs = phy.sinrs(ch, refl, G, noise_var, cfg.ap.amp_noise_var,
-                          n_active)
+        G, phases = decode_action(action, slot.cap, cfg.topo)
+        refl = ris.build_reflection(phases, slot.n_active, slot.alpha, cfg.pp)
+        sinrs = phy.sinrs(self._channels, refl, G, slot.noise_var,
+                          cfg.ap.amp_noise_var, slot.n_active)
         report = phy.rate_report(sinrs)
+        reward = report.sum_rate - slot.penalty
 
-        penalty = (cfg.penalty_weight * max(0.0, cfg.hp.tau - ledger.total)
-                   if active else 0.0)
-        reward = report.sum_rate - penalty
-        energy = ris.energy_consumed(n_active, alpha, topo.R, cfg.cp)
-
-        if phy.tx_power(G) > cap + CONSTRAINT_TOL:
+        if phy.tx_power(G) > slot.cap + CONSTRAINT_TOL:
             self._violations += 1
 
         self._prev_G = G
         self._prev_phases = phases
-        self._prev_alpha = alpha
-        self._prev_mode_flag = 1.0 if active else 0.0
+        self._prev_alpha = slot.alpha
+        self._prev_mode_flag = slot.mode_flag
         self._t += 1
         if self._t % cfg.fading.block_length == 0:
-            self._channels = self._next_slot(CHANNEL_BLOCK)
+            self._next_slot(CHANNEL_BLOCK)
 
         info = {
             "sum_rate": report.sum_rate,
-            "resolved_mode": resolved,
-            "E_total": ledger.total,
-            "alpha": alpha,
-            "energy_consumed": energy,
-            "cap": cap,
-            "penalty": penalty,
+            "resolved_mode": slot.resolved,
+            "E_total": slot.E_total,
+            "alpha": slot.alpha,
+            "energy_consumed": slot.energy,
+            "cap": slot.cap,
+            "penalty": slot.penalty,
         }
         return StepOutcome(observation=self._observe(), reward=reward,
                            info=info)
@@ -205,7 +216,7 @@ class RisCrnEnv:
         at a time."""
         ch = self._channels
         rng = self._rng
-        if self._used < len(self._block):
+        if ch is not None and self._used < len(self._block):
             rng = restore_rng(self._block_start)
             rng.standard_normal(
                 self._used * sum(slot_draws(self.cfg.topo, self.cfg.cascade)))
@@ -228,11 +239,15 @@ class RisCrnEnv:
 
     def set_state(self, st: dict):
         self._rng = restore_rng(st["rng"])
-        self._block, self._used = [], 0
         chd = st["channels"]
-        self._channels = None if chd is None else ChannelSet(
-            H_s=chd["H_s"], h_b=chd["h_b"], H_p=chd["H_p"],
-            h_PB=chd["h_PB"], g_sp=chd["g_sp"])
+        self._block = self._channels = None
+        if chd is not None:
+            # the restored slot is a used-up block of one, so the next
+            # refill draws from the restored generator
+            self._start_block(ChannelBlock(
+                **{k: np.asarray(v)[None] for k, v in chd.items()}))
+            self._used = 1
+            self._channels = self._block[0]
         self._t = int(st["t"])
         self._violations = int(st["violations"])
         self._prev_G = st["prev_G"]
@@ -240,32 +255,57 @@ class RisCrnEnv:
         self._prev_alpha = float(st["prev_alpha"])
         self._prev_mode_flag = float(st["prev_mode_flag"])
 
-    def _next_slot(self, block: int) -> ChannelSet:
-        """The next slot's channels; draws ``block`` slots when the current
+    def _next_slot(self, block: int):
+        """Moves to the next slot; draws ``block`` slots when the current
         block is used up."""
-        if self._used == len(self._block):
+        if self._block is None or self._used == len(self._block):
             self._block_start = self._rng.bit_generator.state
-            self._block = sample_channel_set(self._rng, self.cfg.topo,
-                                             self.cfg.cascade, block)
-            self._used = 0
+            self._start_block(sample_channel_set(
+                self._rng, self.cfg.topo, self.cfg.cascade, block))
         self._used += 1
-        return self._block[self._used - 1]
+        self._channels = self._block[self._used - 1]
+
+    def _start_block(self, block: ChannelBlock):
+        """Makes ``block`` the current one, with its observation rows; its
+        slot settings wait for the first step that reads them, so a reset
+        does not pay for them."""
+        n = len(block)
+        h_b = block.h_b.transpose(0, 2, 1)              # slot x B x R
+        self._block, self._used, self._settings = block, 0, None
+        self._rows = np.concatenate([
+            np.full((n, 2), (self.cfg.pc.P_t, self.cfg.pc.I_thr), float),
+            block.H_s.real.reshape(n, -1), block.H_s.imag.reshape(n, -1),
+            np.stack([h_b.real, h_b.imag], axis=2).reshape(n, -1),
+            block.H_p.real.reshape(n, -1), block.H_p.imag.reshape(n, -1),
+        ], axis=1)
+
+    def _slot_settings(self, block: ChannelBlock) -> list:
+        """A ``SlotSetting`` for every slot of ``block``."""
+        cfg = self.cfg
+        ledger = ris.harvest(block.h_PB, cfg.hp)
+        resolved, n_active, alpha = ris.resolve_mode(
+            cfg.mode, ledger, cfg.topo.R, cfg.hp, cfg.ap)
+        active = resolved == ACTIVE
+        shortfall = np.maximum(0.0, cfg.hp.tau - ledger.total)
+        penalty = np.where(active, cfg.penalty_weight * shortfall, 0.0)
+        noise_var = np.where(active, cfg.noise.sigma_a_sq,
+                             cfg.noise.sigma_b_sq)
+        energy = ris.energy_consumed(n_active, alpha, cfg.topo.R, cfg.cp)
+        # a slot capped at P_t reports P_t itself, so an integer P_t from a
+        # spec is logged as that integer
+        P_t = cfg.pc.P_t
+        caps = [P_t if c == P_t else c
+                for c in phy.power_cap(cfg.pc, block.g_sp).tolist()]
+        return [SlotSetting(*s) for s in zip(
+            resolved.tolist(), n_active.tolist(), alpha.tolist(), caps,
+            noise_var.tolist(), penalty.tolist(), energy.tolist(),
+            ledger.total.tolist(), active.astype(float).tolist())]
 
     def _observe(self) -> np.ndarray:
-        ch = self._channels
-        parts = [
-            np.array([self.cfg.pc.P_t, self.cfg.pc.I_thr]),
-            np.real(ch.H_s).ravel(), np.imag(ch.H_s).ravel(),
-        ]
-        for h in ch.h_b.T:
-            parts += [np.real(h), np.imag(h)]
-        parts += [
-            np.real(ch.H_p).ravel(), np.imag(ch.H_p).ravel(),
-            np.real(self._prev_G).ravel(), np.imag(self._prev_G).ravel(),
-            self._prev_phases,
-            np.array([self._prev_alpha, self._prev_mode_flag]),
-        ]
-        return np.concatenate(parts)
+        G = self._prev_G
+        return np.concatenate((self._rows[self._used - 1], G.real.ravel(),
+                               G.imag.ravel(), self._prev_phases,
+                               (self._prev_alpha, self._prev_mode_flag)))
 
 
 def step_log_record(t: int, outcome: StepOutcome) -> dict:

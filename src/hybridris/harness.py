@@ -45,6 +45,34 @@ class SpecError(ValueError):
     """Invalid experiment spec; the message lists every offending field."""
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _run_size_errors(seeds, total_steps) -> list:
+    """Every problem with a seed list and a step count. Seeds must be
+    distinct integers >= 0: each seed writes its own ``seed_<k>`` directory
+    and counts once in the aggregate."""
+    errors = []
+    if not isinstance(seeds, (list, tuple)):
+        errors.append(f"seeds: must be a list of integers, not {seeds!r}")
+    elif not seeds:
+        errors.append("seeds: must be non-empty")
+    else:
+        bad = [s for s in seeds if not _is_int(s) or s < 0]
+        if bad:
+            errors.append(f"seeds: {bad!r} are not integers >= 0")
+        ints = [s for s in seeds if _is_int(s)]
+        if len(set(ints)) < len(ints):
+            repeated = sorted({s for s in ints if ints.count(s) > 1})
+            errors.append(f"seeds: {repeated!r} appear more than once")
+    if not _is_int(total_steps):
+        errors.append(f"total_steps: must be an integer, not {total_steps!r}")
+    elif total_steps < 1:
+        errors.append("total_steps: must be >= 1")
+    return errors
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     name: str
@@ -63,10 +91,9 @@ class ExperimentSpec:
         if self.agent is not None and type(self.agent) is not cfg_cls:
             raise SpecError(f"agent: a {type(self.agent).__name__} cannot "
                             f"configure a {self.agent_kind!r} agent")
-        if not self.seeds:
-            raise SpecError("seeds: must be non-empty")
-        if self.total_steps < 1:
-            raise SpecError("total_steps: must be >= 1")
+        errors = _run_size_errors(self.seeds, self.total_steps)
+        if errors:
+            raise SpecError("; ".join(errors))
 
 
 @dataclass
@@ -261,7 +288,11 @@ def _run_single_worker(args):
 def resolve_workers(n_jobs: int) -> int:
     env_val = os.environ.get("HYBRIDRIS_WORKERS")
     if env_val is not None:
-        return max(1, int(env_val))
+        try:
+            return max(1, int(env_val))
+        except ValueError:
+            raise ValueError(f"HYBRIDRIS_WORKERS must be an integer, not "
+                             f"{env_val!r}") from None
     return max(1, min(n_jobs, os.cpu_count() or 1))
 
 
@@ -428,12 +459,13 @@ def build_spec(d: dict) -> ExperimentSpec:
 
     seeds = d.get("seeds")
     if seeds is None:
-        seeds = list(range(int(d.get("n_seeds", 10))))
-    if not seeds:
-        errors.append("seeds: must be non-empty")
-    total_steps = int(d.get("total_steps", 20_000))
-    if total_steps < 1:
-        errors.append("total_steps: must be >= 1")
+        n_seeds = d.get("n_seeds", 10)
+        if not _is_int(n_seeds):
+            errors.append(f"n_seeds: must be an integer, not {n_seeds!r}")
+            n_seeds = 1
+        seeds = list(range(n_seeds))
+    total_steps = d.get("total_steps", 20_000)
+    errors += _run_size_errors(seeds, total_steps)
 
     if errors:
         raise SpecError("invalid spec: " + "; ".join(errors))

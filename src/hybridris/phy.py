@@ -46,14 +46,15 @@ def db_to_linear(db: float) -> float:
     return float(10.0 ** (db / 10.0))
 
 
-def power_cap(pc: PowerConstraint, g_sp) -> float:
+def power_cap(pc: PowerConstraint, g_sp) -> np.ndarray:
     """Transmit power ceiling: min of the power budget and the interference
     threshold divided by the strongest PU link. Zero PU gain leaves only
-    the power budget."""
-    g_max = float(np.max(np.asarray(g_sp))) if len(np.atleast_1d(g_sp)) else 0.0
-    if g_max <= 0.0:
-        return pc.P_t
-    return min(pc.P_t, pc.I_thr / g_max)
+    the power budget. ``g_sp`` holds the per-PU gains along its last axis;
+    leading (slot) axes are kept."""
+    g_max = np.max(g_sp, axis=-1)
+    with np.errstate(divide="ignore"):
+        return np.where(g_max > 0.0, np.minimum(pc.P_t, pc.I_thr / g_max),
+                        pc.P_t)
 
 
 def tx_power(G: np.ndarray) -> float:

@@ -12,7 +12,9 @@ Covers four operating modes:
 
 Each slot, ``resolve_mode`` turns any of them into one setting: the logged
 mode, how many leading elements amplify and their gain. Reflection and
-energy bill read only that setting.
+energy bill read only that setting. Harvest, setting and bill depend on the
+slot's channels alone, so their functions take arrays with a leading slot
+axis and work out a whole block of slots at once.
 
 Harvested energy is collected fresh each slot from a dedicated power beacon;
 there is no battery carry-over between slots.
@@ -98,9 +100,10 @@ class ConsumptionParams:
 
 @dataclass(frozen=True)
 class EnergyLedger:
-    """Harvested energy per element and in total, for one slot."""
+    """Harvested energy per element (last axis) and in total, for one slot
+    or, with a leading slot axis, for each slot of a block."""
     per_element: np.ndarray
-    total: float
+    total: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -151,13 +154,18 @@ def passive_amplitude(eps, p: PassiveParams):
 
 
 def harvest(h_PB: np.ndarray, hp: HarvestParams) -> EnergyLedger:
-    """Per-element harvested energy E_r = eta * |h_PB_r|^2 * P_PB * T."""
-    per = hp.eta * np.abs(np.asarray(h_PB).ravel()) ** 2 * hp.P_PB * hp.T
-    return EnergyLedger(per_element=per, total=float(np.sum(per)))
+    """Per-element harvested energy E_r = eta * |h_PB_r|^2 * P_PB * T.
+
+    ``h_PB`` is the R x 1 beacon link of one slot, or a stack of them with
+    leading slot axes, which the ledger keeps.
+    """
+    per = hp.eta * np.abs(np.asarray(h_PB)[..., 0]) ** 2 * hp.P_PB * hp.T
+    return EnergyLedger(per_element=per, total=np.sum(per, axis=-1))
 
 
-def energy_gain(ledger: EnergyLedger, R: int, ap: ActiveParams) -> float:
-    """Uniform amplification gain scaled by the shared energy budget.
+def energy_gain(ledger: EnergyLedger, R: int, ap: ActiveParams):
+    """Uniform amplification gain scaled by the shared energy budget, one
+    per harvested total.
 
     f = (E_total / R) / E_max; the interpolated gain is hard-clamped at
     alpha_max afterwards, so over-harvest cannot over-amplify.
@@ -166,27 +174,33 @@ def energy_gain(ledger: EnergyLedger, R: int, ap: ActiveParams) -> float:
         raise ValueError("R must be >= 1")
     f = (ledger.total / R) / ap.E_max
     alpha = ap.alpha_min + (ap.alpha_max - ap.alpha_min) * f
-    return float(min(alpha, ap.alpha_max))
+    return np.minimum(alpha, ap.alpha_max)
 
 
 def resolve_mode(mode: RisMode, ledger: EnergyLedger, R: int,
                  hp: HarvestParams, ap: ActiveParams):
-    """One slot's surface setting ``(resolved, n_active, gain)``: the logged
-    mode, how many leading elements amplify, and their gain.
+    """Each slot's surface setting ``(resolved, n_active, gain)``: the
+    logged mode, how many leading elements amplify, and their gain, as
+    arrays shaped like ``ledger.total``.
 
     Passive is (passive, 0, 1.0) and active (active, R, energy_gain). The
     dynamic hybrid is active iff the harvested total reaches tau and
     passive otherwise; the fixed hybrid runs its static split at its fixed
     gain and is logged as active.
     """
-    kind = mode.kind
-    if kind == DYNAMIC_HYBRID:
-        kind = ACTIVE if ledger.total >= hp.tau else PASSIVE
-    if kind == PASSIVE:
-        return PASSIVE, 0, 1.0
-    if kind == ACTIVE:
-        return ACTIVE, R, energy_gain(ledger, R, ap)
-    return ACTIVE, mode.n_active(R), mode.fixed_gain
+    shape = np.shape(ledger.total)
+    if mode.kind == DYNAMIC_HYBRID:
+        active = ledger.total >= hp.tau
+    else:
+        active = np.full(shape, mode.kind != PASSIVE)
+    resolved = np.where(active, ACTIVE, PASSIVE)
+    if mode.kind == FIXED_HYBRID:
+        # np.full keeps the type of the configured gain, so an integer
+        # fixed_gain is reported as the integer it was given as
+        return (resolved, np.full(shape, mode.n_active(R)),
+                np.full(shape, mode.fixed_gain))
+    return (resolved, np.where(active, R, 0),
+            np.where(active, energy_gain(ledger, R, ap), 1.0))
 
 
 def wrap_phase(eps):
@@ -210,17 +224,13 @@ def build_reflection(phases, n_active: int, gain: float,
     return mag * np.exp(1j * eps)
 
 
-def energy_consumed(n_active: int, gain: float, R: int,
-                    cp: ConsumptionParams) -> float:
-    """Energy drawn by the surface in one slot (joules).
+def energy_consumed(n_active, gain, R: int, cp: ConsumptionParams):
+    """Energy drawn by the surface in a slot (joules), elementwise over
+    arrays of slot settings.
 
     The ``n_active`` amplifying elements draw control power plus power
     proportional to their gain; the other R - n_active elements cost
     passive control power only.
     """
-    e = 0.0
-    if n_active:
-        e += float(n_active * (gain * cp.P_amp + cp.P_ctrl) * cp.slot_seconds)
-    if R - n_active:
-        e += float((R - n_active) * cp.P_passive * cp.slot_seconds)
-    return e
+    amplifying = n_active * (gain * cp.P_amp + cp.P_ctrl) * cp.slot_seconds
+    return amplifying + (R - n_active) * cp.P_passive * cp.slot_seconds

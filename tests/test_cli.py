@@ -60,6 +60,30 @@ def test_user_error_is_one_line(argv, named, tmp_path):
     assert "Traceback" not in res.stderr
 
 
+def test_malformed_seeds_and_steps_are_one_line_errors(tmp_path):
+    (tmp_path / "s.json").write_text(json.dumps(
+        {"name": "s", "agent": {"kind": "random"}, "seeds": [0, 0],
+         "total_steps": "abc"}))
+    res = run_python(["-m", "hybridris.cli", "run", "s.json"], tmp_path)
+    assert res.returncode == 2
+    assert res.stderr.startswith("hybridris: error: ")
+    assert len(res.stderr.splitlines()) == 1
+    assert "seeds: [0] appear more than once" in res.stderr
+    assert "total_steps: must be an integer, not 'abc'" in res.stderr
+    assert not (tmp_path / "runs").exists()
+
+
+def test_bad_worker_count_is_a_one_line_error(tmp_path, monkeypatch):
+    monkeypatch.setenv("HYBRIDRIS_WORKERS", "two")
+    (tmp_path / "s.json").write_text(json.dumps(
+        {"name": "s", "agent": {"kind": "random"}, "seeds": [0],
+         "total_steps": 5}))
+    res = run_python(["-m", "hybridris.cli", "run", "s.json"], tmp_path)
+    assert res.returncode == 2
+    assert res.stderr.startswith("hybridris: error: HYBRIDRIS_WORKERS")
+    assert "Traceback" not in res.stderr
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_exits_zero(demo, tmp_path):
     res = run_python([str(demo)], tmp_path)

@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -324,6 +325,31 @@ class TestCheckpointInsideBlock:
             checked.set_state(st)
             assert [checked.step(a).reward for a in actions[t:]] == \
                 expected[t:]
+
+    @pytest.mark.parametrize("fading_block", [1, 3])
+    @pytest.mark.parametrize("mode", [
+        RisMode.passive(), RisMode.active(), RisMode.dynamic_hybrid(),
+        RisMode.fixed_hybrid(0.5, 2.0)],
+        ids=["passive", "active", "dynamic_hybrid", "fixed_hybrid"])
+    def test_fresh_env_resumes_inside_a_block(self, mode, fading_block):
+        # the state is taken inside the second channel block and, when
+        # fading_block > 1, inside a fading block; a fresh env restored from
+        # it continues with the same step records and observations
+        cfg = EnvConfig(mode=mode, fading=FadingMode(fading_block),
+                        pc=PowerConstraint(P_t=10.0, I_thr=3.0))
+        actions = make_rng(3).uniform(-1, 1, (120, action_size(cfg.topo)))
+        env = RisCrnEnv(cfg)
+        env.reset(6)
+        for a in actions[:70]:
+            env.step(a)
+        state = pickle.loads(pickle.dumps(env.get_state()))
+        resumed = RisCrnEnv(cfg)
+        resumed.set_state(state)
+        for t, a in enumerate(actions[70:], start=70):
+            out, again = env.step(a), resumed.step(a)
+            assert step_log_record(t, again) == step_log_record(t, out)
+            assert again.info == out.info
+            assert again.observation.tobytes() == out.observation.tobytes()
 
 
 class TestFixedHybrid:

@@ -9,8 +9,9 @@ import hybridris as hr
 from hybridris.harness import (ExperimentSpec, SpecError, build_loop,
                                build_spec, compare, converged_mean,
                                expand_sweep, load_checkpoint, moving_average,
-                               replay_summary, run_experiment, run_single,
-                               run_spec_dict, save_checkpoint)
+                               replay_summary, resolve_workers,
+                               run_experiment, run_single, run_spec_dict,
+                               save_checkpoint)
 
 
 def tiny_env(**kw):
@@ -173,6 +174,53 @@ def test_step_log_digest_pinned(tmp_path):
     assert digest.hexdigest() == STEP_LOG_SHA256
 
 
+# sha256 of a 200-step random-agent step log (the lines steps.jsonl holds)
+# followed by the bytes of the last observation, seed 3, for the modes and
+# env shapes the pin above leaves out. "small_I_thr" makes the projection
+# bind on most steps; "integer_fields" gives P_t, fixed_gain and tau as JSON
+# integers, which the log keeps as integers ("cap": 10, "alpha": 3).
+# Recorded with numpy 2.4 on x86-64, like the pin above.
+ENV_DIGESTS = {
+    "passive": (
+        {"mode": "passive"},
+        "3156fe529e4f1495668f1349b5e24954" "0c090fbf7af435ed5b8ff2b91db38bea"),
+    "active": (
+        {"mode": "active"},
+        "bfb52684629d0dcccd24293ab627729b" "58a035777a5cb18aba891f8c3ec10805"),
+    "fixed_hybrid_0.5": (
+        {"mode": {"kind": "fixed_hybrid", "active_fraction": 0.5}},
+        "cd1e2970554113b33f10f90bfc8d25fa" "2d2301159b690f492e2366ccad0cb20d"),
+    "A2B3R5W2_fading_block_3": (
+        {"topology": {"A": 2, "B": 3, "R": 5, "W": 2}, "fading_block": 3},
+        "daf3aeed2a2c1335c206b95844ccedee" "825bdb50ff3fed7e0bd7b43d566c5079"),
+    "small_I_thr": (
+        {"power": {"P_t": 10.0, "I_thr": 0.5}},
+        "5efdceb52cbc1147b7e90279d6fd22f6" "102806102d4cd251afbf3dcff0c44704"),
+    "integer_fields": (
+        {"power": {"P_t": 10, "I_thr": 30}, "harvest": {"tau": 40},
+         "mode": {"kind": "fixed_hybrid", "fixed_gain": 3}},
+        "3337a6e8d9e59438d88ce4fd5bd1a10f" "a356639b270e6c56c11134fb4c054e5e"),
+}
+
+
+def step_log_digest(env_d: dict, seed: int, steps: int) -> str:
+    spec = build_spec({"env": env_d, "agent": {"kind": "random"},
+                       "seeds": [seed], "total_steps": steps})
+    loop = build_loop(spec, seed)
+    loop.run(steps)
+    digest = hashlib.sha256()
+    for rec in loop.step_records:
+        digest.update((json.dumps(rec) + "\n").encode())
+    digest.update(loop.obs.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", list(ENV_DIGESTS))
+def test_env_digest_pinned(name):
+    env_d, expected = ENV_DIGESTS[name]
+    assert step_log_digest(env_d, 3, 200) == expected
+
+
 class TestSpecParsing:
     def test_defaults_build(self):
         spec = build_spec({"name": "d"})
@@ -207,6 +255,32 @@ class TestSpecParsing:
         assert "env.harvest" in msg
         assert "agent.kind" in msg
         assert "total_steps" in msg
+
+    @pytest.mark.parametrize("field,value", [
+        ("seeds", 5), ("seeds", ["a"]), ("seeds", [0, 0]), ("seeds", [-1]),
+        ("total_steps", 2.7), ("total_steps", "abc"), ("n_seeds", "two"),
+    ])
+    def test_malformed_seeds_and_steps_rejected(self, field, value):
+        with pytest.raises(SpecError, match=field):
+            build_spec({field: value})
+
+    def test_seed_and_step_problems_listed_together(self):
+        with pytest.raises(SpecError) as err:
+            build_spec({"seeds": [0, "a", 0, -1], "total_steps": 2.7})
+        msg = str(err.value)
+        assert "['a', -1] are not integers" in msg
+        assert "[0] appear more than once" in msg
+        assert "total_steps: must be an integer, not 2.7" in msg
+
+    def test_duplicate_seeds_refused(self):
+        # both runs would write seed_1/ and count twice in the aggregate
+        with pytest.raises(SpecError, match="more than once"):
+            ExperimentSpec(name="x", seeds=(1, 2, 1))
+
+    def test_bad_worker_count_names_the_variable(self, monkeypatch):
+        monkeypatch.setenv("HYBRIDRIS_WORKERS", "two")
+        with pytest.raises(ValueError, match="HYBRIDRIS_WORKERS.*'two'"):
+            resolve_workers(4)
 
     def test_td3_and_ddpg_configs_validated(self):
         with pytest.raises(SpecError) as err:
@@ -275,6 +349,28 @@ class TestSweepRun:
         assert frac["tausweep_tau=10"] > frac["tausweep_tau=40"]
 
 
+
+class TestPaperClaimsRandomAgent:
+    """The paper's energy claims on the paper-default env. Harvest, mode
+    and energy bill do not depend on the action, so the random agent checks
+    them in well under a second (2 seeds x 400 steps per point)."""
+
+    @staticmethod
+    def aggregate(env: dict) -> dict:
+        spec = build_spec({"name": "claim", "env": env,
+                           "agent": {"kind": "random"}, "seeds": [0, 1],
+                           "total_steps": 400})
+        return run_experiment(spec, workers=1)
+
+    def test_dynamic_hybrid_bills_between_passive_and_active(self):
+        energy = {mode: self.aggregate({"mode": mode})["mean_energy_J"]
+                  for mode in ("passive", "dynamic_hybrid", "active")}
+        assert energy["passive"] < energy["dynamic_hybrid"] < energy["active"]
+
+    def test_active_fraction_falls_as_tau_rises(self):
+        fractions = [self.aggregate({"harvest": {"tau": tau}})
+                     ["mode_fraction_active"] for tau in (10, 30, 50, 100)]
+        assert all(a > b for a, b in zip(fractions, fractions[1:]))
 class TestCompare:
     def test_self_comparison_zero_diff(self, tmp_path):
         # same spec under two names: the name does not enter the seeds
