@@ -72,13 +72,20 @@ class ReplayBuffer:
 def _check_config(cfg, *rules):
     """Raise one ValueError naming every field that breaks its rule.
 
-    ``rules`` are (broken, message) pairs added to the gamma/lr/batch rules
-    that every learning agent shares. gamma = 0 is allowed as a degenerate
-    case (no bootstrapping).
+    ``rules`` are (broken, message) pairs added to the rules that every
+    learning agent shares. gamma = 0 is allowed as a degenerate case (no
+    bootstrapping); a buffer smaller than a batch never trains.
     """
     rules = ((not 0.0 <= cfg.gamma <= 1.0, "gamma must lie in [0, 1]"),
              (cfg.lr <= 0, "lr must be > 0"),
-             (cfg.batch < 1, "batch must be >= 1")) + rules
+             (cfg.batch < 1, "batch must be >= 1"),
+             (not 0.0 <= cfg.tau_soft <= 1.0, "tau_soft must lie in [0, 1]"),
+             (cfg.buffer_capacity < cfg.batch,
+              "buffer_capacity must be >= batch"),
+             (not isinstance(cfg.hidden, (tuple, list)) or not all(
+                 isinstance(w, (int, np.integer)) and w >= 1
+                 for w in cfg.hidden),
+              "hidden widths must be integers >= 1")) + rules
     errors = [msg for broken, msg in rules if broken]
     if errors:
         raise ValueError("; ".join(errors))
@@ -101,7 +108,9 @@ class SacConfig:
     reward_baseline: bool = False
 
     def __post_init__(self):
-        _check_config(self)
+        # log(alpha) is the tuned variable, so it must start finite
+        _check_config(self, (self.auto_entropy and self.entropy_alpha <= 0,
+                             "entropy_alpha must be > 0 with auto_entropy"))
 
 
 @dataclass(frozen=True)
@@ -158,10 +167,12 @@ class RandomAgent:
 
 
 class _OffPolicyAgent:
-    """Replay buffer, reward baseline, warmup gate, critic regression and
-    checkpoint state shared by the learners. Subclasses set ``config_cls``,
-    build their nets from ``self.rng`` after this constructor and name
-    them in ``_nets``/``_opts``, the keys of their checkpointed buffers."""
+    """Replay buffer, reward baseline, warmup gate, critic and checkpoint
+    state shared by the learners. Subclasses set ``config_cls`` and
+    ``n_critics``, build their nets from ``self.rng`` after this
+    constructor (the critic through ``_build_critic``) and add their own
+    parameter arrays and optimizers to ``_nets``/``_opts``, whose keys
+    name them in the checkpoint."""
 
     def __init__(self, obs_dim: int, act_dim: int, cfg=None, seed: int = 0):
         self.cfg = cfg or self.config_cls()
@@ -192,23 +203,41 @@ class _OffPolicyAgent:
             return None, {"warning": "batch underflow"}
         return self.buffer.sample(self.rng, self.cfg.batch), None
 
-    @staticmethod
-    def _fit_critics(critics, opts, s, a, U):
-        """One Adam step of each critic on its mean squared error to the
-        targets ``U``; returns the losses."""
-        x = np.concatenate([s, a], axis=1)
-        losses = []
-        for q, opt in zip(critics, opts):
-            pred, cache = q.forward_cache(x)
-            diff = pred - U
-            losses.append(float(np.mean(diff ** 2)))
-            grad, _ = q.backward(cache, 2.0 * diff / diff.shape[0])
-            opt.step(q.flat, grad)
-        return losses
+    def _build_critic(self):
+        """The ``n_critics`` critics on (s, a) as one stacked net, its
+        Polyak target and one Adam over all members."""
+        self.critic = DenseNet(
+            [self.obs_dim + self.act_dim] + list(self.cfg.hidden) + [1],
+            self.rng, members=self.n_critics)
+        self.target_critic = self.critic.copy()
+        self.opt_critic = Adam(self.critic.flat, self.cfg.lr)
+
+    def _fit_critics(self, s, a, U):
+        """One Adam step of every critic member on its mean squared error
+        to the targets ``U``; returns the per-member losses."""
+        pred, cache = self.critic.forward_cache(np.concatenate([s, a], axis=1))
+        diff = pred - U
+        grad, _ = self.critic.backward(cache, 2.0 * diff / diff.shape[-2])
+        self.opt_critic.step(self.critic.flat, grad)
+        return np.mean(diff ** 2, axis=(1, 2)).tolist()
+
+    def _td_target(self, r, s2, a2, entropy=0.0):
+        """r (less the baseline) + gamma * (min of the target critics at
+        (s2, a2) - entropy): clipped double-Q for two members."""
+        qt = self.target_critic.forward(np.concatenate([s2, a2], axis=1))
+        r_col = np.asarray(r, dtype=float).reshape(-1, 1) - self._baseline()
+        return r_col + self.cfg.gamma * (qt.min(axis=0) - entropy)
+
+    def _nets(self):
+        return {"critic": self.critic.flat,
+                "critic_target": self.target_critic.flat}
+
+    def _opts(self):
+        return {"critic": self.opt_critic}
 
     def get_state(self) -> dict:
         return {
-            "nets": {k: net.flat.copy() for k, net in self._nets().items()},
+            "nets": {k: p.copy() for k, p in self._nets().items()},
             "opts": {k: opt.get_state() for k, opt in self._opts().items()},
             "rng": rng_state(self.rng),
             "buffer": self.buffer.get_state(),
@@ -217,8 +246,8 @@ class _OffPolicyAgent:
         }
 
     def set_state(self, st: dict):
-        for k, net in self._nets().items():
-            net.flat[...] = st["nets"][k]
+        for k, p in self._nets().items():
+            p[...] = st["nets"][k]
         for k, opt in self._opts().items():
             opt.set_state(st["opts"][k])
         self.rng = restore_rng(st["rng"])
@@ -232,20 +261,16 @@ class SacAgent(_OffPolicyAgent):
     Gaussian policy, and automatic entropy-temperature tuning."""
 
     config_cls = SacConfig
+    n_critics = 2
 
     def __init__(self, obs_dim: int, act_dim: int, cfg: SacConfig = None,
                  seed: int = 0):
         super().__init__(obs_dim, act_dim, cfg, seed)
         cfg = self.cfg
-        hid = list(cfg.hidden)
-        self.policy = DenseNet([obs_dim] + hid + [2 * act_dim], self.rng)
-        self.q1 = DenseNet([obs_dim + act_dim] + hid + [1], self.rng)
-        self.q2 = DenseNet([obs_dim + act_dim] + hid + [1], self.rng)
-        self.q1_target = self.q1.copy()
-        self.q2_target = self.q2.copy()
+        self.policy = DenseNet([obs_dim] + list(cfg.hidden) + [2 * act_dim],
+                               self.rng)
+        self._build_critic()
         self.opt_policy = Adam(self.policy.flat, cfg.lr)
-        self.opt_q1 = Adam(self.q1.flat, cfg.lr)
-        self.opt_q2 = Adam(self.q2.flat, cfg.lr)
         self.log_alpha = np.array([np.log(cfg.entropy_alpha)])
         self.opt_alpha = Adam(self.log_alpha, cfg.lr)
         self.target_entropy = (cfg.target_entropy if cfg.target_entropy
@@ -290,20 +315,15 @@ class SacAgent(_OffPolicyAgent):
     def critic_target(self, s2, r, eps2=None):
         """Bootstrapped target: r + gamma * (min of the two target critics
         at a fresh policy action, minus the entropy term)."""
-        cfg = self.cfg
         mu2, log_std2, _, _ = self._policy_stats(s2)
         if eps2 is None:
             eps2 = self.rng.standard_normal(mu2.shape)
         a2, logp2, _, _ = self._squash(mu2, log_std2, eps2)
-        x2 = np.concatenate([s2, a2], axis=1)
-        qt = np.minimum(self.q1_target.forward(x2), self.q2_target.forward(x2))
-        r_col = np.asarray(r, dtype=float).reshape(-1, 1) - self._baseline()
-        return r_col + cfg.gamma * (qt - self.entropy_alpha * logp2)
+        return self._td_target(r, s2, a2, self.entropy_alpha * logp2)
 
     def update_critics(self, s, a, r, s2, eps2=None):
         U = self.critic_target(s2, r, eps2)
-        return U, self._fit_critics((self.q1, self.q2),
-                                    (self.opt_q1, self.opt_q2), s, a, U)
+        return U, self._fit_critics(s, a, U)
 
     def update_policy(self, s, eps=None):
         """One gradient step on mean(alpha * logp - min_i Q_i(s, a)) with a
@@ -315,16 +335,14 @@ class SacAgent(_OffPolicyAgent):
             eps = self.rng.standard_normal(mu.shape)
         a, logp, std, _ = self._squash(mu, log_std, eps)
         x = np.concatenate([s, a], axis=1)
-        p1, c1 = self.q1.forward_cache(x)
-        p2, c2 = self.q2.forward_cache(x)
+        (p1, p2), qc = self.critic.forward_cache(x)
         take1 = p1 <= p2
         qmin = np.where(take1, p1, p2)
         alpha = self.entropy_alpha
         loss = float(np.mean(alpha * logp - qmin))
 
-        _, gx1 = self.q1.backward(c1, np.where(take1, 1.0, 0.0))
-        _, gx2 = self.q2.backward(c2, np.where(take1, 0.0, 1.0))
-        dq_da = (gx1 + gx2)[:, self.obs_dim:]
+        _, gx = self.critic.backward(qc, np.stack([take1, ~take1]))
+        dq_da = (gx[0] + gx[1])[:, self.obs_dim:]
 
         one_m_a2 = 1.0 - a ** 2
         corr = 2.0 * a * one_m_a2 / (one_m_a2 + TANH_EPS)
@@ -351,26 +369,18 @@ class SacAgent(_OffPolicyAgent):
         policy_loss, logp = self.update_policy(s)
         if cfg.auto_entropy:
             self.update_temperature(logp)
-        soft_update(self.q1_target, self.q1, cfg.tau_soft)
-        soft_update(self.q2_target, self.q2, cfg.tau_soft)
+        soft_update(self.target_critic, self.critic, cfg.tau_soft)
         return {"critic_losses": critic_losses, "policy_loss": policy_loss,
                 "entropy_alpha": self.entropy_alpha,
                 "target_mean": float(np.mean(U))}
 
-    def get_state(self) -> dict:
-        return {**super().get_state(), "log_alpha": self.log_alpha.copy()}
-
-    def set_state(self, st: dict):
-        super().set_state(st)
-        self.log_alpha[...] = st["log_alpha"]
-
     def _nets(self):
-        return {"policy": self.policy, "q1": self.q1, "q2": self.q2,
-                "q1_target": self.q1_target, "q2_target": self.q2_target}
+        return {"policy": self.policy.flat, **super()._nets(),
+                "log_alpha": self.log_alpha}
 
     def _opts(self):
-        return {"policy": self.opt_policy, "q1": self.opt_q1,
-                "q2": self.opt_q2, "alpha": self.opt_alpha}
+        return {"policy": self.opt_policy, **super()._opts(),
+                "alpha": self.opt_alpha}
 
 
 class DdpgAgent(_OffPolicyAgent):
@@ -384,14 +394,11 @@ class DdpgAgent(_OffPolicyAgent):
                  seed: int = 0):
         super().__init__(obs_dim, act_dim, cfg, seed)
         cfg = self.cfg
-        hid = list(cfg.hidden)
-        self.actor = DenseNet([obs_dim] + hid + [act_dim], self.rng)
-        self.critics = [DenseNet([obs_dim + act_dim] + hid + [1], self.rng)
-                        for _ in range(self.n_critics)]
+        self.actor = DenseNet([obs_dim] + list(cfg.hidden) + [act_dim],
+                              self.rng)
+        self._build_critic()
         self.actor_target = self.actor.copy()
-        self.critic_targets = [q.copy() for q in self.critics]
         self.opt_actor = Adam(self.actor.flat, cfg.lr)
-        self.opt_critics = [Adam(q.flat, cfg.lr) for q in self.critics]
         self.n_updates = 0
 
     def _policy_action(self, net: DenseNet, s):
@@ -410,20 +417,14 @@ class DdpgAgent(_OffPolicyAgent):
         return self._policy_action(self.actor_target, s2)
 
     def critic_target_value(self, s2, r):
-        a2 = self._target_action(s2)
-        x2 = np.concatenate([s2, a2], axis=1)
-        qt = self.critic_targets[0].forward(x2)
-        for q in self.critic_targets[1:]:
-            qt = np.minimum(qt, q.forward(x2))
-        r_col = np.asarray(r, dtype=float).reshape(-1, 1) - self._baseline()
-        return r_col + self.cfg.gamma * qt
+        return self._td_target(r, s2, self._target_action(s2))
 
     def _update_actor(self, s):
         M = s.shape[0]
         out, cache = self.actor.forward_cache(s)
         a = np.tanh(out)
         x = np.concatenate([s, a], axis=1)
-        q = self.critics[0]
+        q = self.critic.member(0)
         pred, qc = q.forward_cache(x)
         _, gx = q.backward(qc, np.full_like(pred, -1.0 / M))
         g_out = gx[:, self.obs_dim:] * (1.0 - a ** 2)
@@ -438,15 +439,14 @@ class DdpgAgent(_OffPolicyAgent):
         cfg = self.cfg
         s, a, r, s2 = batch
         U = self.critic_target_value(s2, r)
-        losses = self._fit_critics(self.critics, self.opt_critics, s, a, U)
+        losses = self._fit_critics(s, a, U)
         self.n_updates += 1
         diag = {"critic_losses": losses, "actor_updated": False}
         if self._actor_due():
             diag["policy_loss"] = self._update_actor(s)
             diag["actor_updated"] = True
             soft_update(self.actor_target, self.actor, cfg.tau_soft)
-            for qt, q in zip(self.critic_targets, self.critics):
-                soft_update(qt, q, cfg.tau_soft)
+            soft_update(self.target_critic, self.critic, cfg.tau_soft)
         return diag
 
     def _actor_due(self) -> bool:
@@ -460,14 +460,11 @@ class DdpgAgent(_OffPolicyAgent):
         self.n_updates = int(st["n_updates"])
 
     def _nets(self):
-        nets = {"actor": self.actor, "actor_target": self.actor_target}
-        for i, (q, qt) in enumerate(zip(self.critics, self.critic_targets)):
-            nets[f"q{i}"], nets[f"q{i}_target"] = q, qt
-        return nets
+        return {"actor": self.actor.flat,
+                "actor_target": self.actor_target.flat, **super()._nets()}
 
     def _opts(self):
-        return {"actor": self.opt_actor,
-                **{f"q{i}": o for i, o in enumerate(self.opt_critics)}}
+        return {"actor": self.opt_actor, **super()._opts()}
 
 
 class Td3Agent(DdpgAgent):

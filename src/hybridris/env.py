@@ -214,6 +214,8 @@ class RisCrnEnv:
         previous-action fields, counters). The saved RNG position is the
         one right after the current slot's draw, as if slots were drawn one
         at a time."""
+        if self._rng is None:
+            raise RuntimeError("call reset() before get_state()")
         ch = self._channels
         rng = self._rng
         if ch is not None and self._used < len(self._block):

@@ -31,7 +31,7 @@ from .numerics import make_rng
 
 MA_WINDOW = 200
 CONVERGED_FRACTION = 0.1
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 AGENT_KINDS = {
     "sac": (SacAgent, SacConfig),
@@ -445,7 +445,7 @@ def build_spec(d: dict) -> ExperimentSpec:
     if kind not in AGENT_KINDS:
         errors.append(f"agent.kind: unknown kind {kind!r}")
     elif kind != "random":
-        if "hidden" in agent_d:
+        if isinstance(agent_d.get("hidden"), list):
             agent_d["hidden"] = tuple(agent_d["hidden"])
         agent_cfg = _build_section(errors, "agent", AGENT_KINDS[kind][1],
                                    agent_d)

@@ -18,18 +18,31 @@ class DenseNet:
     biases start at zero. All parameters live in the flat buffer
     ``self.flat``; ``self.params`` holds views into it as
     ``[W0, b0, W1, b1, ...]`` with ``W`` of shape (out, in).
+    With ``members=E`` it stacks E independent nets on a leading axis:
+    ``W`` is (E, out, in), ``b`` is (E, out), and member e owns the
+    contiguous slice ``flat.reshape(E, -1)[e]``.
     """
 
-    def __init__(self, sizes, rng: np.random.Generator):
+    def __init__(self, sizes, rng: np.random.Generator, members=None):
         if len(sizes) < 2:
             raise ValueError("need at least an input and an output layer")
+        self._bind(sizes, members, np.zeros(
+            (members or 1) * sum((n_in + 1) * n_out
+                                 for n_in, n_out in zip(sizes, sizes[1:]))))
+        # member by member, so a stacked net draws what E single nets
+        # built in turn would draw
+        for net in ([self] if members is None
+                    else [self.member(e) for e in range(members)]):
+            for W in net.params[::2]:
+                limit = np.sqrt(6.0 / sum(W.shape))
+                W[...] = rng.uniform(-limit, limit, W.shape)
+
+    def _bind(self, sizes, members, flat) -> "DenseNet":
         self.sizes = list(sizes)
-        self.flat = np.zeros(sum((n_in + 1) * n_out
-                                 for n_in, n_out in zip(sizes, sizes[1:])))
-        self.params = self.views(self.flat)
-        for W in self.params[::2]:
-            limit = np.sqrt(6.0 / sum(W.shape))
-            W[...] = rng.uniform(-limit, limit, W.shape)
+        self.members = members
+        self.flat = flat
+        self.params = self.views(flat)
+        return self
 
     @property
     def n_layers(self) -> int:
@@ -38,12 +51,20 @@ class DenseNet:
     def views(self, buf: np.ndarray) -> list:
         """``[W0, b0, W1, b1, ...]`` as views into ``buf``, a buffer laid
         out like ``self.flat``."""
+        lead = () if self.members is None else (self.members,)
+        rows = buf.reshape(lead + (-1,))
         out, start = [], 0
         for n_in, n_out in zip(self.sizes, self.sizes[1:]):
             mid, end = start + n_in * n_out, start + (n_in + 1) * n_out
-            out += [buf[start:mid].reshape(n_out, n_in), buf[mid:end]]
+            out += [rows[..., start:mid].reshape(lead + (n_out, n_in)),
+                    rows[..., mid:end]]
             start = end
         return out
+
+    def member(self, e: int) -> "DenseNet":
+        """Plain net over member ``e``'s parameters (shared, not copied)."""
+        return DenseNet.__new__(DenseNet)._bind(
+            self.sizes, None, self.flat.reshape(self.members, -1)[e])
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         y, _ = self.forward_cache(x)
@@ -52,16 +73,17 @@ class DenseNet:
     def forward_cache(self, x: np.ndarray):
         """Forward pass keeping the per-layer activations for backward.
 
-        ``x`` is (batch, in); a 1-D input is treated as a single row.
+        ``x`` is (batch, in); a 1-D input is treated as a single row. A
+        stacked net broadcasts it over its members: output (E, batch, out).
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        if x.shape[1] != self.sizes[0]:
-            raise ValueError(f"input width {x.shape[1]}, expected {self.sizes[0]}")
+        if x.shape[-1] != self.sizes[0]:
+            raise ValueError(f"input width {x.shape[-1]}, expected {self.sizes[0]}")
         acts = [x]
         h = x
         for i in range(self.n_layers):
             W, b = self.params[2 * i], self.params[2 * i + 1]
-            h = h @ W.T + b
+            h = h @ W.swapaxes(-1, -2) + b[..., None, :]
             if i < self.n_layers - 1:
                 h = np.tanh(h)
             acts.append(h)
@@ -71,8 +93,9 @@ class DenseNet:
         """Exact gradients of sum(grad_out * output) w.r.t. params and input.
 
         ``acts`` is the cache from :meth:`forward_cache`; ``grad_out`` is
-        (batch, out). Returns ``(grad, grad_input)`` with ``grad`` laid out
-        like ``self.flat``; ``self.views(grad)`` splits it per layer.
+        shaped like the output. Returns ``(grad, grad_input)`` with ``grad``
+        laid out like ``self.flat`` (``self.views(grad)`` splits it per
+        layer) and ``grad_input`` shaped like the output with width in.
         """
         delta = np.atleast_2d(np.asarray(grad_out, dtype=float))
         grad = np.empty_like(self.flat)
@@ -80,19 +103,16 @@ class DenseNet:
         for i in range(self.n_layers - 1, -1, -1):
             W = self.params[2 * i]
             a_in = acts[i]
-            grads[2 * i][...] = delta.T @ a_in
-            grads[2 * i + 1][...] = delta.sum(axis=0)
+            grads[2 * i][...] = delta.swapaxes(-1, -2) @ a_in
+            grads[2 * i + 1][...] = delta.sum(axis=-2)
             delta = delta @ W
             if i > 0:
                 delta = delta * (1.0 - acts[i] ** 2)
         return grad, delta
 
     def copy(self) -> "DenseNet":
-        clone = DenseNet.__new__(DenseNet)
-        clone.sizes = list(self.sizes)
-        clone.flat = self.flat.copy()
-        clone.params = clone.views(clone.flat)
-        return clone
+        return DenseNet.__new__(DenseNet)._bind(
+            self.sizes, self.members, self.flat.copy())
 
 
 def soft_update(target: DenseNet, source: DenseNet, tau: float):

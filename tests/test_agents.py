@@ -46,6 +46,37 @@ class TestReplayBuffer:
         assert buf2.ptr == buf.ptr and buf2.size == buf.size
 
 
+LEARNER_CONFIGS = [SacConfig, DdpgConfig, Td3Config]
+
+
+class TestConfigRules:
+    @pytest.mark.parametrize("cfg_cls", LEARNER_CONFIGS)
+    @pytest.mark.parametrize("kw,named", [
+        ({"buffer_capacity": 0}, "buffer_capacity"),
+        ({"buffer_capacity": 4, "batch": 16}, "buffer_capacity"),
+        ({"tau_soft": -1.0}, "tau_soft"),
+        ({"tau_soft": 1.5}, "tau_soft"),
+        ({"tau_soft": float("nan")}, "tau_soft"),
+        ({"hidden": (0,)}, "hidden"),
+        ({"hidden": (64, 2.5)}, "hidden"),
+        ({"hidden": 64}, "hidden"),
+    ])
+    def test_untrainable_field_refused(self, cfg_cls, kw, named):
+        with pytest.raises(ValueError, match=named):
+            cfg_cls(**kw)
+
+    @pytest.mark.parametrize("cfg_cls", LEARNER_CONFIGS)
+    def test_edges_accepted(self, cfg_cls):
+        for tau in (0.0, 1.0):
+            cfg_cls(tau_soft=tau, buffer_capacity=16, batch=16, hidden=())
+
+    def test_zero_temperature_refused_only_when_tuned(self):
+        # log(0) would pin the tuned log-temperature at -inf
+        with pytest.raises(ValueError, match="entropy_alpha"):
+            SacConfig(entropy_alpha=0.0)
+        SacConfig(entropy_alpha=0.0, auto_entropy=False)
+
+
 class TestRandomPolicy:
     def test_bounds(self):
         rng = make_rng(1)
@@ -141,8 +172,8 @@ class TestSacUpdate:
         mu2, log_std2, _, _ = ag._policy_stats(s2)
         a2, logp2, _, _ = ag._squash(mu2, log_std2, eps2)
         x2 = np.concatenate([s2, a2], axis=1)
-        q1 = ag.q1_target.forward(x2)
-        q2 = ag.q2_target.forward(x2)
+        q1 = ag.target_critic.member(0).forward(x2)
+        q2 = ag.target_critic.member(1).forward(x2)
         expected = (r.reshape(-1, 1) + ag.cfg.gamma *
                     (np.minimum(q1, q2) - ag.entropy_alpha * logp2))
         assert np.allclose(U, expected, atol=1e-12)
@@ -155,14 +186,14 @@ class TestSacUpdate:
         a = rng.uniform(-1, 1, (4, ACT))
         s2 = rng.standard_normal((4, OBS))
         x = np.concatenate([s, a], axis=1)
-        r1 = ag.q1.forward(x).ravel()
-        before1 = [p.copy() for p in ag.q1.params]
+        r1 = ag.critic.member(0).forward(x).ravel()
+        before1 = [p.copy() for p in ag.critic.member(0).params]
         # with gamma=0 and r equal to current predictions, q1's target is its
         # own output: zero loss, zero gradient, no parameter movement
         U, losses = ag.update_critics(s, a, r1, s2, eps2=np.zeros((4, ACT)))
         assert losses[0] == pytest.approx(0.0, abs=1e-24)
         assert all(np.array_equal(p, q)
-                   for p, q in zip(ag.q1.params, before1))
+                   for p, q in zip(ag.critic.member(0).params, before1))
 
     def test_single_transition_regression(self):
         # critic-only steps at lr 1e-2 drive Q(s, a) to r under gamma=0;
@@ -179,8 +210,8 @@ class TestSacUpdate:
             batch = ag.buffer.sample(ag.rng, 1)
             ag.update_critics(*batch)
         x = np.concatenate([s, a])[None, :]
-        assert abs(ag.q1.forward(x)[0, 0] - r) < 1e-3
-        assert abs(ag.q2.forward(x)[0, 0] - r) < 1e-3
+        assert abs(ag.critic.member(0).forward(x)[0, 0] - r) < 1e-3
+        assert abs(ag.critic.member(1).forward(x)[0, 0] - r) < 1e-3
 
     def test_batch_underflow_warns(self):
         ag = SacAgent(OBS, ACT, SacConfig(warmup_steps=0, batch=16), seed=15)
@@ -199,7 +230,8 @@ class TestSacUpdate:
         mu, log_std, _, _ = ag._policy_stats(s)
         a, logp, _, _ = ag._squash(mu, log_std, eps)
         x = np.concatenate([s, a], axis=1)
-        qmin = np.minimum(ag.q1.forward(x), ag.q2.forward(x))
+        qmin = np.minimum(ag.critic.member(0).forward(x),
+                          ag.critic.member(1).forward(x))
         final = float(np.mean(ag.entropy_alpha * logp - qmin))
         assert final < first
 
@@ -208,17 +240,18 @@ class TestSacUpdate:
             ag = SacAgent(OBS, ACT,
                           SacConfig(warmup_steps=0, tau_soft=tau), seed=18)
             # make targets differ from critics first
-            for p in ag.q1.params:
+            q1, q1_target = ag.critic.member(0), ag.target_critic.member(0)
+            for p in q1.params:
                 p += 0.5
-            frozen_target = [p.copy() for p in ag.q1_target.params]
+            frozen_target = [p.copy() for p in q1_target.params]
             filled_agent(ag, n=30, seed=19)
             ag.update(t=100)
             if expect_equal:
                 assert all(np.array_equal(a, b) for a, b in
-                           zip(ag.q1_target.params, ag.q1.params))
+                           zip(q1_target.params, q1.params))
             else:
                 assert all(np.array_equal(a, b) for a, b in
-                           zip(ag.q1_target.params, frozen_target))
+                           zip(q1_target.params, frozen_target))
 
     def test_temperature_moves_toward_target_entropy(self):
         ag = SacAgent(OBS, ACT, SacConfig(warmup_steps=0), seed=20)
@@ -311,8 +344,8 @@ class TestTd3:
                         -ag.cfg.noise_clip, ag.cfg.noise_clip)
         a2 = np.clip(a2 + noise, -1.0, 1.0)
         x2 = np.concatenate([s2, a2], axis=1)
-        q1 = ag.critic_targets[0].forward(x2)
-        q2 = ag.critic_targets[1].forward(x2)
+        q1 = ag.target_critic.member(0).forward(x2)
+        q2 = ag.target_critic.member(1).forward(x2)
         expected = r.reshape(-1, 1) + ag.cfg.gamma * np.minimum(q1, q2)
         for i in range(3):
             assert U[i, 0] == pytest.approx(expected[i, 0], abs=1e-12)

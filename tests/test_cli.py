@@ -47,10 +47,14 @@ def test_run_twice_then_compare(tmp_path):
     (["run", "missing.json"], "missing.json"),
     (["compare", "no_such_run", "--out", "t.csv"], "no_such_run"),
     (["run", "bad_sweep.json"], "sweep[0]"),
-], ids=["bad_spec", "missing_spec", "missing_run_dir", "malformed_sweep"])
+    (["run", "untrainable.json"], "buffer_capacity must be >= batch"),
+], ids=["bad_spec", "missing_spec", "missing_run_dir", "malformed_sweep",
+        "untrainable_agent"])
 def test_user_error_is_one_line(argv, named, tmp_path):
     (tmp_path / "bad.json").write_text(json.dumps(
         {"name": "bad", "agent": {"kind": "td3", "policy_delay": 0}}))
+    (tmp_path / "untrainable.json").write_text(json.dumps(
+        {"name": "bad", "agent": {"kind": "sac", "buffer_capacity": 0}}))
     (tmp_path / "bad_sweep.json").write_text(json.dumps(
         {"name": "bad", "sweep": [{"values": [10, 40]}]}))
     res = run_python(["-m", "hybridris.cli", *argv], tmp_path)

@@ -61,6 +61,13 @@ class TestReset:
         assert np.array_equal(env.reset(7), first)
         assert [env.step(a).reward for a in actions] == rewards
 
+    def test_get_state_and_step_need_a_reset(self):
+        env = RisCrnEnv(EnvConfig())
+        with pytest.raises(RuntimeError, match=r"reset\(\) before get_state"):
+            env.get_state()
+        with pytest.raises(RuntimeError, match=r"reset\(\) before step"):
+            env.step(np.zeros(env.action_size))
+
     def test_observation_length_default_topology(self):
         env = RisCrnEnv(EnvConfig())
         obs = env.reset(0)

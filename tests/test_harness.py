@@ -148,8 +148,8 @@ class TestCheckpoints:
 
     # version 1 checkpoints hold h_b as a list of per-receiver columns;
     # version 2 ones hold each net and Adam moment as a list of per-layer
-    # arrays
-    @pytest.mark.parametrize("version", [1, 2])
+    # arrays; version 3 ones hold each critic member as its own net
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_older_checkpoint_version_refused(self, version):
         loop = build_loop(tiny_spec(), 0)
         st = loop.get_state()
@@ -172,6 +172,29 @@ def test_step_log_digest_pinned(tmp_path):
     run_single(spec, 7, str(tmp_path))
     digest = hashlib.sha256((tmp_path / "steps.jsonl").read_bytes())
     assert digest.hexdigest() == STEP_LOG_SHA256
+
+
+# sha256 of steps.jsonl for 121-step learner runs on the paper-default env
+# at seed 5 (hidden 16x16, batch 4, 40 warmup steps, so TD3 stops after an
+# odd number of updates). The actions after warmup carry every bit of the
+# critic and policy updates, so a change to the learners' arithmetic or RNG
+# use moves these even where Adam's scale invariance hides it from the
+# unit tests. Recorded with numpy 2.4 on x86-64, like the pin above.
+LEARNER_LOG_SHA256 = {
+    "ddpg": "1a76f64e1e1fee42eea7cabd52d6b5a1bf3a2e7b0b15ec9a5a0bc628ad8c930f",
+    "sac": "50a1f8c2c84168bbf4b4b23d4d8a17aefcc90e7e5ca2f328df5bc179d8d1f8a9",
+    "td3": "c9965532ae8453c9e1a77348928006e9a29c5bf7505c85a774219bf096e8ca0d",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LEARNER_LOG_SHA256))
+def test_learner_step_log_digest_pinned(kind, tmp_path):
+    spec = build_spec({"name": "pin", "seeds": [5], "total_steps": 121,
+                       "agent": {"kind": kind, "warmup_steps": 40,
+                                 "batch": 4, "hidden": [16, 16]}})
+    run_single(spec, 5, str(tmp_path))
+    digest = hashlib.sha256((tmp_path / "steps.jsonl").read_bytes())
+    assert digest.hexdigest() == LEARNER_LOG_SHA256[kind]
 
 
 # sha256 of a 200-step random-agent step log (the lines steps.jsonl holds)
@@ -290,6 +313,19 @@ class TestSpecParsing:
         assert "gamma" in msg and "policy_delay" in msg
         with pytest.raises(SpecError, match="batch"):
             build_spec({"agent": {"kind": "ddpg", "batch": 0}})
+
+    def test_untrainable_agent_config_fields_listed_together(self):
+        with pytest.raises(SpecError) as err:
+            build_spec({"agent": {"kind": "sac", "buffer_capacity": 4,
+                                  "batch": 16, "tau_soft": -1.0,
+                                  "hidden": [0], "entropy_alpha": 0.0}})
+        msg = str(err.value)
+        assert "tau_soft must lie in [0, 1]" in msg
+        assert "buffer_capacity must be >= batch" in msg
+        assert "hidden widths must be integers >= 1" in msg
+        assert "entropy_alpha must be > 0 with auto_entropy" in msg
+        with pytest.raises(SpecError, match="hidden widths"):
+            build_spec({"agent": {"kind": "td3", "hidden": 64}})
 
     def test_attack_and_defense_sections(self):
         spec = build_spec({

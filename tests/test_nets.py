@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,48 @@ def test_backward_matches_central_differences(sizes):
     for (pi, i), est in fd.items():
         got = grads[pi].ravel()[i]
         worst = max(worst, abs(got - est) / max(abs(got), abs(est), 1e-8))
+    assert worst <= 1e-4
+
+
+# a critic-sized net with a batch, so BLAS takes the paths the agents use
+@pytest.mark.parametrize("sizes,batch", [([5, 8, 3], 4),
+                                         ([68, 128, 128, 1], 16)])
+def test_stacked_net_equals_single_nets(sizes, batch):
+    stacked = DenseNet(sizes, make_rng(11), members=2)
+    rng = make_rng(11)
+    singles = [DenseNet(sizes, rng), DenseNet(sizes, rng)]
+    assert np.array_equal(stacked.flat,
+                          np.concatenate([n.flat for n in singles]))
+    x = make_rng(12).standard_normal((batch, sizes[0]))
+    gout = make_rng(13).standard_normal((2, batch, sizes[-1]))
+    out, cache = stacked.forward_cache(x)
+    grad, gx = stacked.backward(cache, gout)
+    for e, net in enumerate(singles):
+        out_e, cache_e = net.forward_cache(x)
+        grad_e, gx_e = net.backward(cache_e, gout[e])
+        assert np.array_equal(out[e], out_e)
+        assert np.array_equal(grad.reshape(2, -1)[e], grad_e)
+        assert np.array_equal(gx[e], gx_e)
+        member = stacked.member(e)
+        assert np.shares_memory(member.flat, stacked.flat)
+        assert np.array_equal(member.forward(x), out_e)
+
+
+@pytest.mark.parametrize("sizes", [[5, 8, 3], [3, 16, 1]])
+def test_stacked_backward_matches_central_differences(sizes):
+    # a stacked weight view is not contiguous, so the differences run over
+    # the flat buffer, which the gradient is laid out like
+    rng = make_rng(5)
+    net = DenseNet(sizes, rng, members=2)
+    x = rng.standard_normal((4, sizes[0]))
+    gout = rng.standard_normal((2, 4, sizes[-1]))
+    _, cache = net.forward_cache(x)
+    grad, _ = net.backward(cache, gout)
+    fd = fd_param_gradients(
+        SimpleNamespace(params=[net.flat], forward=net.forward), x, gout,
+        h=1e-5)
+    worst = max(abs(grad[i] - est) / max(abs(grad[i]), abs(est), 1e-8)
+                for (_, i), est in fd.items())
     assert worst <= 1e-4
 
 
