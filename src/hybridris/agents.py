@@ -103,9 +103,6 @@ class SacConfig:
     buffer_capacity: int = 100_000
     warmup_steps: int = 1000
     hidden: tuple = (128, 128)
-    # Average-reward variant for gamma = 1.0: subtract the running mean of
-    # stored rewards from the bootstrap target to keep it bounded.
-    reward_baseline: bool = False
 
     def __post_init__(self):
         # log(alpha) is the tuned variable, so it must start finite
@@ -123,7 +120,6 @@ class DdpgConfig:
     warmup_steps: int = 1000
     hidden: tuple = (128, 128)
     expl_noise: float = 0.1
-    reward_baseline: bool = False
 
     def __post_init__(self):
         _check_config(self)
@@ -167,12 +163,12 @@ class RandomAgent:
 
 
 class _OffPolicyAgent:
-    """Replay buffer, reward baseline, warmup gate, critic and checkpoint
-    state shared by the learners. Subclasses set ``config_cls`` and
-    ``n_critics``, build their nets from ``self.rng`` after this
-    constructor (the critic through ``_build_critic``) and add their own
-    parameter arrays and optimizers to ``_nets``/``_opts``, whose keys
-    name them in the checkpoint."""
+    """Replay buffer, warmup gate, critic and checkpoint state shared by
+    the learners. Subclasses set ``config_cls`` and ``n_critics``, build
+    their nets from ``self.rng`` after this constructor (the critic
+    through ``_build_critic``) and add their own parameter arrays and
+    optimizers to ``_nets``/``_opts``, whose keys name them in the
+    checkpoint."""
 
     def __init__(self, obs_dim: int, act_dim: int, cfg=None, seed: int = 0):
         self.cfg = cfg or self.config_cls()
@@ -180,18 +176,9 @@ class _OffPolicyAgent:
         self.act_dim = act_dim
         self.rng = make_rng(seed)
         self.buffer = ReplayBuffer(self.cfg.buffer_capacity, obs_dim, act_dim)
-        self._reward_sum = 0.0
-        self._reward_count = 0
 
     def observe(self, s, a, r, s2):
         self.buffer.store(s, a, r, s2)
-        self._reward_sum += r
-        self._reward_count += 1
-
-    def _baseline(self) -> float:
-        if not self.cfg.reward_baseline or self._reward_count == 0:
-            return 0.0
-        return self._reward_sum / self._reward_count
 
     def _sample(self, t: int):
         """``(batch, None)`` when step ``t`` trains, else ``(None, diag)``
@@ -222,10 +209,10 @@ class _OffPolicyAgent:
         return np.mean(diff ** 2, axis=(1, 2)).tolist()
 
     def _td_target(self, r, s2, a2, entropy=0.0):
-        """r (less the baseline) + gamma * (min of the target critics at
-        (s2, a2) - entropy): clipped double-Q for two members."""
+        """r + gamma * (min of the target critics at (s2, a2) - entropy):
+        clipped double-Q for two members."""
         qt = self.target_critic.forward(np.concatenate([s2, a2], axis=1))
-        r_col = np.asarray(r, dtype=float).reshape(-1, 1) - self._baseline()
+        r_col = np.asarray(r, dtype=float).reshape(-1, 1)
         return r_col + self.cfg.gamma * (qt.min(axis=0) - entropy)
 
     def _nets(self):
@@ -241,8 +228,6 @@ class _OffPolicyAgent:
             "opts": {k: opt.get_state() for k, opt in self._opts().items()},
             "rng": rng_state(self.rng),
             "buffer": self.buffer.get_state(),
-            "reward_sum": self._reward_sum,
-            "reward_count": self._reward_count,
         }
 
     def set_state(self, st: dict):
@@ -252,8 +237,6 @@ class _OffPolicyAgent:
             opt.set_state(st["opts"][k])
         self.rng = restore_rng(st["rng"])
         self.buffer.set_state(st["buffer"])
-        self._reward_sum = float(st["reward_sum"])
-        self._reward_count = int(st["reward_count"])
 
 
 class SacAgent(_OffPolicyAgent):
@@ -271,7 +254,9 @@ class SacAgent(_OffPolicyAgent):
                                self.rng)
         self._build_critic()
         self.opt_policy = Adam(self.policy.flat, cfg.lr)
-        self.log_alpha = np.array([np.log(cfg.entropy_alpha)])
+        # a fixed temperature of 0 is log_alpha = -inf, exp of which is 0
+        with np.errstate(divide="ignore"):
+            self.log_alpha = np.array([np.log(cfg.entropy_alpha)])
         self.opt_alpha = Adam(self.log_alpha, cfg.lr)
         self.target_entropy = (cfg.target_entropy if cfg.target_entropy
                                is not None else -float(act_dim))
@@ -399,7 +384,6 @@ class DdpgAgent(_OffPolicyAgent):
         self._build_critic()
         self.actor_target = self.actor.copy()
         self.opt_actor = Adam(self.actor.flat, cfg.lr)
-        self.n_updates = 0
 
     def _policy_action(self, net: DenseNet, s):
         return np.tanh(net.forward(s))
@@ -440,7 +424,6 @@ class DdpgAgent(_OffPolicyAgent):
         s, a, r, s2 = batch
         U = self.critic_target_value(s2, r)
         losses = self._fit_critics(s, a, U)
-        self.n_updates += 1
         diag = {"critic_losses": losses, "actor_updated": False}
         if self._actor_due():
             diag["policy_loss"] = self._update_actor(s)
@@ -451,13 +434,6 @@ class DdpgAgent(_OffPolicyAgent):
 
     def _actor_due(self) -> bool:
         return True
-
-    def get_state(self) -> dict:
-        return {**super().get_state(), "n_updates": self.n_updates}
-
-    def set_state(self, st: dict):
-        super().set_state(st)
-        self.n_updates = int(st["n_updates"])
 
     def _nets(self):
         return {"actor": self.actor.flat,
@@ -482,4 +458,5 @@ class Td3Agent(DdpgAgent):
         return np.clip(a2 + noise, -1.0, 1.0)
 
     def _actor_due(self) -> bool:
-        return self.n_updates % self.cfg.policy_delay == 0
+        # the critic's Adam has taken one step per update, this one included
+        return self.opt_critic.t % self.cfg.policy_delay == 0

@@ -31,7 +31,7 @@ from .numerics import make_rng
 
 MA_WINDOW = 200
 CONVERGED_FRACTION = 0.1
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 AGENT_KINDS = {
     "sac": (SacAgent, SacConfig),
@@ -156,7 +156,6 @@ class TrainingLoop:
         self.obs = None
         self.step_records = []
         self.pipeline_records = []
-        self.rewards = []
 
     def start(self, env_seed=None):
         self.obs = self.env.reset(env_seed)
@@ -177,7 +176,6 @@ class TrainingLoop:
             self.agent.observe(self.obs, a, out.reward, out.observation)
         self.agent.update(self.t)
         self.step_records.append(step_log_record(self.t, out))
-        self.rewards.append(out.reward)
         self.obs = out.observation
         self.t += 1
 
@@ -229,7 +227,7 @@ def build_loop(spec: ExperimentSpec, seed: int) -> TrainingLoop:
 
 def summarize(name: str, seed: int, loop: TrainingLoop,
               wall_clock_s: float) -> RunSummary:
-    rewards = np.asarray(loop.rewards)
+    rewards = np.array([r["reward"] for r in loop.step_records])
     modes = np.array([r["mode"] for r in loop.step_records])
     energy = np.array([r["energy_J"] for r in loop.step_records])
     active_frac = float(np.mean(modes == "active"))

@@ -9,17 +9,31 @@ discarded reward means the whole transition is kept out of the replay
 buffer.
 """
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+
+from .numerics import restore_rng, rng_state
 
 INVERT = "invert"
 SCALE = "scale"
 RANDOM_SCALE = "random_scale"
 
 STD_FLOOR = 1e-6
-CLIP_BOUNDS = (-2.0, 2.0)   # reward clip when no defense sets its own
+
+
+def _is_count(x, least: int) -> bool:
+    return (isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+            and x >= least)
+
+
+def _raise_broken(*rules):
+    """Raise one ValueError naming every (broken, message) rule broken."""
+    errors = [msg for broken, msg in rules if broken]
+    if errors:
+        raise ValueError("; ".join(errors))
 
 
 @dataclass(frozen=True)
@@ -32,14 +46,15 @@ class AttackConfig:
     scale_high: float = 0.9
 
     def __post_init__(self):
-        if self.kind not in (INVERT, SCALE, RANDOM_SCALE):
-            raise ValueError(f"unknown attack kind {self.kind!r}")
-        if not 0.0 < self.scale < 1.0:
-            raise ValueError("scale must lie in (0, 1)")
-        if not 0.0 < self.scale_low < self.scale_high < 1.0:
-            raise ValueError("need 0 < scale_low < scale_high < 1")
-        if self.trigger_window < 1:
-            raise ValueError("trigger_window must be >= 1")
+        _raise_broken(
+            (self.kind not in (INVERT, SCALE, RANDOM_SCALE),
+             f"unknown attack kind {self.kind!r}"),
+            (math.isnan(self.threshold), "threshold must not be NaN"),
+            (not _is_count(self.trigger_window, 1),
+             "trigger_window must be an integer >= 1"),
+            (not 0.0 < self.scale < 1.0, "scale must lie in (0, 1)"),
+            (not 0.0 < self.scale_low < self.scale_high < 1.0,
+             "need 0 < scale_low < scale_high < 1"))
 
 
 @dataclass(frozen=True)
@@ -51,14 +66,16 @@ class DefenseConfig:
     stats_window: int = 500
 
     def __post_init__(self):
-        if self.r_min >= self.r_max:
-            raise ValueError("need r_min < r_max")
-        if self.chi <= 0:
-            raise ValueError("chi must be > 0")
-        if self.warmup_count < 2:
-            raise ValueError("warmup_count must be >= 2")
-        if self.stats_window < self.warmup_count:
-            raise ValueError("stats_window must be >= warmup_count")
+        warmup_ok = _is_count(self.warmup_count, 2)
+        _raise_broken(
+            (math.isnan(self.r_min) or math.isnan(self.r_max),
+             "r_min and r_max must not be NaN"),
+            (self.r_min >= self.r_max, "need r_min < r_max"),
+            (not self.chi > 0, "chi must be > 0"),
+            (not warmup_ok, "warmup_count must be an integer >= 2"),
+            (not _is_count(self.stats_window,
+                           self.warmup_count if warmup_ok else 2),
+             "stats_window must be an integer >= warmup_count"))
 
 
 @dataclass(frozen=True)
@@ -87,12 +104,8 @@ class RewardPipelineRecord:
         }
 
 
-def attack(cfg: AttackConfig, r: float, recent_reward_mean: float,
-           rng: np.random.Generator) -> float:
-    """Poison one reward if the victim's recent average beats the
-    threshold; otherwise pass it through untouched."""
-    if recent_reward_mean <= cfg.threshold:
-        return r
+def attack(cfg: AttackConfig, r: float, rng: np.random.Generator) -> float:
+    """Poison one reward on which the trigger has fired."""
     if cfg.kind == INVERT:
         return -r
     if cfg.kind == SCALE:
@@ -107,57 +120,16 @@ def defend(cfg: DefenseConfig, mean: float, std: float, r: float):
     return abs(clipped - mean) <= cfg.chi * std, clipped
 
 
-class RewardFilter:
-    """Running mean/std over the most recent accepted rewards.
-
-    The first ``warmup_count`` rewards are always accepted and seed the
-    statistics. Standard deviation uses the unbiased (n-1) estimator with a
-    small floor so the acceptance band never collapses to zero width.
-    """
-
-    def __init__(self, cfg: DefenseConfig):
-        self.cfg = cfg
-        self._accepted = deque(maxlen=cfg.stats_window)
-        self._count = 0
-
-    @property
-    def warmed_up(self) -> bool:
-        return self._count >= self.cfg.warmup_count
-
-    def stats(self):
-        vals = np.fromiter(self._accepted, dtype=float)
-        if vals.size < 2:
-            return (float(vals.mean()) if vals.size else 0.0, STD_FLOOR)
-        return float(vals.mean()), max(float(vals.std(ddof=1)), STD_FLOOR)
-
-    def process(self, r: float):
-        """Returns (accepted, clipped, mean_snapshot, std_snapshot)."""
-        mean, std = self.stats()
-        if not self.warmed_up:
-            clipped = float(np.clip(r, self.cfg.r_min, self.cfg.r_max))
-            accepted = True
-        else:
-            accepted, clipped = defend(self.cfg, mean, std, r)
-        if accepted:
-            self._accepted.append(clipped)
-            self._count += 1
-        return accepted, clipped, mean, std
-
-    def get_state(self) -> dict:
-        return {"accepted": list(self._accepted), "count": self._count}
-
-    def set_state(self, st: dict):
-        self._accepted = deque(st["accepted"], maxlen=self.cfg.stats_window)
-        self._count = int(st["count"])
-
-
 class RewardPipeline:
     """Per-run composition: attack (optional) -> clip -> filter (optional).
 
-    Clipping always applies once the pipeline is in the loop; the filter
-    only when a defense is configured. The attack is forced off during the
-    defense warm-up so the seeded statistics are clean, and it only arms
-    once a full trigger window of raw rewards has been observed.
+    Every reward is clipped, to the defense's range or to
+    ``DefenseConfig``'s default one. The filter runs only when a defense is
+    configured; it keeps the most recent ``stats_window`` accepted rewards.
+    The first ``warmup_count`` steps are its warm-up: their rewards are all
+    accepted and the attack is held off, so the seeded statistics are
+    clean. The attack arms once a full trigger window of raw rewards has
+    been observed.
     """
 
     def __init__(self, attack_cfg: AttackConfig = None,
@@ -166,57 +138,59 @@ class RewardPipeline:
         self.attack_cfg = attack_cfg
         self.defense_cfg = defense_cfg
         self.rng = rng
-        if defense_cfg is not None:
-            self.clip = (defense_cfg.r_min, defense_cfg.r_max)
-            self.filter = RewardFilter(defense_cfg)
-            self._clean_warmup = defense_cfg.warmup_count
-        else:
-            self.clip = CLIP_BOUNDS
-            self.filter = None
-            self._clean_warmup = 0
+        bounds = defense_cfg or DefenseConfig()
+        self.clip = (bounds.r_min, bounds.r_max)
+        self._accepted = deque(
+            maxlen=defense_cfg.stats_window if defense_cfg else 0)
         self._raw_history = deque(
             maxlen=attack_cfg.trigger_window if attack_cfg else 1)
         self._t = 0
 
+    def stats(self):
+        """Mean and std of the accepted rewards in the window. The std is
+        the unbiased (n-1) estimate, floored so the acceptance band never
+        collapses to zero width."""
+        vals = np.fromiter(self._accepted, dtype=float)
+        if vals.size < 2:
+            return (float(vals.mean()) if vals.size else 0.0, STD_FLOOR)
+        return float(vals.mean()), max(float(vals.std(ddof=1)), STD_FLOOR)
+
     def step(self, raw: float) -> RewardPipelineRecord:
         t = self._t
         self._t += 1
+        atk, dfn = self.attack_cfg, self.defense_cfg
+        history = self._raw_history
+        warmup = dfn is not None and t < dfn.warmup_count
+        triggered = (atk is not None and not warmup
+                     and len(history) == history.maxlen
+                     and float(np.mean(history)) > atk.threshold)
+        post = attack(atk, raw, self.rng) if triggered else raw
+        history.append(raw)
 
-        triggered = False
-        post = raw
-        if self.attack_cfg is not None and t >= self._clean_warmup:
-            window_full = len(self._raw_history) == self._raw_history.maxlen
-            if window_full:
-                recent = float(np.mean(self._raw_history))
-                triggered = recent > self.attack_cfg.threshold
-                post = attack(self.attack_cfg, raw, recent, self.rng)
-        self._raw_history.append(raw)
-
-        if self.filter is not None:
-            accepted, clipped, mean, std = self.filter.process(post)
+        mean, std = self.stats() if dfn is not None else (0.0, 0.0)
+        if dfn is None or warmup:
+            accepted, clipped = True, float(np.clip(post, *self.clip))
         else:
-            clipped = float(np.clip(post, *self.clip))
-            accepted, mean, std = True, 0.0, 0.0
+            accepted, clipped = defend(dfn, mean, std, post)
+        if accepted:
+            self._accepted.append(clipped)   # a no-op without a defense
         return RewardPipelineRecord(
             t=t, raw=float(raw), post_attack=float(post), clipped=clipped,
             accepted=accepted, value=clipped if accepted else float("nan"),
             mean_snapshot=mean, std_snapshot=std, triggered=triggered)
 
     def get_state(self) -> dict:
-        from .numerics import rng_state
         return {
             "t": self._t,
             "raw_history": list(self._raw_history),
-            "filter": self.filter.get_state() if self.filter else None,
+            "accepted": list(self._accepted),
             "rng": rng_state(self.rng) if self.rng is not None else None,
         }
 
     def set_state(self, st: dict):
-        from .numerics import restore_rng
         self._t = int(st["t"])
         self._raw_history = deque(st["raw_history"],
                                   maxlen=self._raw_history.maxlen)
-        if self.filter is not None and st["filter"] is not None:
-            self.filter.set_state(st["filter"])
+        self._accepted = deque(st["accepted"], maxlen=self._accepted.maxlen)
         if st["rng"] is not None:
             self.rng = restore_rng(st["rng"])

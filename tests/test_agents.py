@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,18 @@ class TestConfigRules:
         with pytest.raises(ValueError, match="entropy_alpha"):
             SacConfig(entropy_alpha=0.0)
         SacConfig(entropy_alpha=0.0, auto_entropy=False)
+
+    def test_fixed_zero_temperature_builds_and_trains(self):
+        cfg = SacConfig(entropy_alpha=0.0, auto_entropy=False,
+                        warmup_steps=0, batch=4, hidden=(8, 8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ag = filled_agent(SacAgent(OBS, ACT, cfg, seed=3), n=10)
+            diag = ag.update(0)
+        assert ag.entropy_alpha == 0.0
+        assert diag["entropy_alpha"] == 0.0
+        assert np.all(np.isfinite(diag["critic_losses"]))
+        assert np.isfinite(diag["policy_loss"])
 
 
 class TestRandomPolicy:

@@ -48,8 +48,9 @@ def test_run_twice_then_compare(tmp_path):
     (["compare", "no_such_run", "--out", "t.csv"], "no_such_run"),
     (["run", "bad_sweep.json"], "sweep[0]"),
     (["run", "untrainable.json"], "buffer_capacity must be >= batch"),
+    (["run", "bad_window.json"], "stats_window must be an integer"),
 ], ids=["bad_spec", "missing_spec", "missing_run_dir", "malformed_sweep",
-        "untrainable_agent"])
+        "untrainable_agent", "non_integer_window"])
 def test_user_error_is_one_line(argv, named, tmp_path):
     (tmp_path / "bad.json").write_text(json.dumps(
         {"name": "bad", "agent": {"kind": "td3", "policy_delay": 0}}))
@@ -57,9 +58,13 @@ def test_user_error_is_one_line(argv, named, tmp_path):
         {"name": "bad", "agent": {"kind": "sac", "buffer_capacity": 0}}))
     (tmp_path / "bad_sweep.json").write_text(json.dumps(
         {"name": "bad", "sweep": [{"values": [10, 40]}]}))
+    (tmp_path / "bad_window.json").write_text(json.dumps(
+        {"name": "bad", "agent": {"kind": "random"}, "total_steps": 5,
+         "defense": {"stats_window": 100.5}}))
     res = run_python(["-m", "hybridris.cli", *argv], tmp_path)
     assert res.returncode == 2
     assert res.stderr.startswith("hybridris: error: ")
+    assert len(res.stderr.splitlines()) == 1
     assert named in res.stderr
     assert "Traceback" not in res.stderr
 

@@ -102,15 +102,21 @@ class TestRunExperiment:
         assert savings == pytest.approx(replay_savings, abs=1e-9)
 
 
+def rewards(loop) -> list:
+    """The reward column of a loop's step records."""
+    return [rec["reward"] for rec in loop.step_records]
+
+
 LEARNER_CONFIGS = {"sac": hr.SacConfig, "ddpg": hr.DdpgConfig,
                    "td3": hr.Td3Config}
 
 
 class TestCheckpoints:
-    # TD3 also stops at an odd step, so the restored update count must put
-    # the delayed actor update back in phase
-    @pytest.mark.parametrize("kind,stop", [("sac", 120), ("ddpg", 120),
-                                           ("td3", 120), ("td3", 121)])
+    # every learner also stops at an odd step; for TD3 the restored critic
+    # Adam step count must put the delayed actor update back in phase
+    @pytest.mark.parametrize("kind,stop", [
+        ("sac", 120), ("ddpg", 120), ("td3", 120), ("td3", 121),
+        ("sac", 121), ("ddpg", 121)])
     def test_resume_is_bitwise_identical(self, tmp_path, kind, stop):
         spec = tiny_spec(
             agent_kind=kind,
@@ -122,13 +128,13 @@ class TestCheckpoints:
         path = str(tmp_path / "ck.pkl")
         save_checkpoint(path, loop)
         loop.run(100)
-        expected_tail = loop.rewards[stop:]
+        expected_tail = rewards(loop)[stop:]
 
         loop2 = build_loop(spec, 0)
         load_checkpoint(path, loop2)
         assert loop2.t == stop
         loop2.run(100)
-        assert loop2.rewards == expected_tail
+        assert rewards(loop2) == expected_tail
 
     def test_uninterrupted_equals_checkpointed(self, tmp_path):
         spec = tiny_spec(
@@ -144,12 +150,14 @@ class TestCheckpoints:
         resumed = build_loop(spec, 0)
         load_checkpoint(path, resumed)
         resumed.run(120)  # a restored loop logs only its own steps
-        assert straight.rewards == loop.rewards + resumed.rewards
+        assert rewards(straight) == rewards(loop) + rewards(resumed)
 
     # version 1 checkpoints hold h_b as a list of per-receiver columns;
     # version 2 ones hold each net and Adam moment as a list of per-layer
-    # arrays; version 3 ones hold each critic member as its own net
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    # arrays; version 3 ones hold each critic member as its own net;
+    # version 4 ones hold reward sums, the filter count and DDPG/TD3's
+    # update count
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_older_checkpoint_version_refused(self, version):
         loop = build_loop(tiny_spec(), 0)
         st = loop.get_state()
@@ -299,6 +307,10 @@ class TestSpecParsing:
         # both runs would write seed_1/ and count twice in the aggregate
         with pytest.raises(SpecError, match="more than once"):
             ExperimentSpec(name="x", seeds=(1, 2, 1))
+
+    def test_reward_baseline_is_not_an_agent_field(self):
+        with pytest.raises(SpecError, match="reward_baseline"):
+            build_spec({"agent": {"kind": "sac", "reward_baseline": True}})
 
     def test_bad_worker_count_names_the_variable(self, monkeypatch):
         monkeypatch.setenv("HYBRIDRIS_WORKERS", "two")
