@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .nets import Adam, DenseNet, soft_update
-from .numerics import make_rng, restore_rng, rng_state
+from .numerics import (is_count, make_rng, raise_broken, require_reals,
+                       restore_rng, rng_state)
 
 LOG_STD_MIN = -20.0
 LOG_STD_MAX = 2.0
@@ -73,22 +74,23 @@ def _check_config(cfg, *rules):
     """Raise one ValueError naming every field that breaks its rule.
 
     ``rules`` are (broken, message) pairs added to the rules that every
-    learning agent shares. gamma = 0 is allowed as a degenerate case (no
+    learning agent shares; the caller has run ``require_reals`` before
+    building them. gamma = 0 is allowed as a degenerate case (no
     bootstrapping); a buffer smaller than a batch never trains.
     """
-    rules = ((not 0.0 <= cfg.gamma <= 1.0, "gamma must lie in [0, 1]"),
-             (cfg.lr <= 0, "lr must be > 0"),
-             (cfg.batch < 1, "batch must be >= 1"),
-             (not 0.0 <= cfg.tau_soft <= 1.0, "tau_soft must lie in [0, 1]"),
-             (cfg.buffer_capacity < cfg.batch,
-              "buffer_capacity must be >= batch"),
-             (not isinstance(cfg.hidden, (tuple, list)) or not all(
-                 isinstance(w, (int, np.integer)) and w >= 1
-                 for w in cfg.hidden),
-              "hidden widths must be integers >= 1")) + rules
-    errors = [msg for broken, msg in rules if broken]
-    if errors:
-        raise ValueError("; ".join(errors))
+    batch_ok = is_count(cfg.batch, 1)
+    raise_broken(
+        (not 0.0 <= cfg.gamma <= 1.0, "gamma must lie in [0, 1]"),
+        (cfg.lr <= 0, "lr must be > 0"),
+        (not batch_ok, "batch must be an integer >= 1"),
+        (not 0.0 <= cfg.tau_soft <= 1.0, "tau_soft must lie in [0, 1]"),
+        (not is_count(cfg.buffer_capacity, cfg.batch if batch_ok else 1),
+         "buffer_capacity must be >= batch and an integer"),
+        (not is_count(cfg.warmup_steps, 0),
+         "warmup_steps must be an integer >= 0"),
+        (not isinstance(cfg.hidden, (tuple, list))
+         or not all(is_count(w, 1) for w in cfg.hidden),
+         "hidden widths must be integers >= 1"), *rules)
 
 
 @dataclass(frozen=True)
@@ -105,6 +107,7 @@ class SacConfig:
     hidden: tuple = (128, 128)
 
     def __post_init__(self):
+        require_reals(self)
         # log(alpha) is the tuned variable, so it must start finite
         _check_config(self, (self.auto_entropy and self.entropy_alpha <= 0,
                              "entropy_alpha must be > 0 with auto_entropy"))
@@ -122,6 +125,7 @@ class DdpgConfig:
     expl_noise: float = 0.1
 
     def __post_init__(self):
+        require_reals(self)
         _check_config(self)
 
 
@@ -132,9 +136,11 @@ class Td3Config(DdpgConfig):
     policy_delay: int = 2
 
     def __post_init__(self):
+        require_reals(self)
         _check_config(
             self,
-            (self.policy_delay < 1, "policy_delay must be >= 1"),
+            (not is_count(self.policy_delay, 1),
+             "policy_delay must be an integer >= 1"),
             (self.policy_noise < 0, "policy_noise must be >= 0"),
             (self.noise_clip < 0, "noise_clip must be >= 0"))
 
@@ -204,7 +210,7 @@ class _OffPolicyAgent:
         to the targets ``U``; returns the per-member losses."""
         pred, cache = self.critic.forward_cache(np.concatenate([s, a], axis=1))
         diff = pred - U
-        grad, _ = self.critic.backward(cache, 2.0 * diff / diff.shape[-2])
+        grad = self.critic.backward(cache, 2.0 * diff / diff.shape[-2])
         self.opt_critic.step(self.critic.flat, grad)
         return np.mean(diff ** 2, axis=(1, 2)).tolist()
 
@@ -294,8 +300,7 @@ class SacAgent(_OffPolicyAgent):
         if deterministic:
             return np.tanh(mu[0])
         eps = self.rng.standard_normal((1, self.act_dim))
-        a, _, _, _ = self._squash(mu, log_std, eps)
-        return a[0]
+        return np.tanh(mu + np.exp(log_std) * eps)[0]
 
     def critic_target(self, s2, r, eps2=None):
         """Bootstrapped target: r + gamma * (min of the two target critics
@@ -326,7 +331,7 @@ class SacAgent(_OffPolicyAgent):
         alpha = self.entropy_alpha
         loss = float(np.mean(alpha * logp - qmin))
 
-        _, gx = self.critic.backward(qc, np.stack([take1, ~take1]))
+        gx = self.critic.backward(qc, np.stack([take1, ~take1]), wrt="input")
         dq_da = (gx[0] + gx[1])[:, self.obs_dim:]
 
         one_m_a2 = 1.0 - a ** 2
@@ -335,7 +340,7 @@ class SacAgent(_OffPolicyAgent):
         g_mu = g_u / M
         clamp_mask = ((log_std_raw > LOG_STD_MIN) & (log_std_raw < LOG_STD_MAX))
         g_log_std = (g_u * std * eps - alpha) / M * clamp_mask
-        grad, _ = self.policy.backward(
+        grad = self.policy.backward(
             cache, np.concatenate([g_mu, g_log_std], axis=1))
         self.opt_policy.step(self.policy.flat, grad)
         return loss, logp
@@ -410,9 +415,9 @@ class DdpgAgent(_OffPolicyAgent):
         x = np.concatenate([s, a], axis=1)
         q = self.critic.member(0)
         pred, qc = q.forward_cache(x)
-        _, gx = q.backward(qc, np.full_like(pred, -1.0 / M))
+        gx = q.backward(qc, np.full_like(pred, -1.0 / M), wrt="input")
         g_out = gx[:, self.obs_dim:] * (1.0 - a ** 2)
-        grad, _ = self.actor.backward(cache, g_out)
+        grad = self.actor.backward(cache, g_out)
         self.opt_actor.step(self.actor.flat, grad)
         return float(-np.mean(pred))
 

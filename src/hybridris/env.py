@@ -104,6 +104,17 @@ def action_size(topo: Topology) -> int:
     return 2 * topo.A * topo.B + topo.R
 
 
+def _split_action(a, topo: Topology):
+    """The raw complex beamformer and the wrapped phases of a flat action."""
+    a = np.asarray(a, dtype=float).ravel()
+    ab = topo.A * topo.B
+    if a.size != 2 * ab + topo.R:
+        raise ValueError(f"action length {a.size}, expected {2 * ab + topo.R}")
+    re = a[:ab].reshape(topo.A, topo.B)
+    im = a[ab:2 * ab].reshape(topo.A, topo.B)
+    return re + 1j * im, ris.wrap_phase((a[2 * ab:] + 1.0) * np.pi)
+
+
 def decode_action(a, cap: float, topo: Topology):
     """Split a flat action into a cap-feasible beamformer and wrapped phases.
 
@@ -111,15 +122,8 @@ def decode_action(a, cap: float, topo: Topology):
     to the power cap; out-of-range inputs are tolerated because projection
     enforces feasibility regardless.
     """
-    a = np.asarray(a, dtype=float).ravel()
-    ab = topo.A * topo.B
-    if a.size != 2 * ab + topo.R:
-        raise ValueError(f"action length {a.size}, expected {2 * ab + topo.R}")
-    re = a[:ab].reshape(topo.A, topo.B)
-    im = a[ab:2 * ab].reshape(topo.A, topo.B)
-    G = phy.project_beamformer(re + 1j * im, cap)
-    phases = ris.wrap_phase((a[2 * ab:] + 1.0) * np.pi)
-    return G, phases
+    raw, phases = _split_action(a, topo)
+    return phy.project_beamformer(raw, cap), phases
 
 
 class RisCrnEnv:
@@ -179,14 +183,17 @@ class RisCrnEnv:
             self._settings = self._slot_settings(self._block)
         slot = self._settings[self._used - 1]
 
-        G, phases = decode_action(action, slot.cap, cfg.topo)
+        raw, phases = _split_action(action, cfg.topo)
+        G = phy.project_beamformer(raw, slot.cap)
         refl = ris.build_reflection(phases, slot.n_active, slot.alpha, cfg.pp)
         sinrs = phy.sinrs(self._channels, refl, G, slot.noise_var,
                           cfg.ap.amp_noise_var, slot.n_active)
         report = phy.rate_report(sinrs)
         reward = report.sum_rate - slot.penalty
 
-        if phy.tx_power(G) > slot.cap + CONSTRAINT_TOL:
+        # an unscaled G already has power <= cap; only a rescaled one can
+        # round above it
+        if G is not raw and phy.tx_power(G) > slot.cap + CONSTRAINT_TOL:
             self._violations += 1
 
         self._prev_G = G

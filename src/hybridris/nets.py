@@ -2,10 +2,11 @@
 an Adam optimizer.
 
 Networks are fully-connected with tanh hidden activations and a linear
-output layer, with all parameters in one flat float64 buffer. Backward
-passes return both the parameter gradient, laid out like that buffer, and
-the gradient with respect to the input, which the actor-critic updates
-need to push value gradients through action inputs.
+output layer, with all parameters in one flat float64 buffer. A backward
+pass returns one gradient, whichever its caller reads: the parameter
+gradient, laid out like that buffer, which an optimizer step takes, or the
+gradient with respect to the input, which the actor-critic updates need to
+push value gradients through action inputs.
 """
 
 import numpy as np
@@ -89,26 +90,32 @@ class DenseNet:
             acts.append(h)
         return h, acts
 
-    def backward(self, acts, grad_out: np.ndarray):
-        """Exact gradients of sum(grad_out * output) w.r.t. params and input.
+    def backward(self, acts, grad_out: np.ndarray, wrt: str = "params"):
+        """Exact gradient of sum(grad_out * output) w.r.t. params or input.
 
         ``acts`` is the cache from :meth:`forward_cache`; ``grad_out`` is
-        shaped like the output. Returns ``(grad, grad_input)`` with ``grad``
-        laid out like ``self.flat`` (``self.views(grad)`` splits it per
-        layer) and ``grad_input`` shaped like the output with width in.
+        shaped like the output. ``wrt="params"`` returns the parameter
+        gradient laid out like ``self.flat`` (``self.views(grad)`` splits it
+        per layer); ``wrt="input"`` returns the input gradient, shaped like
+        the output with width in. Only the products that the requested
+        gradient needs are computed.
         """
+        if wrt not in ("params", "input"):
+            raise ValueError(f"wrt must be 'params' or 'input', not {wrt!r}")
         delta = np.atleast_2d(np.asarray(grad_out, dtype=float))
-        grad = np.empty_like(self.flat)
-        grads = self.views(grad)
+        if wrt == "params":
+            grad = np.empty_like(self.flat)
+            grads = self.views(grad)
         for i in range(self.n_layers - 1, -1, -1):
-            W = self.params[2 * i]
-            a_in = acts[i]
-            grads[2 * i][...] = delta.swapaxes(-1, -2) @ a_in
-            grads[2 * i + 1][...] = delta.sum(axis=-2)
-            delta = delta @ W
+            if wrt == "params":
+                np.matmul(delta.swapaxes(-1, -2), acts[i], out=grads[2 * i])
+                np.sum(delta, axis=-2, out=grads[2 * i + 1])
+                if i == 0:
+                    return grad
+            delta = delta @ self.params[2 * i]
             if i > 0:
-                delta = delta * (1.0 - acts[i] ** 2)
-        return grad, delta
+                delta *= 1.0 - acts[i] ** 2
+        return delta
 
     def copy(self) -> "DenseNet":
         return DenseNet.__new__(DenseNet)._bind(

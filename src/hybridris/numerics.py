@@ -1,9 +1,11 @@
-"""Seeded random sampling.
+"""Seeded random sampling, and the field checks the config classes share.
 
 Randomness comes from counter-based Philox streams, so every experiment is
 bit-reproducible and a generator's exact position can be saved and
 restored.
 """
+
+import dataclasses
 
 import numpy as np
 
@@ -54,3 +56,34 @@ def sample_cn01(rng: np.random.Generator, size=None):
     re = rng.standard_normal(size)
     im = rng.standard_normal(size)
     return (re + 1j * im) / np.sqrt(2.0)
+
+
+def is_count(x, least) -> bool:
+    """An integer (numpy's too, but not a bool) of at least ``least``."""
+    return (isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+            and x >= least)
+
+
+def raise_broken(*rules):
+    """Raise one ValueError naming every (broken, message) rule broken."""
+    errors = [msg for broken, msg in rules if broken]
+    if errors:
+        raise ValueError("; ".join(errors))
+
+
+def require_reals(cfg):
+    """Raise one ValueError naming every field of the dataclass ``cfg``
+    annotated ``float`` that holds no real number (a bool is none; None is
+    one where it is the default).
+
+    Config classes call it before the rules that compare those fields, so
+    a wrong type names its field instead of surfacing as a TypeError.
+    """
+    def real(v, default):
+        return ((isinstance(v, (int, float, np.integer, np.floating))
+                 and not isinstance(v, bool))
+                or (v is None and default is None))
+    raise_broken(*[
+        (not real(getattr(cfg, f.name), f.default),
+         f"{f.name} must be a real number")
+        for f in dataclasses.fields(cfg) if f.type is float])

@@ -15,25 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import restore_rng, rng_state
+from .numerics import (is_count, raise_broken, require_reals, restore_rng,
+                       rng_state)
 
 INVERT = "invert"
 SCALE = "scale"
 RANDOM_SCALE = "random_scale"
 
 STD_FLOOR = 1e-6
-
-
-def _is_count(x, least: int) -> bool:
-    return (isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-            and x >= least)
-
-
-def _raise_broken(*rules):
-    """Raise one ValueError naming every (broken, message) rule broken."""
-    errors = [msg for broken, msg in rules if broken]
-    if errors:
-        raise ValueError("; ".join(errors))
 
 
 @dataclass(frozen=True)
@@ -46,11 +35,12 @@ class AttackConfig:
     scale_high: float = 0.9
 
     def __post_init__(self):
-        _raise_broken(
+        require_reals(self)
+        raise_broken(
             (self.kind not in (INVERT, SCALE, RANDOM_SCALE),
              f"unknown attack kind {self.kind!r}"),
             (math.isnan(self.threshold), "threshold must not be NaN"),
-            (not _is_count(self.trigger_window, 1),
+            (not is_count(self.trigger_window, 1),
              "trigger_window must be an integer >= 1"),
             (not 0.0 < self.scale < 1.0, "scale must lie in (0, 1)"),
             (not 0.0 < self.scale_low < self.scale_high < 1.0,
@@ -66,15 +56,16 @@ class DefenseConfig:
     stats_window: int = 500
 
     def __post_init__(self):
-        warmup_ok = _is_count(self.warmup_count, 2)
-        _raise_broken(
+        require_reals(self)
+        warmup_ok = is_count(self.warmup_count, 2)
+        raise_broken(
             (math.isnan(self.r_min) or math.isnan(self.r_max),
              "r_min and r_max must not be NaN"),
             (self.r_min >= self.r_max, "need r_min < r_max"),
             (not self.chi > 0, "chi must be > 0"),
             (not warmup_ok, "warmup_count must be an integer >= 2"),
-            (not _is_count(self.stats_window,
-                           self.warmup_count if warmup_ok else 2),
+            (not is_count(self.stats_window,
+                          self.warmup_count if warmup_ok else 2),
              "stats_window must be an integer >= warmup_count"))
 
 

@@ -1,7 +1,9 @@
 """Independent scalar-loop reference implementations used as test oracles.
 
-Everything here is deliberately naive (explicit loops, no vectorization)
-and never calls into the package code it checks.
+Everything here is deliberately naive and never calls into the package
+code it checks. Most references are explicit scalar loops; the dense-net
+reverse pass uses whole 2-D matrix products in the textbook order, so that
+the gradients it gives can be compared bit for bit.
 """
 
 import numpy as np
@@ -102,6 +104,31 @@ def naive_dense_forward(sizes, params, x):
             out = [np.tanh(v) for v in out]
         h = out
     return np.array(h)
+
+
+def reference_backward(params, x, gout):
+    """Full reverse pass of sum(gout * net(x)) through a tanh-hidden,
+    linear-output net with ``params = [W0, b0, W1, b1, ...]``, W of shape
+    (out, in), for a (batch, in) input.
+
+    Returns ``(grads, grad_input)``: ``grads`` lists the gradient of every
+    array of ``params`` in the same order, and ``grad_input`` is
+    (batch, in).
+    """
+    n_layers = len(params) // 2
+    acts = [np.asarray(x, dtype=float)]
+    for layer in range(n_layers):
+        z = acts[-1] @ params[2 * layer].T + params[2 * layer + 1]
+        acts.append(np.tanh(z) if layer < n_layers - 1 else z)
+    grads = [None] * len(params)
+    delta = np.asarray(gout, dtype=float)
+    for layer in reversed(range(n_layers)):
+        grads[2 * layer] = delta.T @ acts[layer]
+        grads[2 * layer + 1] = delta.sum(axis=0)
+        delta = delta @ params[2 * layer]
+        if layer > 0:
+            delta = delta * (1.0 - acts[layer] ** 2)
+    return grads, delta
 
 
 def fd_param_gradients(net, x, gout, h=1e-5, indices=None):

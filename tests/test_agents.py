@@ -62,6 +62,13 @@ class TestConfigRules:
         ({"hidden": (0,)}, "hidden"),
         ({"hidden": (64, 2.5)}, "hidden"),
         ({"hidden": 64}, "hidden"),
+        ({"gamma": "x"}, "gamma must be a real number"),
+        ({"lr": True}, "lr must be a real number"),
+        ({"tau_soft": None}, "tau_soft must be a real number"),
+        ({"batch": "16"}, "batch must be an integer"),
+        ({"batch": 4.0, "buffer_capacity": 8}, "batch must be an integer"),
+        ({"buffer_capacity": 100.5}, "buffer_capacity"),
+        ({"warmup_steps": "x"}, "warmup_steps must be an integer"),
     ])
     def test_untrainable_field_refused(self, cfg_cls, kw, named):
         with pytest.raises(ValueError, match=named):
@@ -71,6 +78,18 @@ class TestConfigRules:
     def test_edges_accepted(self, cfg_cls):
         for tau in (0.0, 1.0):
             cfg_cls(tau_soft=tau, buffer_capacity=16, batch=16, hidden=())
+
+    def test_non_numbers_in_own_fields_named(self):
+        with pytest.raises(ValueError, match="entropy_alpha must be a real"):
+            SacConfig(entropy_alpha="0.2")
+        with pytest.raises(ValueError, match="target_entropy must be a real"):
+            SacConfig(target_entropy="x")
+        SacConfig(target_entropy=None)
+        with pytest.raises(ValueError) as err:
+            Td3Config(policy_delay=2.5, noise_clip="x")
+        assert "noise_clip must be a real number" in str(err.value)
+        with pytest.raises(ValueError, match="policy_delay must be an integer"):
+            Td3Config(policy_delay=2.5)
 
     def test_zero_temperature_refused_only_when_tuned(self):
         # log(0) would pin the tuned log-temperature at -inf
@@ -149,6 +168,17 @@ class TestSacPolicy:
         ref = np.tanh(mu + np.exp(log_std) * eps)
         se = ref.std(axis=0) / np.sqrt(n)
         assert np.all(np.abs(actions.mean(axis=0) - ref.mean(axis=0)) <= 3 * se)
+
+    def test_act_draws_one_normal_per_dim_and_matches_squash(self):
+        ag = SacAgent(OBS, ACT, SacConfig(warmup_steps=5), seed=9)
+        obs = make_rng(10).standard_normal(OBS)
+        twin = restore_rng(rng_state(ag.rng))
+        a = ag.act(obs, t=5)
+        eps = twin.standard_normal((1, ACT))
+        assert rng_state(ag.rng) == rng_state(twin)
+        mu, log_std, _, _ = ag._policy_stats(obs[None, :])
+        expected, _, _, _ = ag._squash(mu, log_std, eps)
+        assert np.array_equal(a, expected[0])
 
     @pytest.mark.parametrize("mu,log_std", [(0.3, -0.5), (-1.2, 0.0),
                                             (0.0, 0.5)])

@@ -49,8 +49,9 @@ def test_run_twice_then_compare(tmp_path):
     (["run", "bad_sweep.json"], "sweep[0]"),
     (["run", "untrainable.json"], "buffer_capacity must be >= batch"),
     (["run", "bad_window.json"], "stats_window must be an integer"),
+    (["run", "non_real.json"], "agent: gamma must be a real number"),
 ], ids=["bad_spec", "missing_spec", "missing_run_dir", "malformed_sweep",
-        "untrainable_agent", "non_integer_window"])
+        "untrainable_agent", "non_integer_window", "non_real_field"])
 def test_user_error_is_one_line(argv, named, tmp_path):
     (tmp_path / "bad.json").write_text(json.dumps(
         {"name": "bad", "agent": {"kind": "td3", "policy_delay": 0}}))
@@ -61,6 +62,8 @@ def test_user_error_is_one_line(argv, named, tmp_path):
     (tmp_path / "bad_window.json").write_text(json.dumps(
         {"name": "bad", "agent": {"kind": "random"}, "total_steps": 5,
          "defense": {"stats_window": 100.5}}))
+    (tmp_path / "non_real.json").write_text(json.dumps(
+        {"name": "bad", "agent": {"kind": "sac", "gamma": "x"}}))
     res = run_python(["-m", "hybridris.cli", *argv], tmp_path)
     assert res.returncode == 2
     assert res.stderr.startswith("hybridris: error: ")

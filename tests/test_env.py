@@ -141,6 +141,16 @@ class TestStep:
             env.step(rng.uniform(-3, 3, env.action_size))
         assert env.violations == 0
 
+    def test_rescaled_beamformer_over_the_cap_is_counted(self, monkeypatch):
+        # the check runs on every rescaled beamformer; a faulty projection
+        # that leaves it over the cap is counted
+        monkeypatch.setattr("hybridris.phy.project_beamformer",
+                            lambda G, cap: G * 1e3)
+        env = RisCrnEnv(EnvConfig())
+        env.reset(0)
+        env.step(np.ones(env.action_size))
+        assert env.violations == 1
+
     def test_action_log_replay_bitwise(self):
         rng = make_rng(5)
         actions = rng.uniform(-1, 1, (100, action_size(Topology())))

@@ -339,6 +339,17 @@ class TestSpecParsing:
         with pytest.raises(SpecError, match="hidden widths"):
             build_spec({"agent": {"kind": "td3", "hidden": 64}})
 
+    @pytest.mark.parametrize("spec,message", [
+        ({"attack": {"threshold": "a"}},
+         "attack: threshold must be a real number"),
+        ({"defense": {"chi": "a"}}, "defense: chi must be a real number"),
+        ({"agent": {"kind": "sac", "gamma": "x"}},
+         "agent: gamma must be a real number"),
+    ], ids=["attack_threshold", "defense_chi", "agent_gamma"])
+    def test_non_real_field_is_named(self, spec, message):
+        with pytest.raises(SpecError, match=message):
+            build_spec(spec)
+
     def test_attack_and_defense_sections(self):
         spec = build_spec({
             "attack": {"kind": "scale", "scale": 0.5, "threshold": 0.4},

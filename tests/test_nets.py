@@ -5,7 +5,8 @@ import pytest
 
 from hybridris.nets import Adam, DenseNet, soft_update
 from hybridris.numerics import make_rng
-from oracles import fd_param_gradients, naive_dense_forward
+from oracles import (fd_param_gradients, naive_dense_forward,
+                     reference_backward)
 
 
 def test_identity_layer_passes_through():
@@ -61,7 +62,7 @@ def test_linear_regression_gradient_closed_form():
     b = float(net.params[1][0])
     x, y = 1.7, -0.4
     pred, cache = net.forward_cache(np.array([[x]]))
-    grad, _ = net.backward(cache, 2.0 * (pred - y))
+    grad = net.backward(cache, 2.0 * (pred - y))
     grads = net.views(grad)
     residual = w * x + b - y
     assert grads[0][0, 0] == pytest.approx(2.0 * residual * x, rel=1e-12)
@@ -75,8 +76,7 @@ def test_backward_matches_central_differences(sizes):
     x = rng.standard_normal((4, sizes[0]))
     gout = rng.standard_normal((4, sizes[-1]))
     _, cache = net.forward_cache(x)
-    grad, _ = net.backward(cache, gout)
-    grads = net.views(grad)
+    grads = net.views(net.backward(cache, gout, wrt="params"))
     fd = fd_param_gradients(net, x, gout, h=1e-5)
     worst = 0.0
     for (pi, i), est in fd.items():
@@ -97,10 +97,12 @@ def test_stacked_net_equals_single_nets(sizes, batch):
     x = make_rng(12).standard_normal((batch, sizes[0]))
     gout = make_rng(13).standard_normal((2, batch, sizes[-1]))
     out, cache = stacked.forward_cache(x)
-    grad, gx = stacked.backward(cache, gout)
+    grad = stacked.backward(cache, gout)
+    gx = stacked.backward(cache, gout, wrt="input")
     for e, net in enumerate(singles):
         out_e, cache_e = net.forward_cache(x)
-        grad_e, gx_e = net.backward(cache_e, gout[e])
+        grad_e = net.backward(cache_e, gout[e])
+        gx_e = net.backward(cache_e, gout[e], wrt="input")
         assert np.array_equal(out[e], out_e)
         assert np.array_equal(grad.reshape(2, -1)[e], grad_e)
         assert np.array_equal(gx[e], gx_e)
@@ -118,7 +120,7 @@ def test_stacked_backward_matches_central_differences(sizes):
     x = rng.standard_normal((4, sizes[0]))
     gout = rng.standard_normal((2, 4, sizes[-1]))
     _, cache = net.forward_cache(x)
-    grad, _ = net.backward(cache, gout)
+    grad = net.backward(cache, gout, wrt="params")
     fd = fd_param_gradients(
         SimpleNamespace(params=[net.flat], forward=net.forward), x, gout,
         h=1e-5)
@@ -133,7 +135,7 @@ def test_backward_input_gradient_matches_differences():
     x = rng.standard_normal((2, 5))
     gout = rng.standard_normal((2, 3))
     _, cache = net.forward_cache(x)
-    _, gx = net.backward(cache, gout)
+    gx = net.backward(cache, gout, wrt="input")
     h = 1e-5
     for i in range(x.size):
         orig = x.ravel()[i]
@@ -150,9 +152,38 @@ def test_zero_loss_gradient_gives_zero_param_gradients():
     rng = make_rng(7)
     net = DenseNet([3, 6, 2], rng)
     _, cache = net.forward_cache(rng.standard_normal((3, 3)))
-    grads, gx = net.backward(cache, np.zeros((3, 2)))
-    assert all(np.all(g == 0) for g in grads)
-    assert np.all(gx == 0)
+    assert np.all(net.backward(cache, np.zeros((3, 2))) == 0)
+    assert np.all(net.backward(cache, np.zeros((3, 2)), wrt="input") == 0)
+
+
+# a toy net, the default critic (DDPG's one member, SAC's and TD3's two)
+# and the default SAC policy, each with the batch the agents train on
+@pytest.mark.parametrize("sizes,members,batch", [
+    ([5, 8, 3], None, 4), ([5, 8, 3], 2, 4), ([68, 128, 128, 1], 1, 16),
+    ([68, 128, 128, 1], 2, 16), ([56, 128, 128, 24], None, 16)])
+def test_backward_equals_reference_pass(sizes, members, batch):
+    net = DenseNet(sizes, make_rng(14), members=members)
+    lead = () if members is None else (members,)
+    x = make_rng(15).standard_normal((batch, sizes[0]))
+    gout = make_rng(16).standard_normal(lead + (batch, sizes[-1]))
+    _, cache = net.forward_cache(x)
+    grads = net.views(net.backward(cache, gout, wrt="params"))
+    gx = net.backward(cache, gout, wrt="input")
+    assert gx.shape == lead + (batch, sizes[0])
+    for e in range(members or 1):
+        pick = (lambda a: a) if members is None else (lambda a: a[e])
+        ref_grads, ref_gx = reference_backward(
+            [pick(p) for p in net.params], x, pick(gout))
+        for got, ref in zip(grads, ref_grads):
+            assert np.array_equal(pick(got), ref)
+        assert np.array_equal(pick(gx), ref_gx)
+
+
+def test_backward_refuses_unknown_wrt():
+    net = DenseNet([3, 2], make_rng(17))
+    _, cache = net.forward_cache(np.ones((1, 3)))
+    with pytest.raises(ValueError, match="wrt"):
+        net.backward(cache, np.ones((1, 2)), wrt="both")
 
 
 def test_soft_update_extremes():

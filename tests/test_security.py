@@ -100,6 +100,8 @@ class TestDefend:
     ("defense", "r_min", NAN),
     ("defense", "r_max", NAN),
     ("attack", "threshold", NAN),
+    ("attack", "scale", "0.5"),
+    ("defense", "r_max", None),
 ])
 def test_spec_refuses_malformed_security_field(section, field, value):
     with pytest.raises(SpecError, match=f"{section}: .*{field}"):
