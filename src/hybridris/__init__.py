@@ -6,7 +6,7 @@ from .agents import (DdpgAgent, DdpgConfig, RandomAgent, ReplayBuffer,
 from .channel import (CascadeSpec, ChannelSet, FadingMode, Topology,
                       pu_power_gains, sample_cascaded, sample_channel_set)
 from .env import (EnvConfig, RisCrnEnv, StepOutcome, action_size,
-                  decode_action, observation_size, step_log_record)
+                  observation_size, step_log_record)
 from .harness import (ExperimentSpec, RunSummary, TrainingLoop, build_spec,
                       compare, load_checkpoint, moving_average,
                       replay_summary, run_experiment, run_single,

@@ -11,7 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import sample_cn01
+from .numerics import is_count, raise_broken, sample_cn01
+
+SQRT2 = np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -24,9 +26,9 @@ class Topology:
     W: int = 2
 
     def __post_init__(self):
-        for name in ("A", "B", "R", "W"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"Topology.{name} must be >= 1")
+        raise_broken(*[(not is_count(getattr(self, name), 1),
+                        f"{name} must be an integer >= 1")
+                       for name in ("A", "B", "R", "W")])
 
 
 @dataclass(frozen=True)
@@ -37,10 +39,9 @@ class CascadeSpec:
     kappa_p: int = 1   # SU transmitter -> PU receivers
 
     def __post_init__(self):
-        for name in ("kappa_s", "kappa_b", "kappa_p"):
-            k = getattr(self, name)
-            if int(k) != k or k < 1:
-                raise ValueError(f"CascadeSpec.{name} must be an integer >= 1")
+        raise_broken(*[(not is_count(getattr(self, name), 1),
+                        f"{name} must be an integer >= 1")
+                       for name in ("kappa_s", "kappa_b", "kappa_p")])
 
 
 @dataclass(frozen=True)
@@ -49,8 +50,8 @@ class FadingMode:
     block_length: int = 1
 
     def __post_init__(self):
-        if self.block_length < 1:
-            raise ValueError("block_length must be >= 1")
+        raise_broken((not is_count(self.block_length, 1),
+                      "block_length must be an integer >= 1"))
 
 
 @dataclass(frozen=True)
@@ -85,8 +86,8 @@ class ChannelBlock(ChannelSet):
         return self.H_s.shape[0]
 
     def __getitem__(self, i: int) -> ChannelSet:
-        return ChannelSet(H_s=self.H_s[i], h_b=self.h_b[i], H_p=self.H_p[i],
-                          h_PB=self.h_PB[i], g_sp=self.g_sp[i])
+        return ChannelSet(self.H_s[i], self.h_b[i], self.H_p[i],
+                          self.h_PB[i], self.g_sp[i])
 
 
 def sample_cascaded(rng: np.random.Generator, kappa: int, size=None):
@@ -107,7 +108,7 @@ def pu_power_gains(H_p: np.ndarray) -> np.ndarray:
     """Per-PU channel power gain: squared Euclidean norm of each column,
     i.e. the total gain from all transmit antennas to that PU. A leading
     slot axis is kept."""
-    return np.sum(np.abs(H_p) ** 2, axis=-2)
+    return np.add.reduce(np.abs(H_p) ** 2, axis=-2)
 
 
 def slot_draws(topo: Topology, spec: CascadeSpec) -> list:
@@ -123,8 +124,8 @@ def _cascade(x: np.ndarray, kappa: int, shape: tuple) -> np.ndarray:
     them: along the last axis, every real part, then every imaginary part.
     Leading axes are kept; the last becomes ``shape``."""
     x = x.reshape(x.shape[:-1] + (2, kappa, -1))
-    factors = (x[..., 0, :, :] + 1j * x[..., 1, :, :]) / np.sqrt(2.0)
-    return np.prod(factors, axis=-2).reshape(x.shape[:-3] + shape)
+    factors = (x[..., 0, :, :] + 1j * x[..., 1, :, :]) / SQRT2
+    return np.multiply.reduce(factors, axis=-2).reshape(x.shape[:-3] + shape)
 
 
 def sample_channel_set(rng: np.random.Generator, topo: Topology,

@@ -41,7 +41,8 @@ import numpy as np
 from . import phy, ris
 from .channel import (CascadeSpec, ChannelBlock, FadingMode, Topology,
                       sample_channel_set, slot_draws)
-from .numerics import make_rng, restore_rng, rng_state
+from .numerics import (make_rng, raise_broken, require_reals, restore_rng,
+                       rng_state)
 from .phy import NoiseParams, PowerConstraint
 from .ris import (ACTIVE, ActiveParams, ConsumptionParams, HarvestParams,
                   PassiveParams, RisMode)
@@ -68,8 +69,9 @@ class EnvConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.penalty_weight < 0:
-            raise ValueError("penalty_weight must be >= 0")
+        require_reals(self)
+        raise_broken((not self.penalty_weight >= 0,
+                      "penalty_weight must be >= 0"))
 
     def with_(self, **kwargs) -> "EnvConfig":
         return replace(self, **kwargs)
@@ -88,8 +90,7 @@ class SlotSetting(NamedTuple):
     mode_flag: float     # 1.0 active, 0.0 passive
 
 
-@dataclass(frozen=True)
-class StepOutcome:
+class StepOutcome(NamedTuple):
     observation: np.ndarray
     reward: float
     info: dict
@@ -105,7 +106,10 @@ def action_size(topo: Topology) -> int:
 
 
 def _split_action(a, topo: Topology):
-    """The raw complex beamformer and the wrapped phases of a flat action."""
+    """The raw complex beamformer and the wrapped phases of a flat action.
+
+    Entries outside [-1, 1] are taken as they are: the projection onto the
+    power cap keeps the beamformer feasible, and the phases wrap."""
     a = np.asarray(a, dtype=float).ravel()
     ab = topo.A * topo.B
     if a.size != 2 * ab + topo.R:
@@ -113,17 +117,6 @@ def _split_action(a, topo: Topology):
     re = a[:ab].reshape(topo.A, topo.B)
     im = a[ab:2 * ab].reshape(topo.A, topo.B)
     return re + 1j * im, ris.wrap_phase((a[2 * ab:] + 1.0) * np.pi)
-
-
-def decode_action(a, cap: float, topo: Topology):
-    """Split a flat action into a cap-feasible beamformer and wrapped phases.
-
-    The beamformer block is taken as raw complex entries and projected down
-    to the power cap; out-of-range inputs are tolerated because projection
-    enforces feasibility regardless.
-    """
-    raw, phases = _split_action(a, topo)
-    return phy.project_beamformer(raw, cap), phases
 
 
 class RisCrnEnv:
@@ -176,7 +169,8 @@ class RisCrnEnv:
     def step(self, action) -> StepOutcome:
         if self._channels is None:
             raise RuntimeError("call reset() before step()")
-        if not np.all(np.isfinite(action)):
+        action = np.asarray(action, dtype=float)
+        if not np.logical_and.reduce(np.isfinite(action), axis=None):
             raise ValueError(f"non-finite action at step {self._t}")
         cfg = self.cfg
         if self._settings is None:
@@ -188,8 +182,7 @@ class RisCrnEnv:
         refl = ris.build_reflection(phases, slot.n_active, slot.alpha, cfg.pp)
         sinrs = phy.sinrs(self._channels, refl, G, slot.noise_var,
                           cfg.ap.amp_noise_var, slot.n_active)
-        report = phy.rate_report(sinrs)
-        reward = report.sum_rate - slot.penalty
+        sum_rate = phy.rate_report(sinrs).sum_rate
 
         # an unscaled G already has power <= cap; only a rescaled one can
         # round above it
@@ -205,7 +198,7 @@ class RisCrnEnv:
             self._next_slot(CHANNEL_BLOCK)
 
         info = {
-            "sum_rate": report.sum_rate,
+            "sum_rate": sum_rate,
             "resolved_mode": slot.resolved,
             "E_total": slot.E_total,
             "alpha": slot.alpha,
@@ -213,8 +206,7 @@ class RisCrnEnv:
             "cap": slot.cap,
             "penalty": slot.penalty,
         }
-        return StepOutcome(observation=self._observe(), reward=reward,
-                           info=info)
+        return StepOutcome(self._observe(), sum_rate - slot.penalty, info)
 
     def get_state(self) -> dict:
         """Snapshot for exact run continuation (channels, RNG position,
@@ -305,16 +297,17 @@ class RisCrnEnv:
         P_t = cfg.pc.P_t
         caps = [P_t if c == P_t else c
                 for c in phy.power_cap(cfg.pc, block.g_sp).tolist()]
-        return [SlotSetting(*s) for s in zip(
+        return list(map(SlotSetting._make, zip(
             resolved.tolist(), n_active.tolist(), alpha.tolist(), caps,
             noise_var.tolist(), penalty.tolist(), energy.tolist(),
-            ledger.total.tolist(), active.astype(float).tolist())]
+            ledger.total.tolist(), active.astype(float).tolist())))
 
     def _observe(self) -> np.ndarray:
         G = self._prev_G
-        return np.concatenate((self._rows[self._used - 1], G.real.ravel(),
-                               G.imag.ravel(), self._prev_phases,
-                               (self._prev_alpha, self._prev_mode_flag)))
+        return np.concatenate((self._rows[self._used - 1], G.real, G.imag,
+                               self._prev_phases,
+                               (self._prev_alpha, self._prev_mode_flag)),
+                              axis=None)
 
 
 def step_log_record(t: int, outcome: StepOutcome) -> dict:

@@ -414,10 +414,10 @@ def env_config_from_dict(d: dict, errors: list) -> EnvConfig:
                         transform=_power_section)
     try:
         mode = _mode_section(d.get("mode", "dynamic_hybrid"))
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         errors.append(f"env.mode: {exc}")
         mode = RisMode.dynamic_hybrid()
-    fading = _build_section(errors, "env.fading", FadingMode,
+    fading = _build_section(errors, "env.fading_block", FadingMode,
                             {"block_length": d.get("fading_block", 1)})
     if errors:
         return None

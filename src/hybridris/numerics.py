@@ -6,6 +6,7 @@ restored.
 """
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -79,11 +80,22 @@ def require_reals(cfg):
     Config classes call it before the rules that compare those fields, so
     a wrong type names its field instead of surfacing as a TypeError.
     """
-    def real(v, default):
-        return ((isinstance(v, (int, float, np.integer, np.floating))
-                 and not isinstance(v, bool))
-                or (v is None and default is None))
-    raise_broken(*[
-        (not real(getattr(cfg, f.name), f.default),
-         f"{f.name} must be a real number")
-        for f in dataclasses.fields(cfg) if f.type is float])
+    broken = [name for name, default in _float_fields(type(cfg))
+              if not _is_real(getattr(cfg, name), default)]
+    if broken:
+        raise ValueError("; ".join(f"{name} must be a real number"
+                                   for name in broken))
+
+
+def _is_real(v, default) -> bool:
+    return ((isinstance(v, (int, float, np.integer, np.floating))
+             and not isinstance(v, bool))
+            or (v is None and default is None))
+
+
+@functools.cache
+def _float_fields(cls) -> tuple:
+    """(name, default) of every field of the dataclass ``cls`` annotated
+    ``float``; configs are built often, so this is worked out once."""
+    return tuple((f.name, f.default) for f in dataclasses.fields(cls)
+                 if f.type is float)

@@ -6,11 +6,14 @@ are linear watts internally; dB-valued config inputs are converted at
 config-load time.
 """
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .channel import ChannelSet
+from .numerics import raise_broken, require_reals
 
 
 @dataclass(frozen=True)
@@ -20,8 +23,9 @@ class NoiseParams:
     sigma_a_sq: float = 1.0   # active-mode receiver noise
 
     def __post_init__(self):
-        if self.sigma_b_sq <= 0 or self.sigma_a_sq <= 0:
-            raise ValueError("noise variances must be > 0")
+        require_reals(self)
+        raise_broken((not self.sigma_b_sq > 0, "sigma_b_sq must be > 0"),
+                     (not self.sigma_a_sq > 0, "sigma_a_sq must be > 0"))
 
 
 @dataclass(frozen=True)
@@ -31,12 +35,12 @@ class PowerConstraint:
     I_thr: float = 10.0
 
     def __post_init__(self):
-        if self.P_t <= 0 or self.I_thr <= 0:
-            raise ValueError("P_t and I_thr must be > 0")
+        require_reals(self)
+        raise_broken((not self.P_t > 0, "P_t must be > 0"),
+                     (not self.I_thr > 0, "I_thr must be > 0"))
 
 
-@dataclass(frozen=True)
-class RateReport:
+class RateReport(NamedTuple):
     per_user_sinr: np.ndarray
     per_user_rate: np.ndarray
     sum_rate: float
@@ -59,7 +63,7 @@ def power_cap(pc: PowerConstraint, g_sp) -> np.ndarray:
 
 def tx_power(G: np.ndarray) -> float:
     """Transmit power tr(G G^H) of a beamformer."""
-    return float(np.real(np.trace(G @ G.conj().T)))
+    return float((G @ G.conj().T).trace().real)
 
 
 def project_beamformer(G: np.ndarray, cap: float) -> np.ndarray:
@@ -73,7 +77,7 @@ def project_beamformer(G: np.ndarray, cap: float) -> np.ndarray:
     power = tx_power(G)
     if power <= cap:
         return G
-    return G * np.sqrt(cap / power)
+    return G * math.sqrt(cap / power)
 
 
 def sinrs(ch: ChannelSet, refl: np.ndarray, G: np.ndarray, noise_var: float,
@@ -84,21 +88,23 @@ def sinrs(ch: ChannelSet, refl: np.ndarray, G: np.ndarray, noise_var: float,
     intended for the other receivers are its interference. The first
     ``n_amp`` elements (all when None) amplify and add the thermal noise
     they re-radiate, amp_noise_var * |h_b,r refl_r|^2 summed over them. A
-    passive surface is n_amp = 0 or amp_noise_var = 0.
+    passive surface is n_amp = 0 or amp_noise_var = 0; its noise term is
+    left out, which is exact, as interference + 0.0 is the interference.
     """
     hrow = ch.h_b.T * refl                       # B x R
     powers = np.abs(hrow @ ch.H_s @ G) ** 2      # receiver x beam
     signal = powers.diagonal()
-    interf = powers.sum(axis=1) - signal
-    amp_noise = amp_noise_var * (np.abs(hrow[:, :n_amp]) ** 2).sum(axis=1)
-    return signal / (interf + amp_noise + noise_var)
+    interf = np.add.reduce(powers, axis=1) - signal
+    if n_amp != 0 and amp_noise_var != 0:
+        amp = hrow if n_amp is None else hrow[:, :n_amp]
+        interf += amp_noise_var * np.add.reduce(np.abs(amp) ** 2, axis=1)
+    return signal / (interf + noise_var)
 
 
 def rate_report(sinrs) -> RateReport:
     """Per-user rates log2(1 + sinr) and their sum."""
     lam = np.asarray(sinrs, dtype=float)
-    if np.any(lam < 0):
-        raise ValueError("SINR values must be >= 0")
+    if not np.logical_and.reduce(lam >= 0, axis=None):
+        raise ValueError("SINR values must be >= 0 and not NaN")
     rates = np.log2(1.0 + lam)
-    return RateReport(per_user_sinr=lam, per_user_rate=rates,
-                      sum_rate=float(np.sum(rates)))
+    return RateReport(lam, rates, float(np.add.reduce(rates, axis=None)))

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import raise_broken, require_reals
+
 PASSIVE = "passive"
 ACTIVE = "active"
 DYNAMIC_HYBRID = "dynamic_hybrid"
@@ -42,10 +44,11 @@ class PassiveParams:
     offset_l: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.beta_min <= 1.0:
-            raise ValueError("beta_min must lie in [0, 1]")
-        if self.exponent < 0 or self.offset_l < 0:
-            raise ValueError("exponent and offset_l must be >= 0")
+        require_reals(self)
+        raise_broken(
+            (not 0.0 <= self.beta_min <= 1.0, "beta_min must lie in [0, 1]"),
+            (not self.exponent >= 0, "exponent must be >= 0"),
+            (not self.offset_l >= 0, "offset_l must be >= 0"))
 
 
 @dataclass(frozen=True)
@@ -61,10 +64,12 @@ class ActiveParams:
     amp_noise_var: float = 0.01
 
     def __post_init__(self):
-        if not 1.0 < self.alpha_min <= self.alpha_max:
-            raise ValueError("need 1 < alpha_min <= alpha_max")
-        if self.E_max <= 0 or self.amp_noise_var < 0:
-            raise ValueError("E_max must be > 0 and amp_noise_var >= 0")
+        require_reals(self)
+        raise_broken(
+            (not 1.0 < self.alpha_min <= self.alpha_max,
+             "need 1 < alpha_min <= alpha_max"),
+            (not self.E_max > 0, "E_max must be > 0"),
+            (not self.amp_noise_var >= 0, "amp_noise_var must be >= 0"))
 
 
 @dataclass(frozen=True)
@@ -77,10 +82,12 @@ class HarvestParams:
     tau: float = 50.0
 
     def __post_init__(self):
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError("eta must lie in (0, 1]")
-        if self.P_PB < 0 or self.T <= 0 or self.tau < 0:
-            raise ValueError("P_PB, tau must be >= 0 and T > 0")
+        require_reals(self)
+        raise_broken(
+            (not 0.0 < self.eta <= 1.0, "eta must lie in (0, 1]"),
+            (not self.P_PB >= 0, "P_PB must be >= 0"),
+            (not self.T > 0, "T must be > 0"),
+            (not self.tau >= 0, "tau must be >= 0"))
 
 
 @dataclass(frozen=True)
@@ -92,10 +99,11 @@ class ConsumptionParams:
     slot_seconds: float = 1.0
 
     def __post_init__(self):
-        if min(self.P_passive, self.P_amp, self.P_ctrl) < 0:
-            raise ValueError("powers must be >= 0")
-        if self.slot_seconds <= 0:
-            raise ValueError("slot_seconds must be > 0")
+        require_reals(self)
+        raise_broken(
+            *[(not getattr(self, name) >= 0, f"{name} must be >= 0")
+              for name in ("P_passive", "P_amp", "P_ctrl")],
+            (not self.slot_seconds > 0, "slot_seconds must be > 0"))
 
 
 @dataclass(frozen=True)
@@ -114,12 +122,13 @@ class RisMode:
     fixed_gain: float = 2.0
 
     def __post_init__(self):
-        if self.kind not in (PASSIVE, ACTIVE, DYNAMIC_HYBRID, FIXED_HYBRID):
-            raise ValueError(f"unknown RIS mode {self.kind!r}")
-        if not 0.0 <= self.active_fraction <= 1.0:
-            raise ValueError("active_fraction must lie in [0, 1]")
-        if self.fixed_gain <= 1.0:
-            raise ValueError("fixed_gain must be > 1")
+        require_reals(self)
+        raise_broken(
+            (self.kind not in (PASSIVE, ACTIVE, DYNAMIC_HYBRID, FIXED_HYBRID),
+             f"unknown RIS mode {self.kind!r}"),
+            (not 0.0 <= self.active_fraction <= 1.0,
+             "active_fraction must lie in [0, 1]"),
+            (not self.fixed_gain > 1.0, "fixed_gain must be > 1"))
 
     @classmethod
     def passive(cls):
@@ -149,7 +158,9 @@ def passive_amplitude(eps, p: PassiveParams):
     Result lies in [beta_min, 1]; the minimum is hit where
     sin(eps - offset_l) = -1.
     """
-    shaped = ((np.sin(eps - p.offset_l) + 1.0) / 2.0) ** p.exponent
+    # eps - 0 is eps, so a zero offset skips the subtraction
+    shifted = eps - p.offset_l if p.offset_l else eps
+    shaped = ((np.sin(shifted) + 1.0) / 2.0) ** p.exponent
     return (1.0 - p.beta_min) * shaped + p.beta_min
 
 
@@ -217,11 +228,13 @@ def build_reflection(phases, n_active: int, gain: float,
     phases outside [0, 2*pi) are wrapped, never rejected.
     """
     eps = wrap_phase(np.asarray(phases, dtype=float).ravel())
+    rotation = np.exp(1j * eps)
     if n_active == eps.size:
-        return gain * np.exp(1j * eps)
+        return gain * rotation
     mag = passive_amplitude(eps, pp)
-    mag[:n_active] = gain
-    return mag * np.exp(1j * eps)
+    if n_active:
+        mag[:n_active] = gain
+    return mag * rotation
 
 
 def energy_consumed(n_active, gain, R: int, cp: ConsumptionParams):

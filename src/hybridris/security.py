@@ -10,7 +10,6 @@ buffer.
 """
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,6 +110,38 @@ def defend(cfg: DefenseConfig, mean: float, std: float, r: float):
     return abs(clipped - mean) <= cfg.chi * std, clipped
 
 
+class _Window:
+    """The most recent ``size`` values pushed, oldest first, as one
+    contiguous float array. Each value is stored twice, ``size`` apart, in
+    a ring of 2 * size, so the window is always a single slice of it and
+    its mean and std see the values in push order."""
+
+    def __init__(self, size: int, values=()):
+        self.size = size
+        self._ring = np.empty(2 * size)
+        self._start = 0      # ring position of the oldest value
+        self._n = 0
+        for v in values:
+            self.push(v)
+
+    def __len__(self) -> int:
+        return self._n
+
+    def push(self, v: float):
+        size = self.size
+        if not size:
+            return
+        i = (self._start + self._n) % size
+        self._ring[i] = self._ring[i + size] = v
+        if self._n < size:
+            self._n += 1
+        else:
+            self._start = (i + 1) % size
+
+    def values(self) -> np.ndarray:
+        return self._ring[self._start:self._start + self._n]
+
+
 class RewardPipeline:
     """Per-run composition: attack (optional) -> clip -> filter (optional).
 
@@ -131,17 +162,17 @@ class RewardPipeline:
         self.rng = rng
         bounds = defense_cfg or DefenseConfig()
         self.clip = (bounds.r_min, bounds.r_max)
-        self._accepted = deque(
-            maxlen=defense_cfg.stats_window if defense_cfg else 0)
-        self._raw_history = deque(
-            maxlen=attack_cfg.trigger_window if attack_cfg else 1)
+        self._accepted = _Window(
+            defense_cfg.stats_window if defense_cfg else 0)
+        self._raw_history = _Window(
+            attack_cfg.trigger_window if attack_cfg else 1)
         self._t = 0
 
     def stats(self):
         """Mean and std of the accepted rewards in the window. The std is
         the unbiased (n-1) estimate, floored so the acceptance band never
         collapses to zero width."""
-        vals = np.fromiter(self._accepted, dtype=float)
+        vals = self._accepted.values()
         if vals.size < 2:
             return (float(vals.mean()) if vals.size else 0.0, STD_FLOOR)
         return float(vals.mean()), max(float(vals.std(ddof=1)), STD_FLOOR)
@@ -153,10 +184,10 @@ class RewardPipeline:
         history = self._raw_history
         warmup = dfn is not None and t < dfn.warmup_count
         triggered = (atk is not None and not warmup
-                     and len(history) == history.maxlen
-                     and float(np.mean(history)) > atk.threshold)
+                     and len(history) == history.size
+                     and float(history.values().mean()) > atk.threshold)
         post = attack(atk, raw, self.rng) if triggered else raw
-        history.append(raw)
+        history.push(raw)
 
         mean, std = self.stats() if dfn is not None else (0.0, 0.0)
         if dfn is None or warmup:
@@ -164,7 +195,7 @@ class RewardPipeline:
         else:
             accepted, clipped = defend(dfn, mean, std, post)
         if accepted:
-            self._accepted.append(clipped)   # a no-op without a defense
+            self._accepted.push(clipped)     # a no-op without a defense
         return RewardPipelineRecord(
             t=t, raw=float(raw), post_attack=float(post), clipped=clipped,
             accepted=accepted, value=clipped if accepted else float("nan"),
@@ -173,15 +204,15 @@ class RewardPipeline:
     def get_state(self) -> dict:
         return {
             "t": self._t,
-            "raw_history": list(self._raw_history),
-            "accepted": list(self._accepted),
+            "raw_history": self._raw_history.values().tolist(),
+            "accepted": self._accepted.values().tolist(),
             "rng": rng_state(self.rng) if self.rng is not None else None,
         }
 
     def set_state(self, st: dict):
         self._t = int(st["t"])
-        self._raw_history = deque(st["raw_history"],
-                                  maxlen=self._raw_history.maxlen)
-        self._accepted = deque(st["accepted"], maxlen=self._accepted.maxlen)
+        self._raw_history = _Window(self._raw_history.size,
+                                    st["raw_history"])
+        self._accepted = _Window(self._accepted.size, st["accepted"])
         if st["rng"] is not None:
             self.rng = restore_rng(st["rng"])

@@ -50,8 +50,14 @@ def test_run_twice_then_compare(tmp_path):
     (["run", "untrainable.json"], "buffer_capacity must be >= batch"),
     (["run", "bad_window.json"], "stats_window must be an integer"),
     (["run", "non_real.json"], "agent: gamma must be a real number"),
+    (["run", "env_penalty.json"], "env: penalty_weight must be a real"),
+    (["run", "env_count.json"], "env.topology: A must be an integer >= 1"),
+    (["run", "env_nan.json"], "env.harvest: tau must be >= 0"),
+    (["run", "env_fading.json"], "env.fading_block: block_length must be"),
 ], ids=["bad_spec", "missing_spec", "missing_run_dir", "malformed_sweep",
-        "untrainable_agent", "non_integer_window", "non_real_field"])
+        "untrainable_agent", "non_integer_window", "non_real_field",
+        "non_real_env_field", "non_integer_topology", "nan_env_field",
+        "non_integer_fading_block"])
 def test_user_error_is_one_line(argv, named, tmp_path):
     (tmp_path / "bad.json").write_text(json.dumps(
         {"name": "bad", "agent": {"kind": "td3", "policy_delay": 0}}))
@@ -64,6 +70,13 @@ def test_user_error_is_one_line(argv, named, tmp_path):
          "defense": {"stats_window": 100.5}}))
     (tmp_path / "non_real.json").write_text(json.dumps(
         {"name": "bad", "agent": {"kind": "sac", "gamma": "x"}}))
+    for name, env in (("env_penalty", {"penalty_weight": "x"}),
+                      ("env_count", {"topology": {"A": 2.5}}),
+                      ("env_nan", {"harvest": {"tau": float("nan")}}),
+                      ("env_fading", {"fading_block": 1.5})):
+        (tmp_path / f"{name}.json").write_text(json.dumps(
+            {"name": "bad", "agent": {"kind": "random"}, "total_steps": 5,
+             "env": env}))
     res = run_python(["-m", "hybridris.cli", *argv], tmp_path)
     assert res.returncode == 2
     assert res.stderr.startswith("hybridris: error: ")

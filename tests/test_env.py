@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pickle
 
@@ -6,10 +7,10 @@ import pytest
 
 from hybridris.channel import (CascadeSpec, FadingMode, Topology,
                                pu_power_gains, sample_cascaded)
-from hybridris.env import (CHANNEL_BLOCK, EnvConfig, RisCrnEnv, action_size,
-                           decode_action, observation_size, step_log_record)
+from hybridris.env import (CHANNEL_BLOCK, EnvConfig, RisCrnEnv, _split_action,
+                           action_size, observation_size, step_log_record)
 from hybridris.numerics import make_rng, rng_state
-from hybridris.phy import PowerConstraint, power_cap
+from hybridris.phy import PowerConstraint, power_cap, project_beamformer
 from hybridris.ris import PassiveParams, RisMode
 from oracles import naive_active_sinr, naive_beta, naive_passive_rates
 
@@ -19,6 +20,13 @@ def small_cfg(**kw):
                 cascade=CascadeSpec(kappa_s=1, kappa_b=1, kappa_p=1))
     base.update(kw)
     return EnvConfig(**base)
+
+
+def decode_action(a, cap, topo):
+    """The cap-feasible beamformer and the wrapped phases that env.step
+    scores a flat action with."""
+    raw, phases = _split_action(a, topo)
+    return project_beamformer(raw, cap), phases
 
 
 class TestDecodeAction:
@@ -398,3 +406,55 @@ def test_step_log_record_schema():
     assert list(rec.keys()) == ["t", "reward", "sum_rate", "mode", "E_total",
                                 "alpha", "energy_J", "cap"]
     json.dumps(rec)  # must be JSON-serializable as-is
+
+
+# Entries the action path treats specially: the ends of the agent's box
+# (phase 2*pi wraps to 0), the middle, entries outside the box, and the
+# float just below -1, whose phase wraps to just under 2*pi.
+EDGE_VALUES = (1.0, -1.0, 0.0, 1.5, -1.5, np.nextafter(-1.0, -2.0))
+
+
+def edge_actions(topo):
+    """Scripted actions: every entry at one edge value, the same with an
+    all-zero beamformer, and two edge values alternating."""
+    n, ab2 = action_size(topo), 2 * topo.A * topo.B
+    actions = []
+    for v in EDGE_VALUES:
+        a = np.full(n, v)
+        actions.append(a)
+        actions.append(np.concatenate((np.zeros(ab2), a[ab2:])))
+    for v in EDGE_VALUES:
+        for w in EDGE_VALUES:
+            if v != w:
+                actions.append(np.where(np.arange(n) % 2 == 0, v, w))
+    return actions
+
+
+# sha256 of the step-log lines and the bytes of every observation while the
+# edge actions run twice (so a channel block boundary is crossed), on the
+# paper-default topology at seed 3. "passive" scores without amplifier
+# noise, "active" with it on every element, and "small_I_thr" makes the
+# projection bind. Recorded with numpy 2.4 on x86-64, like the step-log pins.
+EDGE_ACTION_DIGESTS = {
+    "passive": (
+        dict(mode=RisMode.passive()),
+        "4dcb2e18c15ceb84ba4aaf0bda373903" "9a0dedcc0d470a74b9699b02401f555d"),
+    "active": (
+        dict(mode=RisMode.active()),
+        "a9d89ef396e359a87f0a4debdfc81e1a" "e9fd24c28ec19afec99d5658e596bc88"),
+    "small_I_thr": (
+        dict(pc=PowerConstraint(P_t=10.0, I_thr=0.5)),
+        "445b57cfa1d0dccad9d82c54ace4ff12" "2ef90d4d0a72d405d57bb9ece7bae4a3"),
+}
+
+
+@pytest.mark.parametrize("name", list(EDGE_ACTION_DIGESTS))
+def test_edge_action_digest_pinned(name):
+    cfg_kw, expected = EDGE_ACTION_DIGESTS[name]
+    env = RisCrnEnv(EnvConfig(**cfg_kw))
+    digest = hashlib.sha256(env.reset(3).tobytes())
+    for t, a in enumerate(2 * edge_actions(env.cfg.topo)):
+        out = env.step(a)
+        digest.update((json.dumps(step_log_record(t, out)) + "\n").encode())
+        digest.update(out.observation.tobytes())
+    assert digest.hexdigest() == expected

@@ -13,6 +13,7 @@ from hybridris.harness import (ExperimentSpec, SpecError, build_loop,
                                run_experiment, run_single, run_spec_dict,
                                save_checkpoint)
 
+NAN = float("nan")
 
 def tiny_env(**kw):
     base = dict(topo=hr.Topology(A=1, B=1, R=2, W=1),
@@ -286,6 +287,45 @@ class TestSpecParsing:
         assert "env.harvest" in msg
         assert "agent.kind" in msg
         assert "total_steps" in msg
+
+    # Each of these passed the spec on earlier versions: the non-integer
+    # counts and the penalty string then raised a TypeError in the run, and
+    # the NaNs ran without error.
+    @pytest.mark.parametrize("env,message", [
+        ({"penalty_weight": "x"}, "env: penalty_weight must be a real number"),
+        ({"topology": {"A": 2.5}}, "env.topology: A must be an integer"),
+        ({"topology": {"A": True}}, "env.topology: A must be an integer"),
+        ({"cascade": {"kappa_b": 2.0}}, "env.cascade: kappa_b must be an"),
+        ({"fading_block": 1.5},
+         "env.fading_block: block_length must be an integer"),
+        ({"harvest": {"tau": NAN}}, "env.harvest: tau must be >= 0"),
+        ({"noise": {"sigma_b_sq": NAN}}, "env.noise: sigma_b_sq must be > 0"),
+        ({"power": {"I_thr": NAN}}, "env.power: I_thr must be > 0"),
+        ({"passive": {"offset_l": NAN}}, "env.passive: offset_l must be"),
+        ({"active": {"amp_noise_var": NAN}}, "env.active: amp_noise_var"),
+        ({"consumption": {"P_ctrl": NAN}}, "env.consumption: P_ctrl must"),
+        ({"mode": {"kind": "fixed_hybrid", "fixed_gain": NAN}},
+         "env.mode: fixed_gain must be > 1"),
+        ({"mode": {"kind": "passive", "gain": 2}},
+         "env.mode: .*unexpected keyword argument 'gain'"),
+    ], ids=["penalty_string", "float_count", "bool_count", "float_kappa",
+            "float_fading_block", "nan_tau", "nan_noise", "nan_I_thr",
+            "nan_offset", "nan_amp_noise", "nan_power_draw", "nan_gain",
+            "unknown_mode_field"])
+    def test_malformed_env_field_is_named(self, env, message):
+        with pytest.raises(SpecError, match=message):
+            build_spec({"env": env})
+
+    def test_env_problems_listed_together(self):
+        with pytest.raises(SpecError) as err:
+            build_spec({"env": {"harvest": {"tau": -1, "eta": 2},
+                                "topology": {"A": 0, "R": 1.5},
+                                "noise": {"sigma_b_sq": 0.0,
+                                          "sigma_a_sq": NAN}}})
+        msg = str(err.value)
+        for named in ("eta must", "tau must", "A must", "R must",
+                      "sigma_b_sq must", "sigma_a_sq must"):
+            assert named in msg
 
     @pytest.mark.parametrize("field,value", [
         ("seeds", 5), ("seeds", ["a"]), ("seeds", [0, 0]), ("seeds", [-1]),

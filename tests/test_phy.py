@@ -177,6 +177,11 @@ class TestRateReport:
         with pytest.raises(ValueError):
             rate_report([-0.1])
 
+    def test_nan_rejected(self):
+        # a NaN SINR is no rate; it must not reach the reward as a NaN
+        with pytest.raises(ValueError, match="NaN"):
+            rate_report([1.0, float("nan")])
+
 
 def test_sum_rate_matches_naive_reimplementation():
     rng = make_rng(4)

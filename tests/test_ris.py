@@ -7,6 +7,7 @@ from hybridris.ris import (ACTIVE, PASSIVE, ActiveParams, ConsumptionParams,
                            RisMode, build_reflection, energy_consumed,
                            energy_gain, harvest, passive_amplitude,
                            resolve_mode, wrap_phase)
+from oracles import naive_beta
 
 PP = PassiveParams(beta_min=0.6, exponent=1.5, offset_l=0.0)
 AP = ActiveParams(alpha_min=1.2, alpha_max=2.0, E_max=20.0)
@@ -32,6 +33,15 @@ class TestPassiveAmplitude:
         assert passive_amplitude(0.0, PP) == pytest.approx(
             0.6 + 0.4 * 0.5 ** 1.5, abs=1e-12)
         assert passive_amplitude(0.0, PP) == pytest.approx(0.74142, abs=1e-5)
+
+    @pytest.mark.parametrize("offset", [0.0, 0.7])
+    def test_offset_shifts_the_sine(self, offset):
+        p = PassiveParams(beta_min=0.6, exponent=1.5, offset_l=offset)
+        eps = make_rng(2).uniform(0, 2 * np.pi, 50)
+        assert np.array_equal(passive_amplitude(eps, p),
+                              naive_beta(eps, 0.6, 1.5, offset))
+        assert passive_amplitude(1.5 * np.pi + offset, p) == \
+            pytest.approx(0.6)
 
     def test_bounds_hold_everywhere(self):
         rng = make_rng(0)
@@ -147,6 +157,13 @@ class TestBuildReflection:
         angles = np.angle(refl)
         assert angles[0] == pytest.approx(0.3, abs=1e-12)
         assert wrap_phase(-0.3) == pytest.approx(2 * np.pi - 0.3)
+
+    @pytest.mark.parametrize("n_active", [0, 2, 4])
+    def test_phases_are_read_as_their_wrapped_values(self, n_active):
+        phases = np.array([2 * np.pi + 0.3, -0.3, 7.5, 1.0])
+        assert np.array_equal(
+            build_reflection(phases, n_active, 1.6, PP),
+            build_reflection(wrap_phase(phases), n_active, 1.6, PP))
 
 
 class TestEnergyConsumed:

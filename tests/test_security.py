@@ -1,6 +1,7 @@
 import hashlib
 import json
 import pickle
+from collections import deque
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from hybridris.harness import SpecError, build_spec
 from hybridris.numerics import make_rng
 from hybridris.security import (AttackConfig, DefenseConfig, RewardPipeline,
-                                attack, defend)
+                                _Window, attack, defend)
 
 NAN = float("nan")
 
@@ -287,6 +288,24 @@ def test_pipeline_log_digest_pinned(name):
         digest.update((json.dumps(p.step(float(r)).to_json_dict())
                        + "\n").encode())
     assert digest.hexdigest() == PIPELINE_LOG_SHA256[name]
+
+
+@pytest.mark.parametrize("size", [1, 3, 7])
+def test_window_keeps_push_order(size):
+    # the window holds what a deque of maxlen size would, in the same
+    # order, so its mean and std are the bits of the deque's as an array
+    values = make_rng(size).normal(1.0, 0.5, 4 * size + 3).tolist()
+    window, reference = _Window(size), deque(maxlen=size)
+    for v in values:
+        window.push(v)
+        reference.append(v)
+        got, expected = window.values(), np.array(reference)
+        assert got.tolist() == list(reference)
+        assert got.mean() == expected.mean()
+        if size > 1 and len(reference) > 1:
+            assert got.std(ddof=1) == expected.std(ddof=1)
+    restored = _Window(size, window.values().tolist())
+    assert restored.values().tolist() == list(reference)
 
 
 def test_discarded_transitions_never_reach_buffer():
