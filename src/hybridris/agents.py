@@ -10,6 +10,7 @@ phase is over. Every stochastic choice comes from the agent's own generator
 so a (seed, config) pair replays bit-for-bit.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,11 +22,18 @@ from .numerics import (is_count, make_rng, raise_broken, require_reals,
 LOG_STD_MIN = -20.0
 LOG_STD_MAX = 2.0
 TANH_EPS = 1e-6
+HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 
 
 def random_action(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Uniform action in [-1, 1]^dim."""
     return rng.uniform(-1.0, 1.0, dim)
+
+
+def _clip_unit(x: np.ndarray) -> np.ndarray:
+    """``x`` clipped to [-1, 1] in place, as ``np.clip`` would."""
+    np.maximum(x, -1.0, out=x)
+    return np.minimum(x, 1.0, out=x)
 
 
 class ReplayBuffer:
@@ -81,7 +89,7 @@ def _check_config(cfg, *rules):
     batch_ok = is_count(cfg.batch, 1)
     raise_broken(
         (not 0.0 <= cfg.gamma <= 1.0, "gamma must lie in [0, 1]"),
-        (cfg.lr <= 0, "lr must be > 0"),
+        (not cfg.lr > 0, "lr must be > 0"),
         (not batch_ok, "batch must be an integer >= 1"),
         (not 0.0 <= cfg.tau_soft <= 1.0, "tau_soft must lie in [0, 1]"),
         (not is_count(cfg.buffer_capacity, cfg.batch if batch_ok else 1),
@@ -108,9 +116,15 @@ class SacConfig:
 
     def __post_init__(self):
         require_reals(self)
-        # log(alpha) is the tuned variable, so it must start finite
-        _check_config(self, (self.auto_entropy and self.entropy_alpha <= 0,
-                             "entropy_alpha must be > 0 with auto_entropy"))
+        _check_config(
+            self,
+            (not self.entropy_alpha >= 0, "entropy_alpha must be >= 0"),
+            # log(alpha) is the tuned variable, so it must start finite
+            (self.auto_entropy and self.entropy_alpha == 0,
+             "entropy_alpha must be > 0 with auto_entropy"),
+            (self.target_entropy is not None
+             and not math.isfinite(self.target_entropy),
+             "target_entropy must be finite"))
 
 
 @dataclass(frozen=True)
@@ -126,7 +140,10 @@ class DdpgConfig:
 
     def __post_init__(self):
         require_reals(self)
-        _check_config(self)
+        _check_config(self, *self._own_rules())
+
+    def _own_rules(self) -> list:
+        return [(not self.expl_noise >= 0, "expl_noise must be >= 0")]
 
 
 @dataclass(frozen=True)
@@ -135,14 +152,12 @@ class Td3Config(DdpgConfig):
     noise_clip: float = 0.5
     policy_delay: int = 2
 
-    def __post_init__(self):
-        require_reals(self)
-        _check_config(
-            self,
-            (not is_count(self.policy_delay, 1),
-             "policy_delay must be an integer >= 1"),
-            (self.policy_noise < 0, "policy_noise must be >= 0"),
-            (self.noise_clip < 0, "noise_clip must be >= 0"))
+    def _own_rules(self) -> list:
+        return [*super()._own_rules(),
+                (not is_count(self.policy_delay, 1),
+                 "policy_delay must be an integer >= 1"),
+                (not self.policy_noise >= 0, "policy_noise must be >= 0"),
+                (not self.noise_clip >= 0, "noise_clip must be >= 0")]
 
 
 class RandomAgent:
@@ -210,16 +225,21 @@ class _OffPolicyAgent:
         to the targets ``U``; returns the per-member losses."""
         pred, cache = self.critic.forward_cache(np.concatenate([s, a], axis=1))
         diff = pred - U
-        grad = self.critic.backward(cache, 2.0 * diff / diff.shape[-2])
+        M = diff.shape[-2]
+        grad = self.critic.backward(cache, 2.0 * diff / M)
         self.opt_critic.step(self.critic.flat, grad)
-        return np.mean(diff ** 2, axis=(1, 2)).tolist()
+        return (np.add.reduce(diff * diff, axis=(1, 2)) / M).tolist()
 
-    def _td_target(self, r, s2, a2, entropy=0.0):
+    def _td_target(self, r, s2, a2, entropy=None):
         """r + gamma * (min of the target critics at (s2, a2) - entropy):
-        clipped double-Q for two members."""
+        clipped double-Q for two members. ``r`` is a 1-D array."""
         qt = self.target_critic.forward(np.concatenate([s2, a2], axis=1))
-        r_col = np.asarray(r, dtype=float).reshape(-1, 1)
-        return r_col + self.cfg.gamma * (qt.min(axis=0) - entropy)
+        q = np.minimum.reduce(qt, axis=0)
+        if entropy is not None:
+            q -= entropy
+        q *= self.cfg.gamma
+        q += r[:, None]
+        return q
 
     def _nets(self):
         return {"critic": self.critic.flat,
@@ -271,27 +291,43 @@ class SacAgent(_OffPolicyAgent):
     def entropy_alpha(self) -> float:
         return float(np.exp(self.log_alpha[0]))
 
+    def _heads(self, out):
+        """Mean, clamped log-std and raw log-std heads of policy outputs."""
+        mu = out[..., :self.act_dim]
+        log_std_raw = out[..., self.act_dim:]
+        log_std = np.maximum(log_std_raw, LOG_STD_MIN)
+        np.minimum(log_std, LOG_STD_MAX, out=log_std)
+        return mu, log_std, log_std_raw
+
     def _policy_stats(self, s):
         """Mean and clamped log-std heads for a batch of states."""
         out, cache = self.policy.forward_cache(s)
-        mu = out[:, :self.act_dim]
-        log_std_raw = out[:, self.act_dim:]
-        log_std = np.clip(log_std_raw, LOG_STD_MIN, LOG_STD_MAX)
-        return mu, log_std, log_std_raw, cache
+        return (*self._heads(out), cache)
 
     @staticmethod
     def _squash(mu, log_std, eps):
-        """Reparameterized squashed-Gaussian sample and its log-density.
+        """Reparameterized squashed-Gaussian sample, its log-density and
+        the standard deviation.
 
         The log-density carries the tanh change-of-variables correction
         -log(1 - a^2 + eps) per dimension.
         """
         std = np.exp(log_std)
-        u = mu + std * eps
-        a = np.tanh(u)
-        logp = np.sum(-0.5 * eps ** 2 - log_std - 0.5 * np.log(2.0 * np.pi)
-                      - np.log(1.0 - a ** 2 + TANH_EPS), axis=1, keepdims=True)
-        return a, logp, std, u
+        u = std * eps
+        u += mu
+        a = np.tanh(u, out=u)
+        # the terms of -eps^2/2 - log_std - log(2 pi)/2 - log(1 - a^2 + eps),
+        # taken in that order
+        corr = a * a
+        np.subtract(1.0, corr, out=corr)
+        corr += TANH_EPS
+        np.log(corr, out=corr)
+        z = eps * eps
+        z *= -0.5
+        z -= log_std
+        z -= HALF_LOG_2PI
+        z -= corr
+        return a, np.add.reduce(z, axis=-1, keepdims=True), std
 
     def act(self, obs, t: int, deterministic: bool = False):
         if not deterministic and t < self.cfg.warmup_steps:
@@ -302,67 +338,68 @@ class SacAgent(_OffPolicyAgent):
         eps = self.rng.standard_normal((1, self.act_dim))
         return np.tanh(mu + np.exp(log_std) * eps)[0]
 
-    def critic_target(self, s2, r, eps2=None):
-        """Bootstrapped target: r + gamma * (min of the two target critics
-        at a fresh policy action, minus the entropy term)."""
-        mu2, log_std2, _, _ = self._policy_stats(s2)
-        if eps2 is None:
-            eps2 = self.rng.standard_normal(mu2.shape)
-        a2, logp2, _, _ = self._squash(mu2, log_std2, eps2)
-        return self._td_target(r, s2, a2, self.entropy_alpha * logp2)
-
-    def update_critics(self, s, a, r, s2, eps2=None):
-        U = self.critic_target(s2, r, eps2)
-        return U, self._fit_critics(s, a, U)
-
-    def update_policy(self, s, eps=None):
-        """One gradient step on mean(alpha * logp - min_i Q_i(s, a)) with a
-        reparameterized action; value gradients flow through the action
-        input of whichever critic attains the minimum per sample."""
-        M = s.shape[0]
-        mu, log_std, log_std_raw, cache = self._policy_stats(s)
-        if eps is None:
-            eps = self.rng.standard_normal(mu.shape)
-        a, logp, std, _ = self._squash(mu, log_std, eps)
-        x = np.concatenate([s, a], axis=1)
-        (p1, p2), qc = self.critic.forward_cache(x)
-        take1 = p1 <= p2
-        qmin = np.where(take1, p1, p2)
-        alpha = self.entropy_alpha
-        loss = float(np.mean(alpha * logp - qmin))
-
-        gx = self.critic.backward(qc, np.stack([take1, ~take1]), wrt="input")
-        dq_da = (gx[0] + gx[1])[:, self.obs_dim:]
-
-        one_m_a2 = 1.0 - a ** 2
-        corr = 2.0 * a * one_m_a2 / (one_m_a2 + TANH_EPS)
-        g_u = alpha * corr - dq_da * one_m_a2
-        g_mu = g_u / M
-        clamp_mask = ((log_std_raw > LOG_STD_MIN) & (log_std_raw < LOG_STD_MAX))
-        g_log_std = (g_u * std * eps - alpha) / M * clamp_mask
-        grad = self.policy.backward(
-            cache, np.concatenate([g_mu, g_log_std], axis=1))
-        self.opt_policy.step(self.policy.flat, grad)
-        return loss, logp
-
     def update_temperature(self, logp):
-        g = -float(np.mean(logp + self.target_entropy))
+        g = -float(np.add.reduce(logp + self.target_entropy, axis=None)
+                   / logp.size)
         self.opt_alpha.step(self.log_alpha, np.array([g]))
 
     def update(self, t: int):
         batch, idle = self._sample(t)
         if batch is None:
             return idle
+        # eps2 for the target actions is drawn first, then eps for the policy
+        eps = self.rng.standard_normal((2, self.cfg.batch, self.act_dim))
+        return self._learn(*batch, eps)
+
+    def _learn(self, s, a, r, s2, eps):
+        """One update on a batch of M transitions; ``eps`` is (2, M, act):
+        the standard normals for the target actions at ``s2``, then those
+        for the policy step at ``s``.
+
+        The policy does not change before its own step, so one forward
+        pass over ``s2`` and ``s`` stacked on a leading axis serves both the
+        critic targets and the policy step; it makes the same products as
+        two passes, one per half. The critics step on their squared error
+        to r + gamma * (min target critic - alpha * logp2). The policy then
+        steps on mean(alpha * logp - min_i Q_i(s, a)) with a
+        reparameterized action; value gradients flow through the action
+        input of whichever critic attains the minimum per sample.
+        """
         cfg = self.cfg
-        s, a, r, s2 = batch
-        U, critic_losses = self.update_critics(s, a, r, s2)
-        policy_loss, logp = self.update_policy(s)
+        M = s.shape[0]
+        alpha = self.entropy_alpha
+        out, cache = self.policy.forward_cache(
+            np.concatenate([s2, s]).reshape(2, M, -1))
+        mu, log_std, log_std_raw = self._heads(out)
+        (a2, a_pi), (logp2, logp), (_, std) = self._squash(mu, log_std, eps)
+        U = self._td_target(r, s2, a2, alpha * logp2)
+        critic_losses = self._fit_critics(s, a, U)
+
+        (p1, p2), qc = self.critic.forward_cache(
+            np.concatenate([s, a_pi], axis=1))
+        take1 = p1 <= p2
+        qmin = np.where(take1, p1, p2)
+        policy_loss = float(np.add.reduce(alpha * logp - qmin, axis=None) / M)
+
+        gx = self.critic.backward(qc, np.stack([take1, ~take1]), wrt="input")
+        dq_da = gx[0, :, self.obs_dim:] + gx[1, :, self.obs_dim:]
+        one_m_a2 = 1.0 - a_pi * a_pi
+        corr = 2.0 * a_pi * one_m_a2 / (one_m_a2 + TANH_EPS)
+        g_u = alpha * corr - dq_da * one_m_a2
+        clamp_mask = ((log_std_raw[1] > LOG_STD_MIN)
+                      & (log_std_raw[1] < LOG_STD_MAX))
+        g_log_std = (g_u * std * eps[1] - alpha) / M * clamp_mask
+        grad = self.policy.backward(
+            [c[1] for c in cache],
+            np.concatenate([g_u / M, g_log_std], axis=1))
+        self.opt_policy.step(self.policy.flat, grad)
+
         if cfg.auto_entropy:
             self.update_temperature(logp)
         soft_update(self.target_critic, self.critic, cfg.tau_soft)
         return {"critic_losses": critic_losses, "policy_loss": policy_loss,
                 "entropy_alpha": self.entropy_alpha,
-                "target_mean": float(np.mean(U))}
+                "target_mean": float(np.add.reduce(U, axis=None) / M)}
 
     def _nets(self):
         return {"policy": self.policy.flat, **super()._nets(),
@@ -387,11 +424,15 @@ class DdpgAgent(_OffPolicyAgent):
         self.actor = DenseNet([obs_dim] + list(cfg.hidden) + [act_dim],
                               self.rng)
         self._build_critic()
+        # the actor steps on the first critic alone
+        self._q0 = self.critic.member(0)
         self.actor_target = self.actor.copy()
         self.opt_actor = Adam(self.actor.flat, cfg.lr)
 
-    def _policy_action(self, net: DenseNet, s):
-        return np.tanh(net.forward(s))
+    @staticmethod
+    def _policy_action(net: DenseNet, s):
+        out = net.forward(s)
+        return np.tanh(out, out=out)
 
     def act(self, obs, t: int, deterministic: bool = False):
         if not deterministic and t < self.cfg.warmup_steps:
@@ -399,8 +440,10 @@ class DdpgAgent(_OffPolicyAgent):
         a = self._policy_action(self.actor, np.asarray(obs)[None, :])[0]
         if deterministic or self.cfg.expl_noise == 0.0:
             return a
-        noise = self.cfg.expl_noise * self.rng.standard_normal(self.act_dim)
-        return np.clip(a + noise, -1.0, 1.0)
+        noise = self.rng.standard_normal(self.act_dim)
+        noise *= self.cfg.expl_noise
+        noise += a
+        return _clip_unit(noise)
 
     def _target_action(self, s2):
         return self._policy_action(self.actor_target, s2)
@@ -412,14 +455,12 @@ class DdpgAgent(_OffPolicyAgent):
         M = s.shape[0]
         out, cache = self.actor.forward_cache(s)
         a = np.tanh(out)
-        x = np.concatenate([s, a], axis=1)
-        q = self.critic.member(0)
-        pred, qc = q.forward_cache(x)
-        gx = q.backward(qc, np.full_like(pred, -1.0 / M), wrt="input")
-        g_out = gx[:, self.obs_dim:] * (1.0 - a ** 2)
+        pred, qc = self._q0.forward_cache(np.concatenate([s, a], axis=1))
+        gx = self._q0.backward(qc, np.full(pred.shape, -1.0 / M), wrt="input")
+        g_out = gx[:, self.obs_dim:] * (1.0 - a * a)
         grad = self.actor.backward(cache, g_out)
         self.opt_actor.step(self.actor.flat, grad)
-        return float(-np.mean(pred))
+        return float(-(np.add.reduce(pred, axis=None) / M))
 
     def update(self, t: int):
         batch, idle = self._sample(t)
@@ -458,9 +499,12 @@ class Td3Agent(DdpgAgent):
     def _target_action(self, s2):
         a2 = self._policy_action(self.actor_target, s2)
         cfg = self.cfg
-        noise = np.clip(cfg.policy_noise * self.rng.standard_normal(a2.shape),
-                        -cfg.noise_clip, cfg.noise_clip)
-        return np.clip(a2 + noise, -1.0, 1.0)
+        noise = self.rng.standard_normal(a2.shape)
+        noise *= cfg.policy_noise
+        np.maximum(noise, -cfg.noise_clip, out=noise)
+        np.minimum(noise, cfg.noise_clip, out=noise)
+        a2 += noise
+        return _clip_unit(a2)
 
     def _actor_due(self) -> bool:
         # the critic's Adam has taken one step per update, this one included

@@ -27,7 +27,7 @@ from .phy import NoiseParams, PowerConstraint, db_to_linear
 from .ris import (ActiveParams, ConsumptionParams, HarvestParams,
                   PassiveParams, RisMode)
 from .security import AttackConfig, DefenseConfig, RewardPipeline
-from .numerics import make_rng
+from .numerics import is_real, make_rng, raise_broken
 
 MA_WINDOW = 200
 CONVERGED_FRACTION = 0.1
@@ -383,12 +383,19 @@ def _build_section(errors, label, cls, data, transform=None):
 
 
 def _power_section(data):
-    if "P_t_dB" in data or "I_dB" in data:
-        if "P_t" in data or "I_thr" in data:
-            raise ValueError("give either dB or linear powers, not both")
-        return {"P_t": db_to_linear(data["P_t_dB"]),
-                "I_thr": db_to_linear(data["I_dB"])}
-    return data
+    db_keys = ("P_t_dB", "I_dB")
+    if not any(k in data for k in db_keys):
+        return data
+    if "P_t" in data or "I_thr" in data:
+        raise ValueError("give either dB or linear powers, not both")
+    raise_broken(
+        *[(k not in data, f"{k} is missing: give both P_t_dB and I_dB")
+          for k in db_keys],
+        *[(k in data and not is_real(data[k]), f"{k} must be a real number")
+          for k in db_keys])
+    rest = {k: v for k, v in data.items() if k not in db_keys}
+    return {**rest, "P_t": db_to_linear(data["P_t_dB"]),
+            "I_thr": db_to_linear(data["I_dB"])}
 
 
 def _mode_section(mode):

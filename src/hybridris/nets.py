@@ -9,6 +9,8 @@ gradient with respect to the input, which the actor-critic updates need to
 push value gradients through action inputs.
 """
 
+import math
+
 import numpy as np
 
 
@@ -42,24 +44,31 @@ class DenseNet:
         self.sizes = list(sizes)
         self.members = members
         self.flat = flat
+        # where each layer's W and b sit in a row of a buffer laid out like
+        # flat (one row per member), worked out once
+        lead = () if members is None else (members,)
+        self._rows = lead + (-1,)
+        self._slices, start = [], 0
+        for n_in, n_out in zip(self.sizes, self.sizes[1:]):
+            mid, end = start + n_in * n_out, start + (n_in + 1) * n_out
+            self._slices.append((np.s_[..., start:mid], lead + (n_out, n_in),
+                                 np.s_[..., mid:end]))
+            start = end
         self.params = self.views(flat)
+        # the parameters only change in place, so these views stay bound:
+        # W for backward, and (W^T, b as a row) per layer for forward
+        self._weights = self.params[::2]
+        *self._hidden, self._out = [(W.mT, b[..., None, :]) for W, b
+                                    in zip(self._weights, self.params[1::2])]
         return self
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.sizes) - 1
 
     def views(self, buf: np.ndarray) -> list:
         """``[W0, b0, W1, b1, ...]`` as views into ``buf``, a buffer laid
         out like ``self.flat``."""
-        lead = () if self.members is None else (self.members,)
-        rows = buf.reshape(lead + (-1,))
-        out, start = [], 0
-        for n_in, n_out in zip(self.sizes, self.sizes[1:]):
-            mid, end = start + n_in * n_out, start + (n_in + 1) * n_out
-            out += [rows[..., start:mid].reshape(lead + (n_out, n_in)),
-                    rows[..., mid:end]]
-            start = end
+        rows = buf.reshape(self._rows)
+        out = []
+        for w, shape, b in self._slices:
+            out += [rows[w].reshape(shape), rows[b]]
         return out
 
     def member(self, e: int) -> "DenseNet":
@@ -77,17 +86,22 @@ class DenseNet:
         ``x`` is (batch, in); a 1-D input is treated as a single row. A
         stacked net broadcasts it over its members: output (E, batch, out).
         """
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            x = x[None, :]
         if x.shape[-1] != self.sizes[0]:
             raise ValueError(f"input width {x.shape[-1]}, expected {self.sizes[0]}")
         acts = [x]
         h = x
-        for i in range(self.n_layers):
-            W, b = self.params[2 * i], self.params[2 * i + 1]
-            h = h @ W.swapaxes(-1, -2) + b[..., None, :]
-            if i < self.n_layers - 1:
-                h = np.tanh(h)
+        for WT, b in self._hidden:
+            h = h @ WT
+            h += b
+            np.tanh(h, out=h)
             acts.append(h)
+        WT, b = self._out
+        h = h @ WT
+        h += b
+        acts.append(h)
         return h, acts
 
     def backward(self, acts, grad_out: np.ndarray, wrt: str = "params"):
@@ -102,20 +116,27 @@ class DenseNet:
         """
         if wrt not in ("params", "input"):
             raise ValueError(f"wrt must be 'params' or 'input', not {wrt!r}")
-        delta = np.atleast_2d(np.asarray(grad_out, dtype=float))
-        if wrt == "params":
-            grad = np.empty_like(self.flat)
-            grads = self.views(grad)
-        for i in range(self.n_layers - 1, -1, -1):
-            if wrt == "params":
-                np.matmul(delta.swapaxes(-1, -2), acts[i], out=grads[2 * i])
-                np.sum(delta, axis=-2, out=grads[2 * i + 1])
-                if i == 0:
-                    return grad
-            delta = delta @ self.params[2 * i]
-            if i > 0:
-                delta *= 1.0 - acts[i] ** 2
-        return delta
+        delta = np.asarray(grad_out, dtype=float)
+        if delta.ndim == 1:
+            delta = delta[None, :]
+        Ws = self._weights
+        if wrt == "input":
+            for i in range(len(Ws) - 1, 0, -1):
+                delta = delta @ Ws[i]
+                a = acts[i]
+                delta *= 1.0 - a * a
+            return delta @ Ws[0]
+        grad = np.empty(self.flat.shape)
+        rows = grad.reshape(self._rows)
+        for i in range(len(Ws) - 1, -1, -1):
+            w_slice, w_shape, b_slice = self._slices[i]
+            np.matmul(delta.mT, acts[i], out=rows[w_slice].reshape(w_shape))
+            np.add.reduce(delta, axis=-2, out=rows[b_slice])
+            if i:
+                delta = delta @ Ws[i]
+                a = acts[i]
+                delta *= 1.0 - a * a
+        return grad
 
     def copy(self) -> "DenseNet":
         return DenseNet.__new__(DenseNet)._bind(
@@ -149,9 +170,9 @@ class Adam:
     def step(self, p, g):
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
-        step_size = self.lr * np.sqrt(bc2) / bc1
-        eps_hat = self.eps * np.sqrt(bc2)
+        root_bc2 = math.sqrt(1.0 - self.beta2 ** self.t)
+        step_size = self.lr * root_bc2 / bc1
+        eps_hat = self.eps * root_bc2
         m, v, s = self.m, self.v, self._scratch
         m *= self.beta1
         np.multiply(g, 1.0 - self.beta1, out=s)

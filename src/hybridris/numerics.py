@@ -72,6 +72,12 @@ def raise_broken(*rules):
         raise ValueError("; ".join(errors))
 
 
+def is_real(x) -> bool:
+    """An int or a float, numpy's too, but not a bool."""
+    return (isinstance(x, (int, float, np.integer, np.floating))
+            and not isinstance(x, bool))
+
+
 def require_reals(cfg):
     """Raise one ValueError naming every field of the dataclass ``cfg``
     annotated ``float`` that holds no real number (a bool is none; None is
@@ -81,16 +87,11 @@ def require_reals(cfg):
     a wrong type names its field instead of surfacing as a TypeError.
     """
     broken = [name for name, default in _float_fields(type(cfg))
-              if not _is_real(getattr(cfg, name), default)]
+              if not (is_real(v := getattr(cfg, name))
+                      or v is None and default is None)]
     if broken:
         raise ValueError("; ".join(f"{name} must be a real number"
                                    for name in broken))
-
-
-def _is_real(v, default) -> bool:
-    return ((isinstance(v, (int, float, np.integer, np.floating))
-             and not isinstance(v, bool))
-            or (v is None and default is None))
 
 
 @functools.cache

@@ -3,12 +3,15 @@ import warnings
 import numpy as np
 import pytest
 
-from hybridris.agents import (DdpgAgent, DdpgConfig, RandomAgent,
-                              ReplayBuffer, SacAgent, SacConfig, Td3Agent,
-                              Td3Config, random_action)
+import hybridris as hr
+from hybridris.agents import (LOG_STD_MAX, LOG_STD_MIN, TANH_EPS, DdpgAgent,
+                              DdpgConfig, RandomAgent, ReplayBuffer, SacAgent,
+                              SacConfig, Td3Agent, Td3Config, random_action)
+from hybridris.nets import soft_update
 from hybridris.numerics import make_rng, restore_rng, rng_state
 
 OBS, ACT = 6, 3
+NAN, INF = float("nan"), float("inf")
 
 
 def filled_agent(agent, n=40, seed=0):
@@ -90,6 +93,41 @@ class TestConfigRules:
         assert "noise_clip must be a real number" in str(err.value)
         with pytest.raises(ValueError, match="policy_delay must be an integer"):
             Td3Config(policy_delay=2.5)
+
+    # each of these was accepted before: the rules compared with < or <=,
+    # which a NaN passes, and expl_noise had no rule
+    @pytest.mark.parametrize("cfg_cls,kw,named", [
+        (SacConfig, {"lr": NAN}, "lr must be > 0"),
+        (DdpgConfig, {"lr": NAN}, "lr must be > 0"),
+        (SacConfig, {"entropy_alpha": NAN}, "entropy_alpha must be >= 0"),
+        (SacConfig, {"entropy_alpha": -1.0, "auto_entropy": False},
+         "entropy_alpha must be >= 0"),
+        (SacConfig, {"target_entropy": NAN}, "target_entropy must be finite"),
+        (SacConfig, {"target_entropy": -INF}, "target_entropy must be finite"),
+        (Td3Config, {"policy_noise": NAN}, "policy_noise must be >= 0"),
+        (Td3Config, {"noise_clip": NAN}, "noise_clip must be >= 0"),
+        (Td3Config, {"expl_noise": NAN}, "expl_noise must be >= 0"),
+        (DdpgConfig, {"expl_noise": -1.0}, "expl_noise must be >= 0"),
+        (DdpgConfig, {"expl_noise": NAN}, "expl_noise must be >= 0"),
+    ], ids=["sac_nan_lr", "ddpg_nan_lr", "nan_entropy_alpha",
+            "negative_fixed_alpha", "nan_target_entropy",
+            "infinite_target_entropy", "nan_policy_noise", "nan_noise_clip",
+            "td3_nan_expl_noise", "ddpg_negative_expl_noise",
+            "ddpg_nan_expl_noise"])
+    def test_nan_and_negative_refused(self, cfg_cls, kw, named):
+        with pytest.raises(ValueError, match=named):
+            cfg_cls(**kw)
+
+    def test_every_nan_field_named(self):
+        with pytest.raises(ValueError) as err:
+            Td3Config(lr=NAN, policy_noise=NAN, noise_clip=NAN,
+                      expl_noise=NAN)
+        for named in ("lr", "policy_noise", "noise_clip", "expl_noise"):
+            assert f"{named} must be" in str(err.value)
+        with pytest.raises(ValueError) as err:
+            SacConfig(lr=NAN, entropy_alpha=NAN, target_entropy=NAN)
+        for named in ("lr", "entropy_alpha", "target_entropy"):
+            assert f"{named} must be" in str(err.value)
 
     def test_zero_temperature_refused_only_when_tuned(self):
         # log(0) would pin the tuned log-temperature at -inf
@@ -177,7 +215,7 @@ class TestSacPolicy:
         eps = twin.standard_normal((1, ACT))
         assert rng_state(ag.rng) == rng_state(twin)
         mu, log_std, _, _ = ag._policy_stats(obs[None, :])
-        expected, _, _, _ = ag._squash(mu, log_std, eps)
+        expected, _, _ = ag._squash(mu, log_std, eps)
         assert np.array_equal(a, expected[0])
 
     @pytest.mark.parametrize("mu,log_std", [(0.3, -0.5), (-1.2, 0.0),
@@ -191,10 +229,52 @@ class TestSacPolicy:
         mu_col = np.full((u.size, 1), mu)
         ls_col = np.full((u.size, 1), log_std)
         eps = (u[:, None] - mu_col) / sigma
-        a, logp, _, _ = ag._squash(mu_col, ls_col, eps)
+        a, logp, _ = ag._squash(mu_col, ls_col, eps)
         # change of variables back to u: da = (1 - a^2) du
         integral = np.trapezoid(np.exp(logp.ravel()) * (1 - a.ravel() ** 2), u)
         assert integral == pytest.approx(1.0, abs=1e-3)
+
+
+def twin_of(ag):
+    """A second agent in the same state as ``ag``, its generator included."""
+    twin = type(ag)(ag.obs_dim, ag.act_dim, ag.cfg, seed=0)
+    twin.set_state(ag.get_state())
+    return twin
+
+
+def with_eps(eps2, eps):
+    """The noise ``SacAgent._learn`` takes: eps2, then eps."""
+    return np.stack([eps2, eps])
+
+
+def split_reference_update(ag):
+    """One SAC update as separate passes: a policy forward over s2 for the
+    critic targets, the critic step, then a second policy forward over s
+    for the policy step. eps2 is drawn before eps."""
+    s, a, r, s2 = ag.buffer.sample(ag.rng, ag.cfg.batch)
+    M = s.shape[0]
+    alpha = ag.entropy_alpha
+    mu2, log_std2, _, _ = ag._policy_stats(s2)
+    eps2 = ag.rng.standard_normal(mu2.shape)
+    a2, logp2, _ = ag._squash(mu2, log_std2, eps2)
+    ag._fit_critics(s, a, ag._td_target(r, s2, a2, alpha * logp2))
+
+    mu, log_std, log_std_raw, cache = ag._policy_stats(s)
+    eps = ag.rng.standard_normal(mu.shape)
+    a_pi, logp, std = ag._squash(mu, log_std, eps)
+    (p1, p2), qc = ag.critic.forward_cache(np.concatenate([s, a_pi], axis=1))
+    take1 = p1 <= p2
+    gx = ag.critic.backward(qc, np.stack([take1, ~take1]), wrt="input")
+    dq_da = (gx[0] + gx[1])[:, ag.obs_dim:]
+    one_m_a2 = 1.0 - a_pi ** 2
+    corr = 2.0 * a_pi * one_m_a2 / (one_m_a2 + TANH_EPS)
+    g_u = alpha * corr - dq_da * one_m_a2
+    clamp_mask = (log_std_raw > LOG_STD_MIN) & (log_std_raw < LOG_STD_MAX)
+    g_log_std = (g_u * std * eps - alpha) / M * clamp_mask
+    grad = ag.policy.backward(cache, np.concatenate([g_u / M, g_log_std], 1))
+    ag.opt_policy.step(ag.policy.flat, grad)
+    ag.update_temperature(logp)
+    soft_update(ag.target_critic, ag.critic, ag.cfg.tau_soft)
 
 
 class TestSacUpdate:
@@ -203,25 +283,37 @@ class TestSacUpdate:
         filled_agent(ag)
         s, a, r, s2 = ag.buffer.sample(ag.rng, 8)
         eps2 = np.zeros((8, ACT))
-        U = ag.critic_target(s2, r, eps2)
-        assert np.allclose(U.ravel(), r)
+        # the critics step on their error to the target, so they end bit
+        # for bit where a step on the rewards themselves leaves them
+        ref = twin_of(ag)
+        ref._fit_critics(s, a, r[:, None])
+        diag = ag._learn(s, a, r, s2, with_eps(eps2, eps2))
+        assert np.array_equal(ag.critic.flat, ref.critic.flat)
+        assert np.array_equal(ag.opt_critic.m, ref.opt_critic.m)
+        assert diag["target_mean"] == np.mean(r)
 
     def test_min_of_target_critics_used(self):
         ag = SacAgent(OBS, ACT, SacConfig(warmup_steps=0), seed=10)
         filled_agent(ag)
         s, a, r, s2 = ag.buffer.sample(ag.rng, 8)
         eps2 = make_rng(11).standard_normal((8, ACT))
-        U = ag.critic_target(s2, r, eps2)
         # independent recomputation
         mu2, log_std2, _, _ = ag._policy_stats(s2)
-        a2, logp2, _, _ = ag._squash(mu2, log_std2, eps2)
+        a2, logp2, _ = ag._squash(mu2, log_std2, eps2)
         x2 = np.concatenate([s2, a2], axis=1)
         q1 = ag.target_critic.member(0).forward(x2)
         q2 = ag.target_critic.member(1).forward(x2)
         expected = (r.reshape(-1, 1) + ag.cfg.gamma *
                     (np.minimum(q1, q2) - ag.entropy_alpha * logp2))
-        assert np.allclose(U, expected, atol=1e-12)
         assert np.all(np.minimum(q1, q2) <= q1 + 1e-15)
+        # after one step, Adam's first moment is a tenth of the critic
+        # gradient, which is linear in each row's error to the target
+        ref = twin_of(ag)
+        losses = ref._fit_critics(s, a, expected)
+        diag = ag._learn(s, a, r, s2, with_eps(eps2, np.zeros((8, ACT))))
+        assert np.allclose(ag.opt_critic.m, ref.opt_critic.m, atol=1e-12)
+        assert np.allclose(diag["critic_losses"], losses, atol=1e-12)
+        assert diag["target_mean"] == pytest.approx(expected.mean(), abs=1e-12)
 
     def test_critic_fixed_point_zero_loss_zero_movement(self):
         ag = SacAgent(OBS, ACT, SacConfig(gamma=0.0, warmup_steps=0), seed=12)
@@ -234,15 +326,16 @@ class TestSacUpdate:
         before1 = [p.copy() for p in ag.critic.member(0).params]
         # with gamma=0 and r equal to current predictions, q1's target is its
         # own output: zero loss, zero gradient, no parameter movement
-        U, losses = ag.update_critics(s, a, r1, s2, eps2=np.zeros((4, ACT)))
+        eps = np.zeros((4, ACT))
+        losses = ag._learn(s, a, r1, s2, with_eps(eps, eps))["critic_losses"]
         assert losses[0] == pytest.approx(0.0, abs=1e-24)
         assert all(np.array_equal(p, q)
                    for p, q in zip(ag.critic.member(0).params, before1))
 
     def test_single_transition_regression(self):
-        # critic-only steps at lr 1e-2 drive Q(s, a) to r under gamma=0;
-        # 200 updates clear Adam's transient on every seed (at 100 the
-        # error still sits near 3e-3)
+        # steps at lr 1e-2 drive Q(s, a) to r under gamma=0; 200 updates
+        # clear Adam's transient on every seed (at 100 the error still sits
+        # near 3e-3)
         cfg = SacConfig(gamma=0.0, lr=1e-2, batch=1, warmup_steps=0,
                         hidden=(32, 32))
         ag = SacAgent(OBS, ACT, cfg, seed=14)
@@ -250,12 +343,51 @@ class TestSacUpdate:
         a = np.zeros(ACT)
         r = 1.234
         ag.observe(s, a, r, np.full(OBS, 0.1))
-        for _ in range(200):
-            batch = ag.buffer.sample(ag.rng, 1)
-            ag.update_critics(*batch)
+        for t in range(200):
+            ag.update(t)
         x = np.concatenate([s, a])[None, :]
         assert abs(ag.critic.member(0).forward(x)[0, 0] - r) < 1e-3
         assert abs(ag.critic.member(1).forward(x)[0, 0] - r) < 1e-3
+
+    def test_update_equals_split_reference(self):
+        # at the paper env's sizes and the default learner sizes, where
+        # OpenBLAS runs the kernels that training runs
+        env = hr.RisCrnEnv(hr.EnvConfig())
+        obs_dim, act_dim = env.observation_size, env.action_size
+        ag = SacAgent(obs_dim, act_dim, SacConfig(warmup_steps=0), seed=32)
+        filled_agent(ag, n=200, seed=33)
+        for t in range(3):
+            ref = twin_of(ag)
+            ag.update(t)
+            split_reference_update(ref)
+            assert rng_state(ag.rng) == rng_state(ref.rng)
+            got, want = ag.get_state(), ref.get_state()
+            for k, flat in want["nets"].items():
+                assert np.array_equal(got["nets"][k], flat), k
+            for k, opt in want["opts"].items():
+                assert got["opts"][k]["t"] == opt["t"], k
+                assert np.array_equal(got["opts"][k]["m"], opt["m"]), k
+                assert np.array_equal(got["opts"][k]["v"], opt["v"]), k
+
+    # log-std is 10 * tanh(tanh(x0)) - 5 in every action dimension: it
+    # clamps at LOG_STD_MAX for x0 = 3 and lies inside the box for x0 = -3;
+    # the next states take the other value
+    @pytest.mark.parametrize("x0,moves", [(-3.0, True), (3.0, False)])
+    def test_log_std_gradient_masked_where_the_states_clamp(self, x0, moves):
+        ag = SacAgent(OBS, ACT, SacConfig(warmup_steps=0, hidden=(4, 4)),
+                      seed=34)
+        W0, _, W1, _, W2, b2 = ag.policy.params
+        ag.policy.flat[...] = 0.0
+        W0[0, 0] = W1[0, 0] = 1.0
+        W2[ACT:, 0] = 10.0
+        b2[ACT:] = -5.0
+        s, s2 = np.zeros((4, OBS)), np.zeros((4, OBS))
+        s[:, 0], s2[:, 0] = x0, -x0
+        a = make_rng(35).uniform(-1, 1, (4, ACT))
+        before = b2[ACT:].copy()
+        ag._learn(s, a, np.ones(4), s2, with_eps(np.zeros((4, ACT)),
+                                                 np.ones((4, ACT))))
+        assert (not np.array_equal(b2[ACT:], before)) == moves
 
     def test_batch_underflow_warns(self):
         ag = SacAgent(OBS, ACT, SacConfig(warmup_steps=0, batch=16), seed=15)
@@ -263,16 +395,21 @@ class TestSacUpdate:
         assert out == {"warning": "batch underflow"}
 
     def test_policy_update_descends_its_loss(self):
-        ag = SacAgent(OBS, ACT, SacConfig(warmup_steps=0), seed=16)
+        # a fixed temperature, and critics held still by a zero step size,
+        # leave the policy step as the only thing that moves the loss
+        ag = SacAgent(OBS, ACT, SacConfig(warmup_steps=0, auto_entropy=False),
+                      seed=16)
+        ag.opt_critic.lr = 0.0
         filled_agent(ag, n=60)
-        s, _, _, _ = ag.buffer.sample(ag.rng, 16)
+        s, a, r, s2 = ag.buffer.sample(ag.rng, 16)
         eps = make_rng(17).standard_normal((16, ACT))
-        first, _ = ag.update_policy(s, eps=eps)
+        noise = with_eps(np.zeros((16, ACT)), eps)
+        first = ag._learn(s, a, r, s2, noise)["policy_loss"]
         for _ in range(30):
-            ag.update_policy(s, eps=eps)
+            ag._learn(s, a, r, s2, noise)
         # evaluate the same loss expression without updating
         mu, log_std, _, _ = ag._policy_stats(s)
-        a, logp, _, _ = ag._squash(mu, log_std, eps)
+        a, logp, _ = ag._squash(mu, log_std, eps)
         x = np.concatenate([s, a], axis=1)
         qmin = np.minimum(ag.critic.member(0).forward(x),
                           ag.critic.member(1).forward(x))

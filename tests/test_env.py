@@ -434,7 +434,8 @@ def edge_actions(topo):
 # edge actions run twice (so a channel block boundary is crossed), on the
 # paper-default topology at seed 3. "passive" scores without amplifier
 # noise, "active" with it on every element, and "small_I_thr" makes the
-# projection bind. Recorded with numpy 2.4 on x86-64, like the step-log pins.
+# projection bind. Recorded like the step-log pins (numpy 2.4, OpenBLAS
+# SkylakeX).
 EDGE_ACTION_DIGESTS = {
     "passive": (
         dict(mode=RisMode.passive()),

@@ -169,8 +169,10 @@ class TestCheckpoints:
 
 # sha256 of steps.jsonl for a 300-step random-agent run on the paper-default
 # env (dynamic hybrid) at seed 7. Any change to the channel stream, the PHY
-# arithmetic or the log format moves it. Recorded with numpy 2.4 on x86-64;
-# another numpy or CPU may round some step differently.
+# arithmetic or the log format moves it. Recorded with numpy 2.4 on x86-64,
+# with OpenBLAS's SkylakeX kernels (the CI log prints the core name); another
+# numpy, CPU or OpenBLAS core may round some step differently, which is not a
+# regression.
 STEP_LOG_SHA256 = ("5657c32e5794a2a266cd48b163a8c1ea"
                    "74af0cbd2c3b0ac8a7689ff92cfb4151")
 
@@ -188,7 +190,7 @@ def test_step_log_digest_pinned(tmp_path):
 # odd number of updates). The actions after warmup carry every bit of the
 # critic and policy updates, so a change to the learners' arithmetic or RNG
 # use moves these even where Adam's scale invariance hides it from the
-# unit tests. Recorded with numpy 2.4 on x86-64, like the pin above.
+# unit tests. Recorded like the pin above (numpy 2.4, OpenBLAS SkylakeX).
 LEARNER_LOG_SHA256 = {
     "ddpg": "1a76f64e1e1fee42eea7cabd52d6b5a1bf3a2e7b0b15ec9a5a0bc628ad8c930f",
     "sac": "50a1f8c2c84168bbf4b4b23d4d8a17aefcc90e7e5ca2f328df5bc179d8d1f8a9",
@@ -206,12 +208,33 @@ def test_learner_step_log_digest_pinned(kind, tmp_path):
     assert digest.hexdigest() == LEARNER_LOG_SHA256[kind]
 
 
+# The same for 301-step runs at the default learner sizes (hidden 128x128,
+# batch 16, 250 warmup steps), the sizes the benchmark and the paper run.
+# OpenBLAS picks its kernels by shape, so the small pins above cannot see a
+# rounding change at these sizes. Recorded like the pins above (numpy 2.4,
+# OpenBLAS SkylakeX).
+DEFAULT_SIZE_LOG_SHA256 = {
+    "ddpg": "649ad392c11aa35953b873852b3f76537bcc9ad2ece0677db19c6e74a1e35615",
+    "sac": "9b01c008c3755efa0b970e68e3ef5ed772a82c2efa8c06f2f7564b8fbd3d31cd",
+    "td3": "f90ca620377402746e0fe87d5030611593b8e4a8c3beec52a456c5e947f67a23",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DEFAULT_SIZE_LOG_SHA256))
+def test_default_size_learner_digest_pinned(kind, tmp_path):
+    spec = build_spec({"name": "pin", "seeds": [5], "total_steps": 301,
+                       "agent": {"kind": kind, "warmup_steps": 250}})
+    run_single(spec, 5, str(tmp_path))
+    digest = hashlib.sha256((tmp_path / "steps.jsonl").read_bytes())
+    assert digest.hexdigest() == DEFAULT_SIZE_LOG_SHA256[kind]
+
+
 # sha256 of a 200-step random-agent step log (the lines steps.jsonl holds)
 # followed by the bytes of the last observation, seed 3, for the modes and
 # env shapes the pin above leaves out. "small_I_thr" makes the projection
 # bind on most steps; "integer_fields" gives P_t, fixed_gain and tau as JSON
 # integers, which the log keeps as integers ("cap": 10, "alpha": 3).
-# Recorded with numpy 2.4 on x86-64, like the pin above.
+# Recorded like the pins above (numpy 2.4, OpenBLAS SkylakeX).
 ENV_DIGESTS = {
     "passive": (
         {"mode": "passive"},
@@ -315,6 +338,38 @@ class TestSpecParsing:
     def test_malformed_env_field_is_named(self, env, message):
         with pytest.raises(SpecError, match=message):
             build_spec({"env": env})
+
+    # the dB form used to report a missing key as "env.power: 'I_dB'" and a
+    # string as the TypeError of a division
+    @pytest.mark.parametrize("power,message", [
+        ({"P_t_dB": 10}, "env.power: I_dB is missing: give both P_t_dB and"),
+        ({"I_dB": 10}, "env.power: P_t_dB is missing: give both P_t_dB and"),
+        ({"P_t_dB": "x", "I_dB": 3}, "env.power: P_t_dB must be a real"),
+        ({"P_t_dB": 10, "I_dB": True}, "env.power: I_dB must be a real"),
+        ({"P_t_dB": 10, "I_dB": 20, "P_max": 1},
+         "env.power: .*unexpected keyword argument 'P_max'"),
+    ], ids=["missing_I_dB", "missing_P_t_dB", "string_P_t_dB", "bool_I_dB",
+            "unknown_field_beside_dB"])
+    def test_malformed_db_power_is_named(self, power, message):
+        with pytest.raises(SpecError, match=message):
+            build_spec({"env": {"power": power}})
+
+    def test_agent_nans_listed_together(self):
+        with pytest.raises(SpecError) as err:
+            build_spec({"agent": {"kind": "sac", "lr": NAN,
+                                  "entropy_alpha": NAN,
+                                  "target_entropy": NAN}})
+        msg = str(err.value)
+        for named in ("lr must be > 0", "entropy_alpha must be >= 0",
+                      "target_entropy must be finite"):
+            assert named in msg
+        with pytest.raises(SpecError) as err:
+            build_spec({"agent": {"kind": "td3", "policy_noise": NAN,
+                                  "noise_clip": NAN, "expl_noise": NAN}})
+        for named in ("policy_noise", "noise_clip", "expl_noise"):
+            assert f"{named} must be >= 0" in str(err.value)
+        with pytest.raises(SpecError, match="expl_noise must be >= 0"):
+            build_spec({"agent": {"kind": "ddpg", "expl_noise": -1.0}})
 
     def test_env_problems_listed_together(self):
         with pytest.raises(SpecError) as err:

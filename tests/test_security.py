@@ -250,7 +250,8 @@ PIN_DEFENSE = DefenseConfig(chi=2.0, warmup_count=12, stats_window=60)
 # reward) for 300 rewards on a slow sine plus noise, with a spike every 37th
 # step: the records cover triggers switching on and off, clipping and
 # discards. At step 150 the state is pickled and restored into a fresh
-# pipeline with another generator. Recorded with numpy 2.4 on x86-64.
+# pipeline with another generator. Recorded with numpy 2.4 on x86-64
+# with OpenBLAS's SkylakeX kernels, like the step-log pins.
 PIPELINE_LOG_SHA256 = {
     "none": "328bd180a0d3d4815bdef275d489aaa6d3484b28f098156ddcfdde544398e2bd",
     "none+defense":
