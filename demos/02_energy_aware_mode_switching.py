@@ -30,8 +30,8 @@ for tau in (10.0, 30.0, 40.0, 50.0):
     steps = 3000
     for _ in range(steps):
         out = env.step(random_action(rng, env.action_size))
-        active += out.info["resolved_mode"] == "active"
-        energy += out.info["energy_consumed"]
+        active += out.mode == "active"
+        energy += out.energy_J
     print(f"  {tau:5.1f}  |    {active / steps:6.1%}   |  {energy / steps:.4f}")
 
 print("\nA fully active surface burns ~0.28-0.44 J every slot; the hybrid "

@@ -44,7 +44,7 @@ for t in range(5000):
 rates = []
 for _ in range(20):
     out = env.step(agent.act(obs, 10 ** 9, deterministic=True))
-    rates.append(out.info["sum_rate"])
+    rates.append(out.sum_rate)
     obs = out.observation
 print(f"deterministic policy rate: {np.mean(rates):.4f} "
       f"({np.mean(rates) / best:.1%} of the grid optimum)")

@@ -5,8 +5,8 @@ from .agents import (DdpgAgent, DdpgConfig, RandomAgent, ReplayBuffer,
                      SacAgent, SacConfig, Td3Agent, Td3Config, random_action)
 from .channel import (CascadeSpec, ChannelSet, FadingMode, Topology,
                       pu_power_gains, sample_cascaded, sample_channel_set)
-from .env import (EnvConfig, RisCrnEnv, StepOutcome, action_size,
-                  observation_size, step_log_record)
+from .env import (STEP_LOG_FIELDS, EnvConfig, RisCrnEnv, StepOutcome,
+                  action_size, observation_size)
 from .harness import (ExperimentSpec, RunSummary, TrainingLoop, build_spec,
                       compare, load_checkpoint, moving_average,
                       replay_summary, run_experiment, run_single,

@@ -91,9 +91,21 @@ class SlotSetting(NamedTuple):
 
 
 class StepOutcome(NamedTuple):
+    """One step, its fields named as the step log names them."""
     observation: np.ndarray
-    reward: float
-    info: dict
+    reward: float        # sum_rate - penalty
+    sum_rate: float
+    mode: str            # resolved mode, "active" or "passive"
+    E_total: float       # harvested total (J)
+    alpha: float         # amplifier gain (1.0 on passive slots)
+    energy_J: float      # energy bill (J)
+    cap: float           # transmit power ceiling
+    penalty: float       # energy-shortfall penalty; not logged
+
+
+# The step log's columns in log order: the step index, then every outcome
+# field but the observation and the penalty.
+STEP_LOG_FIELDS = ("t",) + StepOutcome._fields[1:-1]
 
 
 def observation_size(topo: Topology) -> int:
@@ -197,16 +209,9 @@ class RisCrnEnv:
         if self._t % cfg.fading.block_length == 0:
             self._next_slot(CHANNEL_BLOCK)
 
-        info = {
-            "sum_rate": sum_rate,
-            "resolved_mode": slot.resolved,
-            "E_total": slot.E_total,
-            "alpha": slot.alpha,
-            "energy_consumed": slot.energy,
-            "cap": slot.cap,
-            "penalty": slot.penalty,
-        }
-        return StepOutcome(self._observe(), sum_rate - slot.penalty, info)
+        return StepOutcome(self._observe(), sum_rate - slot.penalty, sum_rate,
+                           slot.resolved, slot.E_total, slot.alpha,
+                           slot.energy, slot.cap, slot.penalty)
 
     def get_state(self) -> dict:
         """Snapshot for exact run continuation (channels, RNG position,
@@ -309,17 +314,3 @@ class RisCrnEnv:
                                (self._prev_alpha, self._prev_mode_flag)),
                               axis=None)
 
-
-def step_log_record(t: int, outcome: StepOutcome) -> dict:
-    """One step-log entry; schema is fixed for the experiment harness."""
-    info = outcome.info
-    return {
-        "t": t,
-        "reward": outcome.reward,
-        "sum_rate": info["sum_rate"],
-        "mode": info["resolved_mode"],
-        "E_total": info["E_total"],
-        "alpha": info["alpha"],
-        "energy_J": info["energy_consumed"],
-        "cap": info["cap"],
-    }

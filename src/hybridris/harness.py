@@ -22,9 +22,9 @@ import numpy as np
 from .agents import (DdpgAgent, DdpgConfig, RandomAgent, SacAgent, SacConfig,
                      Td3Agent, Td3Config)
 from .channel import CascadeSpec, FadingMode, Topology
-from .env import EnvConfig, RisCrnEnv, step_log_record
+from .env import STEP_LOG_FIELDS, EnvConfig, RisCrnEnv
 from .phy import NoiseParams, PowerConstraint, db_to_linear
-from .ris import (ActiveParams, ConsumptionParams, HarvestParams,
+from .ris import (ACTIVE, ActiveParams, ConsumptionParams, HarvestParams,
                   PassiveParams, RisMode)
 from .security import AttackConfig, DefenseConfig, RewardPipeline
 from .numerics import is_real, make_rng, raise_broken
@@ -146,7 +146,9 @@ def converged_mean(rewards, fraction: float = CONVERGED_FRACTION) -> float:
 
 
 class TrainingLoop:
-    """One seeded env+agent(+pipeline) loop with step/pipeline logs."""
+    """One seeded env+agent(+pipeline) loop with step/pipeline logs. The
+    step log is kept as columns, one list per ``STEP_LOG_FIELDS`` entry, of
+    the steps this loop ran."""
 
     def __init__(self, env: RisCrnEnv, agent, pipeline: RewardPipeline = None):
         self.env = env
@@ -154,7 +156,7 @@ class TrainingLoop:
         self.pipeline = pipeline
         self.t = 0
         self.obs = None
-        self.step_records = []
+        self.step_log = {name: [] for name in STEP_LOG_FIELDS}
         self.pipeline_records = []
 
     def start(self, env_seed=None):
@@ -175,7 +177,9 @@ class TrainingLoop:
         else:
             self.agent.observe(self.obs, a, out.reward, out.observation)
         self.agent.update(self.t)
-        self.step_records.append(step_log_record(self.t, out))
+        # the outcome holds the logged fields after t, in log order
+        for column, value in zip(self.step_log.values(), (self.t, *out[1:-1])):
+            column.append(value)
         self.obs = out.observation
         self.t += 1
 
@@ -225,22 +229,27 @@ def build_loop(spec: ExperimentSpec, seed: int) -> TrainingLoop:
     return loop
 
 
+def _log_stats(step_log: dict) -> dict:
+    """The summary statistics of a step log given as columns."""
+    rewards = step_log["reward"]
+    active = float(np.mean(np.array(step_log["mode"]) == ACTIVE))
+    return {
+        "steps": len(rewards),
+        "converged_mean": converged_mean(rewards),
+        "mode_fraction_active": active,
+        "mode_fraction_passive": 1.0 - active,
+        "mean_energy_J": float(np.mean(step_log["energy_J"])),
+    }
+
+
 def summarize(name: str, seed: int, loop: TrainingLoop,
               wall_clock_s: float) -> RunSummary:
-    rewards = np.array([r["reward"] for r in loop.step_records])
-    modes = np.array([r["mode"] for r in loop.step_records])
-    energy = np.array([r["energy_J"] for r in loop.step_records])
-    active_frac = float(np.mean(modes == "active"))
-    return RunSummary(
-        name=name, seed=seed, steps=loop.t,
-        converged_mean=converged_mean(rewards),
-        mode_fraction_active=active_frac,
-        mode_fraction_passive=1.0 - active_frac,
-        mean_energy_J=float(np.mean(energy)),
-        violations=loop.env.violations,
-        wall_clock_s=wall_clock_s,
-        curve=moving_average(rewards),
-    )
+    """The summary of the steps ``loop`` ran (after a resume, of the steps
+    since the checkpoint, as its step log holds)."""
+    return RunSummary(name=name, seed=seed, **_log_stats(loop.step_log),
+                      violations=loop.env.violations,
+                      wall_clock_s=wall_clock_s,
+                      curve=moving_average(loop.step_log["reward"]))
 
 
 def _write_jsonl(path, records):
@@ -265,7 +274,9 @@ def run_single(spec: ExperimentSpec, seed: int,
     summary = summarize(spec.name, seed, loop, time.perf_counter() - start)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        _write_jsonl(os.path.join(out_dir, "steps.jsonl"), loop.step_records)
+        log = loop.step_log
+        _write_jsonl(os.path.join(out_dir, "steps.jsonl"),
+                     (dict(zip(log, row)) for row in zip(*log.values())))
         if loop.pipeline is not None:
             _write_jsonl(os.path.join(out_dir, "pipeline.jsonl"),
                          loop.pipeline_records)
@@ -345,22 +356,13 @@ def run_experiment(spec: ExperimentSpec, out_dir: str = None,
 def replay_summary(steps_jsonl_path: str) -> dict:
     """Recompute summary statistics straight from a step log; used to audit
     that shipped summaries match their logs."""
-    rewards, modes, energy = [], [], []
+    step_log = {name: [] for name in STEP_LOG_FIELDS}
     with open(steps_jsonl_path) as fh:
         for line in fh:
             rec = json.loads(line)
-            rewards.append(rec["reward"])
-            modes.append(rec["mode"])
-            energy.append(rec["energy_J"])
-    modes = np.array(modes)
-    active = float(np.mean(modes == "active"))
-    return {
-        "steps": len(rewards),
-        "converged_mean": converged_mean(rewards),
-        "mode_fraction_active": active,
-        "mode_fraction_passive": 1.0 - active,
-        "mean_energy_J": float(np.mean(energy)),
-    }
+            for name, column in step_log.items():
+                column.append(rec[name])
+    return _log_stats(step_log)
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +509,9 @@ def expand_sweep(d: dict):
                 parts = path.split(".")
                 for p in parts[:-1]:
                     node = node.setdefault(p, {})
+                    if not isinstance(node, dict):
+                        raise SpecError(
+                            f"sweep[{i}]: {path}: {p!r} is not an object")
                 node[parts[-1]] = v
                 tag = (f"{leaf}={v:g}" if isinstance(v, (int, float))
                        else f"{leaf}={v}")

@@ -54,10 +54,15 @@ def test_run_twice_then_compare(tmp_path):
     (["run", "env_count.json"], "env.topology: A must be an integer >= 1"),
     (["run", "env_nan.json"], "env.harvest: tau must be >= 0"),
     (["run", "env_fading.json"], "env.fading_block: block_length must be"),
+    (["run", "sweep_kind.json"],
+     "sweep[0]: env.mode.kind: 'mode' is not an object"),
+    (["run", "sweep_kind_x.json"],
+     "sweep[0]: env.mode.kind.x: 'mode' is not an object"),
 ], ids=["bad_spec", "missing_spec", "missing_run_dir", "malformed_sweep",
         "untrainable_agent", "non_integer_window", "non_real_field",
         "non_real_env_field", "non_integer_topology", "nan_env_field",
-        "non_integer_fading_block"])
+        "non_integer_fading_block", "sweep_through_string",
+        "sweep_below_string"])
 def test_user_error_is_one_line(argv, named, tmp_path):
     (tmp_path / "bad.json").write_text(json.dumps(
         {"name": "bad", "agent": {"kind": "td3", "policy_delay": 0}}))
@@ -70,6 +75,11 @@ def test_user_error_is_one_line(argv, named, tmp_path):
          "defense": {"stats_window": 100.5}}))
     (tmp_path / "non_real.json").write_text(json.dumps(
         {"name": "bad", "agent": {"kind": "sac", "gamma": "x"}}))
+    for name, path in (("sweep_kind", "env.mode.kind"),
+                       ("sweep_kind_x", "env.mode.kind.x")):
+        (tmp_path / f"{name}.json").write_text(json.dumps(
+            {"name": "bad", "env": {"mode": "passive"},
+             "sweep": [{"path": path, "values": ["active"]}]}))
     for name, env in (("env_penalty", {"penalty_weight": "x"}),
                       ("env_count", {"topology": {"A": 2.5}}),
                       ("env_nan", {"harvest": {"tau": float("nan")}}),

@@ -7,8 +7,9 @@ import pytest
 
 from hybridris.channel import (CascadeSpec, FadingMode, Topology,
                                pu_power_gains, sample_cascaded)
-from hybridris.env import (CHANNEL_BLOCK, EnvConfig, RisCrnEnv, _split_action,
-                           action_size, observation_size, step_log_record)
+from hybridris.env import (CHANNEL_BLOCK, STEP_LOG_FIELDS, EnvConfig,
+                           RisCrnEnv, _split_action, action_size,
+                           observation_size)
 from hybridris.numerics import make_rng, rng_state
 from hybridris.phy import PowerConstraint, power_cap, project_beamformer
 from hybridris.ris import PassiveParams, RisMode
@@ -20,6 +21,11 @@ def small_cfg(**kw):
                 cascade=CascadeSpec(kappa_s=1, kappa_b=1, kappa_p=1))
     base.update(kw)
     return EnvConfig(**base)
+
+
+def log_record(t, out):
+    """The step-log line a loop writes for outcome ``out`` at step t."""
+    return dict(zip(STEP_LOG_FIELDS, (t, *out[1:-1])))
 
 
 def decode_action(a, cap, topo):
@@ -102,8 +108,8 @@ class TestStep:
         rng = make_rng(1)
         for _ in range(20):
             out = env.step(rng.uniform(-1, 1, env.action_size))
-            assert out.reward == out.info["sum_rate"]
-            assert out.info["penalty"] == 0.0
+            assert out.reward == out.sum_rate
+            assert out.penalty == 0.0
 
     def test_dynamic_active_steps_have_zero_penalty(self):
         env = RisCrnEnv(EnvConfig(mode=RisMode.dynamic_hybrid()))
@@ -112,10 +118,10 @@ class TestStep:
         saw_active = False
         for _ in range(200):
             out = env.step(rng.uniform(-1, 1, env.action_size))
-            if out.info["resolved_mode"] == "active":
+            if out.mode == "active":
                 saw_active = True
-                assert out.info["E_total"] >= env.cfg.hp.tau
-                assert out.info["penalty"] == 0.0
+                assert out.E_total >= env.cfg.hp.tau
+                assert out.penalty == 0.0
         assert saw_active
 
     def test_forced_active_shortfall_penalty(self):
@@ -125,10 +131,10 @@ class TestStep:
         saw_shortfall = False
         for _ in range(200):
             out = env.step(rng.uniform(-1, 1, env.action_size))
-            expected = 0.1 * max(0.0, env.cfg.hp.tau - out.info["E_total"])
-            assert out.info["penalty"] == pytest.approx(expected, abs=1e-12)
+            expected = 0.1 * max(0.0, env.cfg.hp.tau - out.E_total)
+            assert out.penalty == pytest.approx(expected, abs=1e-12)
             assert out.reward == pytest.approx(
-                out.info["sum_rate"] - expected, abs=1e-12)
+                out.sum_rate - expected, abs=1e-12)
             if expected > 0:
                 saw_shortfall = True
         assert saw_shortfall
@@ -139,7 +145,7 @@ class TestStep:
         env.reset(0)
         out = env.step(np.zeros(env.action_size))
         assert 0.1 * max(0.0, 50.0 - 30.0) == pytest.approx(2.0)
-        assert out.reward == out.info["sum_rate"] - out.info["penalty"]
+        assert out.reward == out.sum_rate - out.penalty
 
     def test_constraint_never_violated(self):
         env = RisCrnEnv(EnvConfig())
@@ -192,7 +198,7 @@ class TestStep:
         # through the SINR: scaling all magnitudes would change it, so check
         # reward equals the magnitude-1 computation replayed via phases-only
         out = env.step(np.full(env.action_size, 0.25))
-        assert out.reward == out.info["sum_rate"]
+        assert out.reward == out.sum_rate
         assert np.isfinite(out.reward)
 
     def test_observation_carries_channels_used_next_step(self):
@@ -232,8 +238,7 @@ class TestStep:
                     * np.exp(1j * phases))
             _, _, naive_sum = naive_passive_rates(cols, refl, H_s, G,
                                                   cfg.noise.sigma_b_sq)
-            assert out.info["sum_rate"] == pytest.approx(naive_sum,
-                                                         abs=1e-10)
+            assert out.sum_rate == pytest.approx(naive_sum, abs=1e-10)
             obs = out.observation
 
     @pytest.mark.parametrize("mode,n_amp", [
@@ -277,9 +282,8 @@ class TestStep:
                     cols, refl, H_s, G, cfg.noise.sigma_a_sq,
                     ap.amp_noise_var, b, amp_mask))
                 for b in range(B))
-            assert out.info["alpha"] == pytest.approx(gain, rel=1e-12)
-            assert out.info["sum_rate"] == pytest.approx(naive_sum,
-                                                         abs=1e-10)
+            assert out.alpha == pytest.approx(gain, rel=1e-12)
+            assert out.sum_rate == pytest.approx(naive_sum, abs=1e-10)
 
     def test_frozen_fading_keeps_channels(self):
         env = RisCrnEnv(small_cfg(fading=FadingMode(block_length=10 ** 9)))
@@ -372,8 +376,8 @@ class TestCheckpointInsideBlock:
         resumed.set_state(state)
         for t, a in enumerate(actions[70:], start=70):
             out, again = env.step(a), resumed.step(a)
-            assert step_log_record(t, again) == step_log_record(t, out)
-            assert again.info == out.info
+            assert log_record(t, again) == log_record(t, out)
+            assert again[1:] == out[1:]
             assert again.observation.tobytes() == out.observation.tobytes()
 
 
@@ -384,10 +388,10 @@ class TestFixedHybrid:
         rng = make_rng(6)
         for _ in range(50):
             out = env.step(rng.uniform(-1, 1, env.action_size))
-            assert out.info["resolved_mode"] == "active"
-            assert out.info["alpha"] == 2.0
-            expected_pen = 0.1 * max(0.0, 50.0 - out.info["E_total"])
-            assert out.info["penalty"] == pytest.approx(expected_pen)
+            assert out.mode == "active"
+            assert out.alpha == 2.0
+            expected_pen = 0.1 * max(0.0, 50.0 - out.E_total)
+            assert out.penalty == pytest.approx(expected_pen)
 
     def test_energy_bills_only_active_subset(self):
         env = RisCrnEnv(EnvConfig(mode=RisMode.fixed_hybrid(0.5, 2.0)))
@@ -395,14 +399,14 @@ class TestFixedHybrid:
         out = env.step(np.zeros(env.action_size))
         # 2 elements at gain 2 plus 2 passive elements
         expected = 2 * (2.0 * 50e-3 + 10e-3) + 2 * 0.1e-3
-        assert out.info["energy_consumed"] == pytest.approx(expected)
+        assert out.energy_J == pytest.approx(expected)
 
 
 def test_step_log_record_schema():
     env = RisCrnEnv(EnvConfig())
     env.reset(0)
     out = env.step(np.zeros(env.action_size))
-    rec = step_log_record(3, out)
+    rec = log_record(3, out)
     assert list(rec.keys()) == ["t", "reward", "sum_rate", "mode", "E_total",
                                 "alpha", "energy_J", "cap"]
     json.dumps(rec)  # must be JSON-serializable as-is
@@ -456,6 +460,6 @@ def test_edge_action_digest_pinned(name):
     digest = hashlib.sha256(env.reset(3).tobytes())
     for t, a in enumerate(2 * edge_actions(env.cfg.topo)):
         out = env.step(a)
-        digest.update((json.dumps(step_log_record(t, out)) + "\n").encode())
+        digest.update((json.dumps(log_record(t, out)) + "\n").encode())
         digest.update(out.observation.tobytes())
     assert digest.hexdigest() == expected

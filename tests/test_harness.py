@@ -11,7 +11,7 @@ from hybridris.harness import (ExperimentSpec, SpecError, build_loop,
                                expand_sweep, load_checkpoint, moving_average,
                                replay_summary, resolve_workers,
                                run_experiment, run_single, run_spec_dict,
-                               save_checkpoint)
+                               save_checkpoint, summarize)
 
 NAN = float("nan")
 
@@ -104,8 +104,8 @@ class TestRunExperiment:
 
 
 def rewards(loop) -> list:
-    """The reward column of a loop's step records."""
-    return [rec["reward"] for rec in loop.step_records]
+    """The reward column of a loop's step log."""
+    return loop.step_log["reward"]
 
 
 LEARNER_CONFIGS = {"sac": hr.SacConfig, "ddpg": hr.DdpgConfig,
@@ -152,6 +152,25 @@ class TestCheckpoints:
         load_checkpoint(path, resumed)
         resumed.run(120)  # a restored loop logs only its own steps
         assert rewards(straight) == rewards(loop) + rewards(resumed)
+
+    def test_resumed_summary_counts_its_own_steps(self, tmp_path):
+        # the restored loop's log and curve hold its 100 steps, not the 300
+        # of its step index, and its summary says the same as a replay
+        loop = build_loop(tiny_spec(), 0)
+        loop.run(200)
+        path = str(tmp_path / "ck.pkl")
+        save_checkpoint(path, loop)
+        resumed = build_loop(tiny_spec(), 0)
+        load_checkpoint(path, resumed)
+        resumed.run(100)
+        summary = summarize("t", 0, resumed, 0.0)
+        log = resumed.step_log
+        steps_path = tmp_path / "steps.jsonl"
+        steps_path.write_text("".join(json.dumps(dict(zip(log, row))) + "\n"
+                                      for row in zip(*log.values())))
+        replay = replay_summary(str(steps_path))
+        assert summary.steps == len(summary.curve) == replay["steps"] == 100
+        assert {k: getattr(summary, k) for k in replay} == replay
 
     # version 1 checkpoints hold h_b as a list of per-receiver columns;
     # version 2 ones hold each net and Adam moment as a list of per-layer
@@ -264,8 +283,9 @@ def step_log_digest(env_d: dict, seed: int, steps: int) -> str:
     loop = build_loop(spec, seed)
     loop.run(steps)
     digest = hashlib.sha256()
-    for rec in loop.step_records:
-        digest.update((json.dumps(rec) + "\n").encode())
+    for row in zip(*loop.step_log.values()):
+        digest.update((json.dumps(dict(zip(loop.step_log, row))) + "\n")
+                      .encode())
     digest.update(loop.obs.tobytes())
     return digest.hexdigest()
 
@@ -274,6 +294,79 @@ def step_log_digest(env_d: dict, seed: int, steps: int) -> str:
 def test_env_digest_pinned(name):
     env_d, expected = ENV_DIGESTS[name]
     assert step_log_digest(env_d, 3, 200) == expected
+
+
+# sha256 of every artifact but meta.json and checkpoint.pkl for two 150-step
+# runs of 2 seeds, and of compare's tables over them: a random agent on an
+# always-active surface (so shortfall penalties part reward from sum rate),
+# and a small SAC on the paper-default env under the invert attack with clip
+# and filter (which then clips, attacks and discards). The summaries, the
+# curves and the tables are pinned along with the logs. Recorded like the
+# pins above (numpy 2.4, OpenBLAS SkylakeX).
+ARTIFACT_SPECS = {
+    "random": {"env": {"mode": "active"}, "agent": {"kind": "random"}},
+    "sac_defended": {
+        "agent": {"kind": "sac", "warmup_steps": 40, "batch": 4,
+                  "hidden": [16, 16]},
+        "attack": {"kind": "invert", "threshold": 0.6, "trigger_window": 8},
+        "defense": {"chi": 2.0, "warmup_count": 12, "stats_window": 60}},
+}
+ARTIFACT_SHA256 = {
+    "random/curve_mean.csv":
+        "06c866e6cf9cf44083b3bf19795eb406e64cac829984efe2934a32df70575b05",
+    "random/seed_0/curve.csv":
+        "6d27fba3722f446ac293453f07c771918637b0b680e770a7c94e8dbcf1d862d0",
+    "random/seed_0/steps.jsonl":
+        "9cfc751b8ccce6ac027e79c04b3138169da70e0b7e55ed51c4fb69fc1686a70b",
+    "random/seed_0/summary.json":
+        "33282b9cdd5cfea5f4b40af6eb9410e4e03423f85cbf070d3dec83d5df9a496c",
+    "random/seed_1/curve.csv":
+        "5df552b5ac16e4eca1cd5e38a73d0d60028924b6c6c3c248e189bf1b13524f43",
+    "random/seed_1/steps.jsonl":
+        "ba4b2e62376148cd4b73841738fa12858660efb72b872a0c7cc774beef6b6a41",
+    "random/seed_1/summary.json":
+        "8d258e34ca809622b98400dff942b7b02cc13cbb4645926f047138e32c1c0afb",
+    "random/summary.json":
+        "3266331c0b317c9b0cc072d0455803a4e6fe3e4f7c9f08b143df6add49891d81",
+    "sac_defended/curve_mean.csv":
+        "6c859a445a8945b8498a64361300e2f26290825eaa60a96c87421bd57e3cec47",
+    "sac_defended/seed_0/curve.csv":
+        "62c2a17e4d3e919f31d8a50013da2a4fe68986a2506c05fc78a2145698020c03",
+    "sac_defended/seed_0/pipeline.jsonl":
+        "5b69db4dce34a2bdfbee5c6df5244c1154a5983dd5d8c414a28d5473f8475170",
+    "sac_defended/seed_0/steps.jsonl":
+        "c8ce767d2eb21b235c2d30029f3d5fce712cbc5afb7b27424d0b4b161499ad91",
+    "sac_defended/seed_0/summary.json":
+        "fc42ce4813c5a60d00b7c4474615b1e010159ad6225dfec6ec90695e4bf842ff",
+    "sac_defended/seed_1/curve.csv":
+        "7f5e883de1ae0666c69220d147fadbc0b7cdb579d9175d00c4803471adda2f14",
+    "sac_defended/seed_1/pipeline.jsonl":
+        "7f623f327929e001e5623b296629fe0dc48184bb74ef89fb8f48c12600d2ee64",
+    "sac_defended/seed_1/steps.jsonl":
+        "b37c27ac0769858c7b5d4ae569b0cee1c2fed5c0283dbcd97c1d169b7a66ffa7",
+    "sac_defended/seed_1/summary.json":
+        "57fe0dd817b24677dec652cc0ca0ede6ff58491acd2757eef6d9fa5e2d129cc8",
+    "sac_defended/summary.json":
+        "74a273779ab56958814df3ef8911e2fbdc3618070308b5d735a0f2a0a783c6bd",
+    "table.csv":
+        "bc44672728b3b63600f889a3ce29e84e6c53aa4f084366bc81c0627e825b1b7d",
+    "table_curves.csv":
+        "9d9d27c1f278bdbce137f3dd6a79fc5174bc851c8e8bd85a838fb909b2ec86bf",
+}
+
+
+def test_artifact_digests_pinned(tmp_path):
+    for name, d in ARTIFACT_SPECS.items():
+        spec = build_spec({"name": name, "seeds": [0, 1], "total_steps": 150,
+                           **d})
+        run_experiment(spec, str(tmp_path / name), workers=1)
+    compare([str(tmp_path / name) for name in ARTIFACT_SPECS],
+            str(tmp_path / "table.csv"))
+    digests = {path.relative_to(tmp_path).as_posix():
+               hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in tmp_path.rglob("*") if path.is_file()
+               and path.name not in ("meta.json", "checkpoint.pkl")}
+    assert digests == ARTIFACT_SHA256
 
 
 class TestSpecParsing:
