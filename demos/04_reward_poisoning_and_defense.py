@@ -22,8 +22,7 @@ for t in range(40):
     rec = pipeline.step(float(true_reward))
     mark = "<- poisoned" if rec.post_attack != rec.raw else ""
     print(f"{rec.t:3d}  {rec.raw:6.3f}   {rec.post_attack:7.3f}   "
-          f"{rec.clipped:6.3f}   {'accept' if rec.accepted else 'DISCARD':8s}"
-          f"  {rec.mean_snapshot:6.3f} {mark}")
+          f"{rec.clipped:6.3f}   {rec.decision:9s}  {rec.mean:6.3f} {mark}")
 
 print("\nOnce the victim performs well (recent mean > 0.5), the attacker "
       "flips the sign; the filter sees the flipped value sit far outside "

@@ -20,7 +20,7 @@ from .ris import (ActiveParams, ConsumptionParams, EnergyLedger,
                   HarvestParams, PassiveParams, RisMode, build_reflection,
                   energy_consumed, energy_gain, harvest, passive_amplitude,
                   resolve_mode, wrap_phase)
-from .security import (AttackConfig, DefenseConfig, RewardPipeline,
-                       RewardPipelineRecord, attack, defend)
+from .security import (PIPELINE_LOG_FIELDS, AttackConfig, DefenseConfig,
+                       RewardPipeline, RewardPipelineRecord, attack, defend)
 
 __version__ = "0.1.0"

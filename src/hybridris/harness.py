@@ -16,6 +16,7 @@ import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,7 +27,8 @@ from .env import STEP_LOG_FIELDS, EnvConfig, RisCrnEnv
 from .phy import NoiseParams, PowerConstraint, db_to_linear
 from .ris import (ACTIVE, ActiveParams, ConsumptionParams, HarvestParams,
                   PassiveParams, RisMode)
-from .security import AttackConfig, DefenseConfig, RewardPipeline
+from .security import (ACCEPTED, PIPELINE_LOG_FIELDS, AttackConfig,
+                       DefenseConfig, RewardPipeline)
 from .numerics import is_real, make_rng, raise_broken
 
 MA_WINDOW = 200
@@ -96,26 +98,11 @@ class ExperimentSpec:
             raise SpecError("; ".join(errors))
 
 
-@dataclass
-class RunSummary:
-    name: str
-    seed: int
-    steps: int
-    converged_mean: float
-    mode_fraction_active: float
-    mode_fraction_passive: float
-    mean_energy_J: float
-    violations: int
+class RunSummary(NamedTuple):
+    """One seed's run: ``stats`` is what its summary.json holds."""
+    stats: dict
+    curve: np.ndarray               # moving-average reward, one per step
     wall_clock_s: float
-    ma_window: int = MA_WINDOW
-    curve: np.ndarray = None        # moving-average reward, length == steps
-
-    def to_json_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in
-             ("name", "seed", "steps", "converged_mean",
-              "mode_fraction_active", "mode_fraction_passive",
-              "mean_energy_J", "violations", "ma_window")}
-        return d
 
 
 def make_agent(kind: str, obs_dim: int, act_dim: int, cfg, seed):
@@ -146,9 +133,9 @@ def converged_mean(rewards, fraction: float = CONVERGED_FRACTION) -> float:
 
 
 class TrainingLoop:
-    """One seeded env+agent(+pipeline) loop with step/pipeline logs. The
-    step log is kept as columns, one list per ``STEP_LOG_FIELDS`` entry, of
-    the steps this loop ran."""
+    """One seeded env+agent(+pipeline) loop with step/pipeline logs of the
+    steps this loop ran, each kept as columns: one list per
+    ``STEP_LOG_FIELDS`` or ``PIPELINE_LOG_FIELDS`` entry."""
 
     def __init__(self, env: RisCrnEnv, agent, pipeline: RewardPipeline = None):
         self.env = env
@@ -157,7 +144,7 @@ class TrainingLoop:
         self.t = 0
         self.obs = None
         self.step_log = {name: [] for name in STEP_LOG_FIELDS}
-        self.pipeline_records = []
+        self.pipeline_log = {name: [] for name in PIPELINE_LOG_FIELDS}
 
     def start(self, env_seed=None):
         self.obs = self.env.reset(env_seed)
@@ -171,8 +158,10 @@ class TrainingLoop:
         out = self.env.step(a)
         if self.pipeline is not None:
             rec = self.pipeline.step(out.reward)
-            self.pipeline_records.append(rec.to_json_dict())
-            if rec.accepted:
+            # the record holds the logged fields first, in log order
+            for column, value in zip(self.pipeline_log.values(), rec):
+                column.append(value)
+            if rec.decision == ACCEPTED:
                 self.agent.observe(self.obs, a, rec.value, out.observation)
         else:
             self.agent.observe(self.obs, a, out.reward, out.observation)
@@ -246,23 +235,29 @@ def summarize(name: str, seed: int, loop: TrainingLoop,
               wall_clock_s: float) -> RunSummary:
     """The summary of the steps ``loop`` ran (after a resume, of the steps
     since the checkpoint, as its step log holds)."""
-    return RunSummary(name=name, seed=seed, **_log_stats(loop.step_log),
-                      violations=loop.env.violations,
-                      wall_clock_s=wall_clock_s,
-                      curve=moving_average(loop.step_log["reward"]))
+    stats = {"name": name, "seed": seed, **_log_stats(loop.step_log),
+             "violations": loop.env.violations, "ma_window": MA_WINDOW}
+    return RunSummary(stats, moving_average(loop.step_log["reward"]),
+                      wall_clock_s)
 
 
-def _write_jsonl(path, records):
+def _write_jsonl(path, log: dict):
+    """Write a log kept as columns, one JSON object per row."""
     with open(path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec) + "\n")
+        for row in zip(*log.values()):
+            fh.write(json.dumps(dict(zip(log, row))) + "\n")
 
 
-def _write_curve(path, curve):
+def _write_csv(path, header, rows):
+    """Write a table whose cells are Python ints, floats and strings, each
+    as ``str`` prints it (for a float, its repr); None is an empty cell."""
+    line = ",".join(["%s"] * len(header)) + "\n"
     with open(path, "w") as fh:
-        fh.write("t,ma_reward\n")
-        for t, v in enumerate(curve):
-            fh.write(f"{t},{float(v)!r}\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            if None in row:
+                row = ["" if x is None else x for x in row]
+            fh.write(line % tuple(row))
 
 
 def run_single(spec: ExperimentSpec, seed: int,
@@ -274,15 +269,14 @@ def run_single(spec: ExperimentSpec, seed: int,
     summary = summarize(spec.name, seed, loop, time.perf_counter() - start)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        log = loop.step_log
-        _write_jsonl(os.path.join(out_dir, "steps.jsonl"),
-                     (dict(zip(log, row)) for row in zip(*log.values())))
+        _write_jsonl(os.path.join(out_dir, "steps.jsonl"), loop.step_log)
         if loop.pipeline is not None:
             _write_jsonl(os.path.join(out_dir, "pipeline.jsonl"),
-                         loop.pipeline_records)
-        _write_curve(os.path.join(out_dir, "curve.csv"), summary.curve)
+                         loop.pipeline_log)
+        _write_csv(os.path.join(out_dir, "curve.csv"), ("t", "ma_reward"),
+                   enumerate(summary.curve.tolist()))
         with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-            json.dump(summary.to_json_dict(), fh, indent=1)
+            json.dump(summary.stats, fh, indent=1)
         with open(os.path.join(out_dir, "meta.json"), "w") as fh:
             json.dump({"wall_clock_s": summary.wall_clock_s}, fh)
         save_checkpoint(os.path.join(out_dir, "checkpoint.pkl"), loop)
@@ -322,8 +316,8 @@ def run_experiment(spec: ExperimentSpec, out_dir: str = None,
     else:
         summaries = [_run_single_worker(j) for j in jobs]
 
-    per_seed = [s.to_json_dict() for s in summaries]
-    conv = np.array([s.converged_mean for s in summaries])
+    per_seed = [s.stats for s in summaries]
+    conv = np.array([p["converged_mean"] for p in per_seed])
     aggregate = {
         "name": spec.name,
         "agent_kind": spec.agent_kind,
@@ -333,10 +327,10 @@ def run_experiment(spec: ExperimentSpec, out_dir: str = None,
         "converged_mean": float(np.mean(conv)),
         "converged_std": float(np.std(conv)),
         "mode_fraction_active": float(
-            np.mean([s.mode_fraction_active for s in summaries])),
+            np.mean([p["mode_fraction_active"] for p in per_seed])),
         "mean_energy_J": float(
-            np.mean([s.mean_energy_J for s in summaries])),
-        "violations": int(sum(s.violations for s in summaries)),
+            np.mean([p["mean_energy_J"] for p in per_seed])),
+        "violations": int(sum(p["violations"] for p in per_seed)),
         "ma_window": MA_WINDOW,
     }
     if out_dir is not None:
@@ -344,12 +338,10 @@ def run_experiment(spec: ExperimentSpec, out_dir: str = None,
         with open(os.path.join(out_dir, "summary.json"), "w") as fh:
             json.dump(aggregate, fh, indent=1)
         curves = np.stack([s.curve for s in summaries])
-        with open(os.path.join(out_dir, "curve_mean.csv"), "w") as fh:
-            fh.write("t,ma_reward_mean,ma_reward_std\n")
-            mean = curves.mean(axis=0)
-            std = curves.std(axis=0)
-            for t in range(curves.shape[1]):
-                fh.write(f"{t},{float(mean[t])!r},{float(std[t])!r}\n")
+        _write_csv(os.path.join(out_dir, "curve_mean.csv"),
+                   ("t", "ma_reward_mean", "ma_reward_std"),
+                   zip(range(curves.shape[1]), curves.mean(axis=0).tolist(),
+                       curves.std(axis=0).tolist()))
     return aggregate
 
 
@@ -496,9 +488,10 @@ def expand_sweep(d: dict):
     points = [("", d)]
     for i, entry in enumerate(sweep):
         if not (isinstance(entry, dict) and isinstance(entry.get("path"), str)
-                and isinstance(entry.get("values"), (list, tuple))):
+                and isinstance(entry.get("values"), (list, tuple))
+                and entry["values"]):
             raise SpecError(f"sweep[{i}]: needs a \"path\" string and a "
-                            f"\"values\" list")
+                            f"non-empty \"values\" list")
         path, values = entry["path"], entry["values"]
         leaf = path.split(".")[-1]
         new_points = []
@@ -532,8 +525,10 @@ def load_spec_file(path: str) -> dict:
 
 def run_spec_dict(d: dict, out_dir: str, seeds_override=None,
                   steps_override=None, workers=None) -> list:
-    """Run every sweep point of a spec dict; returns aggregate summaries."""
-    results = []
+    """Run every sweep point of a spec dict; returns aggregate summaries.
+    Every point's spec is built before any point runs, and a point's error
+    names its label."""
+    runs = []
     for label, point in expand_sweep(d):
         point = copy.deepcopy(point)
         point.pop("sweep", None)
@@ -541,12 +536,17 @@ def run_spec_dict(d: dict, out_dir: str, seeds_override=None,
             point["seeds"] = list(seeds_override)
         if steps_override is not None:
             point["total_steps"] = steps_override
-        spec = build_spec(point)
+        try:
+            spec = build_spec(point)
+        except SpecError as exc:
+            if label:
+                raise SpecError(f"{label}: {exc}") from None
+            raise
         sub = out_dir if not label else os.path.join(out_dir, label)
         if label:
             spec = replace(spec, name=f"{spec.name}_{label}")
-        results.append(run_experiment(spec, sub, workers=workers))
-    return results
+        runs.append((spec, sub))
+    return [run_experiment(spec, sub, workers=workers) for spec, sub in runs]
 
 
 # ---------------------------------------------------------------------------
@@ -605,31 +605,23 @@ def compare(run_dirs, out_csv: str) -> dict:
     tstats = {}
     for c in cols:
         if c.startswith("diff_") and len(rows) > 1 and stds[c] > 0:
-            tstats[c] = means[c] / (stds[c] / np.sqrt(len(rows)))
+            tstats[c] = float(means[c] / (stds[c] / np.sqrt(len(rows))))
         else:
             tstats[c] = float("nan") if c.startswith("diff_") else None
     result["stats"] = {"mean": means, "std": stds, "paired_t": tstats}
 
-    with open(out_csv, "w") as fh:
-        fh.write(",".join(["seed"] + cols) + "\n")
-        for row in rows:
-            fh.write(",".join([str(row["seed"])]
-                              + [repr(float(row[c])) for c in cols]) + "\n")
-        fh.write(",".join(["mean"] + [repr(means[c]) for c in cols]) + "\n")
-        fh.write(",".join(["std"] + [repr(stds[c]) for c in cols]) + "\n")
-        fh.write(",".join(["paired_t"]
-                          + ["" if tstats[c] is None else repr(tstats[c])
-                             for c in cols]) + "\n")
+    # one row per seed, then one per statistic
+    _write_csv(out_csv, ["seed"] + cols,
+               [[row["seed"], *(row[c] for c in cols)] for row in rows]
+               + [[label, *(stat[c] for c in cols)]
+                  for label, stat in result["stats"].items()])
 
     curve_path = os.path.splitext(out_csv)[0] + "_curves.csv"
     curves = []
     for path, agg in zip(run_dirs, aggs):
         data = np.genfromtxt(os.path.join(path, "curve_mean.csv"),
                              delimiter=",", skip_header=1, ndmin=2)
-        curves.append(data[:, 1])
-    with open(curve_path, "w") as fh:
-        fh.write(",".join(["t"] + names) + "\n")
-        for t in range(len(curves[0])):
-            fh.write(",".join([str(t)] + [repr(float(c[t]))
-                                          for c in curves]) + "\n")
+        curves.append(data[:, 1].tolist())
+    _write_csv(curve_path, ["t"] + names,
+               zip(range(len(curves[0])), *curves))
     return result

@@ -11,6 +11,7 @@ buffer.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,30 +69,26 @@ class DefenseConfig:
              "stats_window must be an integer >= warmup_count"))
 
 
-@dataclass(frozen=True)
-class RewardPipelineRecord:
-    """Trace of one reward through attack, clip, and filter stages."""
+ACCEPTED = "accepted"
+DISCARDED = "discarded"
+
+
+class RewardPipelineRecord(NamedTuple):
+    """Trace of one reward through attack, clip, and filter stages, its
+    fields named as the pipeline log names them."""
     t: int
     raw: float
     post_attack: float
     clipped: float
-    accepted: bool
-    value: float          # reward handed to the learner; NaN when discarded
-    mean_snapshot: float
-    std_snapshot: float
+    decision: str         # ACCEPTED or DISCARDED
+    mean: float           # mean and std of the accepted window before it
+    std: float
     triggered: bool
+    value: float          # reward for the learner, NaN if discarded; unlogged
 
-    def to_json_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "raw": self.raw,
-            "post_attack": self.post_attack,
-            "clipped": self.clipped,
-            "decision": "accepted" if self.accepted else "discarded",
-            "mean": self.mean_snapshot,
-            "std": self.std_snapshot,
-            "triggered": self.triggered,
-        }
+
+# the logged fields, in log order: every record field but the value
+PIPELINE_LOG_FIELDS = RewardPipelineRecord._fields[:-1]
 
 
 def attack(cfg: AttackConfig, r: float, rng: np.random.Generator) -> float:
@@ -197,9 +194,9 @@ class RewardPipeline:
         if accepted:
             self._accepted.push(clipped)     # a no-op without a defense
         return RewardPipelineRecord(
-            t=t, raw=float(raw), post_attack=float(post), clipped=clipped,
-            accepted=accepted, value=clipped if accepted else float("nan"),
-            mean_snapshot=mean, std_snapshot=std, triggered=triggered)
+            t, float(raw), float(post), clipped,
+            ACCEPTED if accepted else DISCARDED, mean, std, triggered,
+            clipped if accepted else float("nan"))
 
     def get_state(self) -> dict:
         return {

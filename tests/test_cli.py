@@ -58,11 +58,15 @@ def test_run_twice_then_compare(tmp_path):
      "sweep[0]: env.mode.kind: 'mode' is not an object"),
     (["run", "sweep_kind_x.json"],
      "sweep[0]: env.mode.kind.x: 'mode' is not an object"),
+    (["run", "sweep_bad_point.json"],
+     "tau=-1: invalid spec: env.harvest: tau must be >= 0"),
+    (["run", "sweep_empty.json"], 'sweep[0]: needs a "path" string and a '
+     'non-empty "values" list'),
 ], ids=["bad_spec", "missing_spec", "missing_run_dir", "malformed_sweep",
         "untrainable_agent", "non_integer_window", "non_real_field",
         "non_real_env_field", "non_integer_topology", "nan_env_field",
         "non_integer_fading_block", "sweep_through_string",
-        "sweep_below_string"])
+        "sweep_below_string", "sweep_invalid_point", "sweep_empty_values"])
 def test_user_error_is_one_line(argv, named, tmp_path):
     (tmp_path / "bad.json").write_text(json.dumps(
         {"name": "bad", "agent": {"kind": "td3", "policy_delay": 0}}))
@@ -80,6 +84,10 @@ def test_user_error_is_one_line(argv, named, tmp_path):
         (tmp_path / f"{name}.json").write_text(json.dumps(
             {"name": "bad", "env": {"mode": "passive"},
              "sweep": [{"path": path, "values": ["active"]}]}))
+    for name, values in (("sweep_bad_point", [10, -1]), ("sweep_empty", [])):
+        (tmp_path / f"{name}.json").write_text(json.dumps(
+            {"name": "bad", "agent": {"kind": "random"}, "total_steps": 5,
+             "sweep": [{"path": "env.harvest.tau", "values": values}]}))
     for name, env in (("env_penalty", {"penalty_weight": "x"}),
                       ("env_count", {"topology": {"A": 2.5}}),
                       ("env_nan", {"harvest": {"tau": float("nan")}}),

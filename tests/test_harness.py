@@ -47,7 +47,7 @@ class TestRunSingle:
         d1, d2 = tmp_path / "a", tmp_path / "b"
         s1 = run_single(spec, 0, str(d1))
         s2 = run_single(spec, 0, str(d2))
-        assert s1.to_json_dict() == s2.to_json_dict()
+        assert s1.stats == s2.stats
         assert (d1 / "steps.jsonl").read_bytes() == \
                (d2 / "steps.jsonl").read_bytes()
         assert (d1 / "summary.json").read_bytes() == \
@@ -59,10 +59,10 @@ class TestRunSingle:
         spec = tiny_spec(steps=400)
         summary = run_single(spec, 3, str(tmp_path))
         replayed = replay_summary(str(tmp_path / "steps.jsonl"))
-        assert replayed["steps"] == summary.steps
+        assert replayed["steps"] == summary.stats["steps"]
         for key in ("converged_mean", "mode_fraction_active",
                     "mode_fraction_passive", "mean_energy_J"):
-            assert replayed[key] == pytest.approx(getattr(summary, key),
+            assert replayed[key] == pytest.approx(summary.stats[key],
                                                   abs=1e-9)
 
     def test_wall_clock_not_in_summary_json(self, tmp_path):
@@ -106,6 +106,12 @@ class TestRunExperiment:
 def rewards(loop) -> list:
     """The reward column of a loop's step log."""
     return loop.step_log["reward"]
+
+
+def pipeline_log(loop) -> list:
+    """A loop's pipeline log, one dict per step as pipeline.jsonl holds."""
+    log = loop.pipeline_log
+    return [dict(zip(log, row)) for row in zip(*log.values())]
 
 
 LEARNER_CONFIGS = {"sac": hr.SacConfig, "ddpg": hr.DdpgConfig,
@@ -169,8 +175,39 @@ class TestCheckpoints:
         steps_path.write_text("".join(json.dumps(dict(zip(log, row))) + "\n"
                                       for row in zip(*log.values())))
         replay = replay_summary(str(steps_path))
-        assert summary.steps == len(summary.curve) == replay["steps"] == 100
-        assert {k: getattr(summary, k) for k in replay} == replay
+        assert (summary.stats["steps"] == len(summary.curve)
+                == replay["steps"] == 100)
+        assert {k: summary.stats[k] for k in replay} == replay
+
+    def test_resumed_pipeline_log_continues_the_log(self, tmp_path):
+        # the checkpoint falls after the filter's warm-up and before its
+        # window of accepted rewards is full, with the attack firing
+        spec = tiny_spec(
+            agent_kind="sac",
+            agent=hr.SacConfig(warmup_steps=30, batch=4, hidden=(12, 12)),
+            attack=hr.AttackConfig(kind="invert", threshold=0.2,
+                                   trigger_window=5),
+            defense=hr.DefenseConfig(warmup_count=10, stats_window=200),
+            steps=220)
+        straight = build_loop(spec, 0)
+        straight.run(220)
+        loop = build_loop(spec, 0)
+        loop.run(120)
+        path = str(tmp_path / "ck.pkl")
+        save_checkpoint(path, loop)
+        resumed = build_loop(spec, 0)
+        load_checkpoint(path, resumed)
+        resumed.run(100)
+        expected, got = pipeline_log(straight)[120:], pipeline_log(resumed)
+        assert len(got) == 100
+        for want, rec in zip(expected, got):
+            assert list(rec) == list(want)
+            for key in want:
+                assert rec[key] == want[key], (rec["t"], key)
+        for log in (pipeline_log(loop), got):
+            decisions = {rec["decision"] for rec in log}
+            assert decisions == {"accepted", "discarded"}
+            assert any(rec["triggered"] for rec in log)
 
     # version 1 checkpoints hold h_b as a list of per-receiver columns;
     # version 2 ones hold each net and Adam moment as a list of per-layer
@@ -349,7 +386,7 @@ ARTIFACT_SHA256 = {
     "sac_defended/summary.json":
         "74a273779ab56958814df3ef8911e2fbdc3618070308b5d735a0f2a0a783c6bd",
     "table.csv":
-        "bc44672728b3b63600f889a3ce29e84e6c53aa4f084366bc81c0627e825b1b7d",
+        "7c759750c40153b82c1f97daf3ababf79cf054c8b1bf21d046ae138be56109c4",
     "table_curves.csv":
         "9d9d27c1f278bdbce137f3dd6a79fc5174bc851c8e8bd85a838fb909b2ec86bf",
 }
@@ -568,6 +605,12 @@ class TestSpecParsing:
         with pytest.raises(SpecError, match=r"sweep\[1\]"):
             expand_sweep(d)
 
+    def test_empty_sweep_values_rejected(self):
+        # an empty list would run no point and still report success
+        d = {"sweep": [{"path": "env.harvest.tau", "values": []}]}
+        with pytest.raises(SpecError, match=r"sweep\[0\]: .*non-empty"):
+            expand_sweep(d)
+
     def test_agent_config_of_another_kind_rejected(self):
         with pytest.raises(SpecError, match="td3"):
             ExperimentSpec(name="x", agent_kind="td3", agent=hr.SacConfig())
@@ -594,6 +637,22 @@ class TestSweepRun:
         res = run_spec_dict(d, str(tmp_path), workers=1)
         frac = {r["name"]: r["mode_fraction_active"] for r in res}
         assert frac["tausweep_tau=10"] > frac["tausweep_tau=40"]
+
+    @pytest.mark.parametrize("path,values,message", [
+        ("env.harvest.tau", [10, -1],
+         "tau=-1: invalid spec: env.harvest: tau must be >= 0"),
+        ("agent.kind", ["random", "bogus"],
+         "kind=bogus: invalid spec: agent.kind: unknown kind 'bogus'"),
+    ], ids=["tau", "agent_kind"])
+    def test_invalid_point_refused_before_any_point_runs(
+            self, tmp_path, path, values, message):
+        d = {"name": "s", "agent": {"kind": "random"}, "seeds": [0],
+             "total_steps": 5, "sweep": [{"path": path, "values": values}]}
+        out = tmp_path / "out"
+        with pytest.raises(SpecError) as err:
+            run_spec_dict(d, str(out), workers=1)
+        assert str(err.value) == message
+        assert not out.exists()
 
 
 
@@ -641,6 +700,26 @@ class TestCompare:
         assert res["rows"][0]["diff_t2_vs_t1"] == 0.0
         curves = (tmp_path / "table_curves.csv").read_text().splitlines()
         assert curves[0] == "t,t1,t2" and len(curves) == 2
+
+    def test_table_cells_are_numbers(self, tmp_path):
+        # past the header and the label column every cell is a number, the
+        # paired t statistic included
+        dirs = [str(tmp_path / name) for name in ("h", "a")]
+        run_experiment(tiny_spec(name="h", steps=150, seeds=(0, 1, 2)),
+                       dirs[0], workers=1)
+        run_experiment(ExperimentSpec(
+            name="a", env=tiny_env(mode=hr.RisMode.active()),
+            agent_kind="random", seeds=(0, 1, 2), total_steps=150),
+            dirs[1], workers=1)
+        out = tmp_path / "table.csv"
+        res = compare(dirs, str(out))
+        assert type(res["stats"]["paired_t"]["diff_a_vs_h"]) is float
+        lines = out.read_text().splitlines()
+        assert lines[-1].startswith("paired_t,")
+        for line in lines[1:]:
+            for cell in line.split(",")[1:]:
+                if cell:
+                    float(cell)
 
     def test_shared_name_rejected(self, tmp_path):
         dirs = [str(tmp_path / d) for d in ("a", "b")]

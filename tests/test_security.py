@@ -8,10 +8,16 @@ import pytest
 
 from hybridris.harness import SpecError, build_spec
 from hybridris.numerics import make_rng
-from hybridris.security import (AttackConfig, DefenseConfig, RewardPipeline,
+from hybridris.security import (ACCEPTED, DISCARDED, PIPELINE_LOG_FIELDS,
+                                AttackConfig, DefenseConfig, RewardPipeline,
                                 _Window, attack, defend)
 
 NAN = float("nan")
+
+
+def log_record(rec) -> dict:
+    """A pipeline record as pipeline.jsonl logs it."""
+    return dict(zip(PIPELINE_LOG_FIELDS, rec))
 
 
 class TestAttack:
@@ -113,12 +119,12 @@ class TestRewardFilter:
     def test_warmup_accepts_everything(self):
         p = RewardPipeline(None, DefenseConfig(warmup_count=10))
         for i in range(10):
-            assert p.step(float(i) * 100).accepted  # wild values
+            assert p.step(float(i) * 100).decision == ACCEPTED  # wild values
 
     def test_stats_over_recent_window(self):
         p = RewardPipeline(None, DefenseConfig(warmup_count=2, stats_window=4))
         for v in (1.0, 1.1, 1.05, 1.0, 0.98):
-            assert p.step(v).accepted
+            assert p.step(v).decision == ACCEPTED
         # only the stats_window most recent accepted rewards count
         mean, std = p.stats()
         assert mean == pytest.approx(np.mean([1.1, 1.05, 1.0, 0.98]))
@@ -136,9 +142,10 @@ class TestPipeline:
     def test_passthrough_without_attack_or_defense(self):
         p = RewardPipeline(None, None)
         rec = p.step(1.2)
-        assert rec.accepted and rec.value == 1.2 and rec.post_attack == 1.2
+        assert (rec.decision == ACCEPTED and rec.value == 1.2
+                and rec.post_attack == 1.2)
         rec = p.step(5.0)
-        assert rec.accepted and rec.value == 2.0  # clipped
+        assert rec.decision == ACCEPTED and rec.value == 2.0  # clipped
 
     def test_composed_invert_then_discard(self):
         atk = AttackConfig(kind="invert", threshold=0.5, trigger_window=1)
@@ -151,7 +158,7 @@ class TestPipeline:
         assert rec.triggered
         assert rec.post_attack == -1.2
         assert rec.clipped == -1.2
-        assert not rec.accepted
+        assert rec.decision == DISCARDED
         assert np.isnan(rec.value)
 
     def test_warmup_steps_always_accepted_and_clean(self):
@@ -160,7 +167,7 @@ class TestPipeline:
         p = RewardPipeline(atk, dfn, rng=make_rng(1))
         for i in range(10):
             rec = p.step(1.0)
-            assert rec.accepted
+            assert rec.decision == ACCEPTED
             assert rec.post_attack == rec.raw  # attack held off in warmup
             assert not rec.triggered
 
@@ -202,7 +209,7 @@ class TestPipeline:
         dfn = DefenseConfig(chi=2.0, warmup_count=10, stats_window=200)
         p = RewardPipeline(None, dfn)
         rng = make_rng(7)
-        decisions = [p.step(float(rng.uniform(0.5, 1.5))).accepted
+        decisions = [p.step(float(rng.uniform(0.5, 1.5))).decision == ACCEPTED
                      for _ in range(5000)]
         discard_rate = 1.0 - np.mean(decisions)
         assert discard_rate <= 1.0 / 2.0 ** 2
@@ -216,7 +223,7 @@ class TestPipeline:
 
         def run():
             p = RewardPipeline(atk, dfn, rng=make_rng(9))
-            return [json.dumps(p.step(r).to_json_dict()) for r in rewards]
+            return [json.dumps(log_record(p.step(r))) for r in rewards]
 
         assert run() == run()
 
@@ -229,10 +236,10 @@ class TestPipeline:
             p.step(float(rng.uniform(0, 2)))
         st = p.get_state()
         tail = [float(x) for x in rng.uniform(0, 2, 50)]
-        expected = [p.step(r).to_json_dict() for r in tail]
+        expected = [log_record(p.step(r)) for r in tail]
         q = RewardPipeline(atk, dfn, rng=make_rng(12))
         q.set_state(st)
-        got = [q.step(r).to_json_dict() for r in tail]
+        got = [log_record(q.step(r)) for r in tail]
         assert expected == got
 
 
@@ -246,7 +253,7 @@ PIN_ATTACKS = {
 }
 PIN_DEFENSE = DefenseConfig(chi=2.0, warmup_count=12, stats_window=60)
 
-# sha256 of the pipeline log (one json.dumps(to_json_dict()) line per
+# sha256 of the pipeline log (one json.dumps line of the logged fields per
 # reward) for 300 rewards on a slow sine plus noise, with a spike every 37th
 # step: the records cover triggers switching on and off, clipping and
 # discards. At step 150 the state is pickled and restored into a fresh
@@ -286,7 +293,7 @@ def test_pipeline_log_digest_pinned(name):
             st = pickle.loads(pickle.dumps(p.get_state()))
             p = RewardPipeline(atk, dfn, rng=make_rng(15))
             p.set_state(st)
-        digest.update((json.dumps(p.step(float(r)).to_json_dict())
+        digest.update((json.dumps(log_record(p.step(float(r))))
                        + "\n").encode())
     assert digest.hexdigest() == PIPELINE_LOG_SHA256[name]
 
@@ -325,7 +332,8 @@ def test_discarded_transitions_never_reach_buffer():
         seeds=(0,), total_steps=400)
     loop = build_loop(spec, 0)
     loop.run(400)
-    recs = loop.pipeline_records
+    log = loop.pipeline_log
+    recs = [dict(zip(log, row)) for row in zip(*log.values())]
     accepted_values = [r for rec, r in
                        zip(recs, (json.loads(json.dumps(rec))["clipped"]
                                   for rec in recs))
