@@ -6,8 +6,12 @@ All agents share one loop contract: ``act(obs, t)`` returns an action in
 [-1, 1]^dim, ``observe(s, a, r, s2)`` stores a transition (the caller
 decides whether a transition is stored at all, e.g. when a reward filter
 discards it), and ``update(t)`` performs one gradient step once the warmup
-phase is over. Every stochastic choice comes from the agent's own generator
-so a (seed, config) pair replays bit-for-bit.
+phase is over. ``open_loop_steps(t, n)`` says how many of the n steps from
+t on act without reading the observation (the random agent's steps and a
+learner's warmup), and ``open_loop_actions(k)`` draws the actions of k such
+steps at once, from the stream k calls of ``act`` would use. Every
+stochastic choice comes from the agent's own generator so a (seed, config)
+pair replays bit-for-bit.
 """
 
 import math
@@ -25,9 +29,10 @@ TANH_EPS = 1e-6
 HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 
 
-def random_action(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Uniform action in [-1, 1]^dim."""
-    return rng.uniform(-1.0, 1.0, dim)
+def random_action(rng: np.random.Generator, dim: int, k: int = None):
+    """Uniform action in [-1, 1]^dim, or k of them as rows: one draw of k
+    rows takes the stream and leaves the generator as k single draws do."""
+    return rng.uniform(-1.0, 1.0, dim if k is None else (k, dim))
 
 
 def _clip_unit(x: np.ndarray) -> np.ndarray:
@@ -170,6 +175,12 @@ class RandomAgent:
     def act(self, obs, t: int, deterministic: bool = False):
         return random_action(self.rng, self.act_dim)
 
+    def open_loop_steps(self, t: int, n: int) -> int:
+        return n
+
+    def open_loop_actions(self, k: int) -> np.ndarray:
+        return random_action(self.rng, self.act_dim, k)
+
     def observe(self, s, a, r, s2):
         pass
 
@@ -197,6 +208,12 @@ class _OffPolicyAgent:
         self.act_dim = act_dim
         self.rng = make_rng(seed)
         self.buffer = ReplayBuffer(self.cfg.buffer_capacity, obs_dim, act_dim)
+
+    def open_loop_steps(self, t: int, n: int) -> int:
+        return min(n, max(0, self.cfg.warmup_steps - t))
+
+    def open_loop_actions(self, k: int) -> np.ndarray:
+        return random_action(self.rng, self.act_dim, k)
 
     def observe(self, s, a, r, s2):
         self.buffer.store(s, a, r, s2)

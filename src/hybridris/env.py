@@ -9,7 +9,10 @@ surface amplifies without enough harvest. Runs have no terminal state; a
 Channels are drawn a block of slots at a time. Everything a step needs
 that its action does not change (harvest, surface setting, power cap,
 penalty, energy bill, noise variance and the channel part of the
-observation) is worked out for the whole block at once.
+observation) is worked out for the whole block at once. ``step`` also
+takes a stack of actions, for steps whose actions do not depend on the
+observations in between, and scores them against consecutive slots in one
+pass, with the same bits as one step at a time.
 
 Observation layout (flat float64 vector, length 2 + 2RA + 2RB + 2AW + 2AB
 + R + 2):
@@ -41,8 +44,8 @@ import numpy as np
 from . import phy, ris
 from .channel import (CascadeSpec, ChannelBlock, FadingMode, Topology,
                       sample_channel_set, slot_draws)
-from .numerics import (make_rng, raise_broken, require_reals, restore_rng,
-                       rng_state)
+from .numerics import (count_set, make_rng, raise_broken, require_reals,
+                       restore_rng, rng_state)
 from .phy import NoiseParams, PowerConstraint
 from .ris import (ACTIVE, ActiveParams, ConsumptionParams, HarvestParams,
                   PassiveParams, RisMode)
@@ -77,21 +80,10 @@ class EnvConfig:
         return replace(self, **kwargs)
 
 
-class SlotSetting(NamedTuple):
-    """What one slot fixes for its step, whatever the action."""
-    resolved: str        # logged mode, "active" or "passive"
-    n_active: int        # leading amplifying elements
-    alpha: float         # their gain (1.0 on passive slots)
-    cap: float           # transmit power ceiling
-    noise_var: float     # receiver noise variance
-    penalty: float       # energy-shortfall penalty
-    energy: float        # energy bill (J)
-    E_total: float       # harvested total (J)
-    mode_flag: float     # 1.0 active, 0.0 passive
-
-
 class StepOutcome(NamedTuple):
-    """One step, its fields named as the step log names them."""
+    """One step, its fields named as the step log names them; for a block
+    of steps, each field holds one entry per step (the observations as
+    rows of one array)."""
     observation: np.ndarray
     reward: float        # sum_rate - penalty
     sum_rate: float
@@ -118,17 +110,20 @@ def action_size(topo: Topology) -> int:
 
 
 def _split_action(a, topo: Topology):
-    """The raw complex beamformer and the wrapped phases of a flat action.
+    """The raw complex beamformer and the wrapped phases of a flat action,
+    or of each action stacked on leading axes.
 
     Entries outside [-1, 1] are taken as they are: the projection onto the
     power cap keeps the beamformer feasible, and the phases wrap."""
-    a = np.asarray(a, dtype=float).ravel()
+    a = np.asarray(a, dtype=float)
     ab = topo.A * topo.B
-    if a.size != 2 * ab + topo.R:
-        raise ValueError(f"action length {a.size}, expected {2 * ab + topo.R}")
-    re = a[:ab].reshape(topo.A, topo.B)
-    im = a[ab:2 * ab].reshape(topo.A, topo.B)
-    return re + 1j * im, ris.wrap_phase((a[2 * ab:] + 1.0) * np.pi)
+    if a.shape[-1:] != (2 * ab + topo.R,):
+        raise ValueError(f"action shape {a.shape}, expected length "
+                         f"{2 * ab + topo.R} on the last axis")
+    shape = a.shape[:-1] + (topo.A, topo.B)
+    re = a[..., :ab].reshape(shape)
+    im = a[..., ab:2 * ab].reshape(shape)
+    return re + 1j * im, ris.wrap_phase((a[..., 2 * ab:] + 1.0) * np.pi)
 
 
 class RisCrnEnv:
@@ -138,18 +133,15 @@ class RisCrnEnv:
     def __init__(self, cfg: EnvConfig):
         self.cfg = cfg
         self._rng = None
-        self._channels = None     # the current slot's ChannelSet
         self._block = None        # drawn slots; the first _used are taken
         self._used = 0
         self._block_start = None  # generator state before the block's draw
         self._rows = None         # channel part of each slot's observation
-        self._settings = None     # SlotSetting per slot, made at first step
+        self._settings = None     # slot settings, made at the first step
         self._t = 0
         self._violations = 0
-        self._prev_G = None
-        self._prev_phases = None
-        self._prev_alpha = 0.0
-        self._prev_mode_flag = 0.0
+        # the previous step's beamformer, phases, gain and mode flag
+        self._prev = None
 
     @property
     def observation_size(self) -> int:
@@ -158,6 +150,13 @@ class RisCrnEnv:
     @property
     def action_size(self) -> int:
         return action_size(self.cfg.topo)
+
+    @property
+    def steps_in_block(self) -> int:
+        """Steps from the current one whose slots the drawn channel block
+        holds: a block of actions this long is scored in one pass."""
+        c, L, t = self._used - 1, self.cfg.fading.block_length, self._t
+        return (t // L + len(self._block) - c) * L - t
 
     @property
     def violations(self) -> int:
@@ -172,46 +171,105 @@ class RisCrnEnv:
         self._t = 0
         self._violations = 0
         topo = self.cfg.topo
-        self._prev_G = np.zeros((topo.A, topo.B), dtype=np.complex128)
-        self._prev_phases = np.zeros(topo.R)
-        self._prev_alpha = 0.0
-        self._prev_mode_flag = 0.0
-        return self._observe()
+        self._prev = (np.zeros((topo.A, topo.B), dtype=np.complex128),
+                      np.zeros(topo.R), 0.0, 0.0)
+        return np.concatenate((self._rows[0], np.zeros(2 * topo.A * topo.B
+                                                       + topo.R + 2)))
 
     def step(self, action) -> StepOutcome:
-        if self._channels is None:
+        """Scores one flat action, or a k x action_size array of actions
+        against the next k steps' slots, in one pass over a leading step
+        axis. Returns the step's outcome, or for k actions their outcomes
+        as one ``StepOutcome`` of per-step entries."""
+        if self._block is None:
             raise RuntimeError("call reset() before step()")
-        action = np.asarray(action, dtype=float)
-        if not np.logical_and.reduce(np.isfinite(action), axis=None):
-            raise ValueError(f"non-finite action at step {self._t}")
+        actions = np.asarray(action, dtype=float)
+        finite = np.isfinite(actions)
+        if count_set(finite) < finite.size:
+            bad = np.logical_and.reduce(finite, axis=-1).argmin()
+            raise ValueError(f"non-finite action at step {self._t + bad}")
+        out = self._score(actions)
+        # a block crossing the end of the drawn channels is scored in parts
+        while actions.ndim > 1 and len(out.reward) < len(actions):
+            rest = self._score(actions[len(out.reward):])
+            out = StepOutcome(np.concatenate((out[0], rest[0])),
+                              *(x + y for x, y in zip(out[1:], rest[1:])))
+        return out
+
+    def _score(self, actions) -> StepOutcome:
+        """Scores one action, or as many leading rows of a stack of them as
+        take slots of the current block, and moves to the step after them.
+        A single action is scored with no leading step axis and its slot's
+        settings as Python numbers; a stack reads them as per-slot arrays,
+        on a trailing axis of 1 where they broadcast against the elements
+        or the receivers."""
         cfg = self.cfg
         if self._settings is None:
             self._settings = self._slot_settings(self._block)
-        slot = self._settings[self._used - 1]
-
-        raw, phases = _split_action(action, cfg.topo)
-        G = phy.project_beamformer(raw, slot.cap)
-        refl = ris.build_reflection(phases, slot.n_active, slot.alpha, cfg.pp)
-        sinrs = phy.sinrs(self._channels, refl, G, slot.noise_var,
-                          cfg.ap.amp_noise_var, slot.n_active)
-        sum_rate = phy.rate_report(sinrs).sum_rate
+        values, settings, n_amp = self._settings
+        t0, c, L = self._t, self._used - 1, cfg.fading.block_length
+        # the block slot of each step and of the step after it
+        if actions.ndim == 1:
+            n, cur = 1, c
+            last = nxt = c + (t0 + 1) // L - t0 // L
+            (mode, E_total, alpha, energy, cap, penalty, n_active, noise_var,
+             amp_var, flag) = settings[c]
+            caps, gain, tail, amplifying = cap, alpha, values[c, 5:], n_active
+        else:
+            n = min(len(actions), self.steps_in_block)
+            actions = actions[:n]
+            if L == 1:
+                cur, nxt, last = (slice(c, c + n), slice(c + 1, c + n + 1),
+                                  c + n)
+                per_step = settings[cur]
+            else:
+                slots = [c + (t0 + i) // L - t0 // L for i in range(n + 1)]
+                cur, nxt, last = slots[:-1], slots[1:], slots[-1]
+                per_step = [settings[i] for i in cur]
+            mode, E_total, alpha, energy, cap, penalty, counts = \
+                list(zip(*per_step))[:7]
+            v = values[cur]
+            caps, gain, noise_var, amp_var, tail = (
+                v[:, 0], v[:, 5:6], v[:, 2:3], v[:, 3:4], v[:, 5:])
+            # a count shared by every slot is passed as it is
+            n_active = (counts[0] if counts.count(counts[0]) == n
+                        else v[:, 1:2])
+            amplifying = any(counts)
+        raw, phases = _split_action(actions, cfg.topo)
+        G = phy.project_beamformer(raw, caps)
+        refl = ris.build_reflection(phases, n_active, gain, cfg.pp)
+        blk = self._block
+        sinrs = phy.sinrs(blk.H_s[cur], blk.h_b[cur], refl, G, noise_var,
+                          amp_var, n_amp if amplifying else 0)
+        sum_rate = phy.rate_report(sinrs).sum_rate.tolist()
 
         # an unscaled G already has power <= cap; only a rescaled one can
         # round above it
-        if G is not raw and phy.tx_power(G) > slot.cap + CONSTRAINT_TOL:
-            self._violations += 1
+        if G is not raw:
+            self._violations += count_set(
+                phy.tx_power(G) > caps + CONSTRAINT_TOL)
 
-        self._prev_G = G
-        self._prev_phases = phases
-        self._prev_alpha = slot.alpha
-        self._prev_mode_flag = slot.mode_flag
-        self._t += 1
-        if self._t % cfg.fading.block_length == 0:
+        rows = self._rows
+        self._t = t0 + n
+        if last > c:
+            self._used = last
             self._next_slot(CHANNEL_BLOCK)
-
-        return StepOutcome(self._observe(), sum_rate - slot.penalty, sum_rate,
-                           slot.resolved, slot.E_total, slot.alpha,
-                           slot.energy, slot.cap, slot.penalty)
+        if last == len(rows):
+            # the step after the last takes the first slot of a fresh block
+            rows = np.concatenate((rows, self._rows[:1]))
+        if actions.ndim == 1:
+            self._prev = (G, phases, alpha, flag)
+            reward = sum_rate - penalty
+            obs = np.concatenate((rows[nxt], G.real, G.imag, phases, tail),
+                                 axis=None)
+        else:
+            self._prev = (G[-1], phases[-1], alpha[-1], float(tail[-1, 1]))
+            reward = [r - p for r, p in zip(sum_rate, penalty)]
+            G = G.reshape(n, -1)
+            obs = np.concatenate((rows[nxt], G.real, G.imag, phases, tail),
+                                 axis=1)
+        return StepOutcome(obs, reward, sum_rate, mode, E_total, alpha,
+                           energy, cap, penalty)
 
     def get_state(self) -> dict:
         """Snapshot for exact run continuation (channels, RNG position,
@@ -220,12 +278,13 @@ class RisCrnEnv:
         at a time."""
         if self._rng is None:
             raise RuntimeError("call reset() before get_state()")
-        ch = self._channels
+        ch = None if self._block is None else self._block[self._used - 1]
         rng = self._rng
         if ch is not None and self._used < len(self._block):
             rng = restore_rng(self._block_start)
             rng.standard_normal(
                 self._used * sum(slot_draws(self.cfg.topo, self.cfg.cascade)))
+        G, phases, alpha, flag = self._prev
         return {
             "rng": rng_state(rng),
             "channels": None if ch is None else {
@@ -237,29 +296,26 @@ class RisCrnEnv:
             },
             "t": self._t,
             "violations": self._violations,
-            "prev_G": self._prev_G.copy(),
-            "prev_phases": self._prev_phases.copy(),
-            "prev_alpha": self._prev_alpha,
-            "prev_mode_flag": self._prev_mode_flag,
+            "prev_G": G.copy(),
+            "prev_phases": phases.copy(),
+            "prev_alpha": alpha,
+            "prev_mode_flag": float(flag),
         }
 
     def set_state(self, st: dict):
         self._rng = restore_rng(st["rng"])
         chd = st["channels"]
-        self._block = self._channels = None
+        self._block = None
         if chd is not None:
             # the restored slot is a used-up block of one, so the next
             # refill draws from the restored generator
             self._start_block(ChannelBlock(
                 **{k: np.asarray(v)[None] for k, v in chd.items()}))
             self._used = 1
-            self._channels = self._block[0]
         self._t = int(st["t"])
         self._violations = int(st["violations"])
-        self._prev_G = st["prev_G"]
-        self._prev_phases = st["prev_phases"]
-        self._prev_alpha = float(st["prev_alpha"])
-        self._prev_mode_flag = float(st["prev_mode_flag"])
+        self._prev = (st["prev_G"], st["prev_phases"],
+                      float(st["prev_alpha"]), float(st["prev_mode_flag"]))
 
     def _next_slot(self, block: int):
         """Moves to the next slot; draws ``block`` slots when the current
@@ -269,7 +325,6 @@ class RisCrnEnv:
             self._start_block(sample_channel_set(
                 self._rng, self.cfg.topo, self.cfg.cascade, block))
         self._used += 1
-        self._channels = self._block[self._used - 1]
 
     def _start_block(self, block: ChannelBlock):
         """Makes ``block`` the current one, with its observation rows; its
@@ -285,8 +340,15 @@ class RisCrnEnv:
             block.H_p.real.reshape(n, -1), block.H_p.imag.reshape(n, -1),
         ], axis=1)
 
-    def _slot_settings(self, block: ChannelBlock) -> list:
-        """A ``SlotSetting`` for every slot of ``block``."""
+    def _slot_settings(self, block: ChannelBlock):
+        """What each slot of ``block`` fixes for its step, whatever the
+        action, and how many leading elements add amplifier noise on an
+        amplifying slot. The settings come as a float array with one row
+        per slot (cap, amplifying elements, noise variance, amplifier noise
+        variance, penalty, gain, mode flag), and as one tuple per slot of
+        the logged values (mode, harvested total, gain, energy bill, cap),
+        the penalty, the amplifying elements, the two variances and the
+        mode flag, all Python numbers."""
         cfg = self.cfg
         ledger = ris.harvest(block.h_PB, cfg.hp)
         resolved, n_active, alpha = ris.resolve_mode(
@@ -296,21 +358,20 @@ class RisCrnEnv:
         penalty = np.where(active, cfg.penalty_weight * shortfall, 0.0)
         noise_var = np.where(active, cfg.noise.sigma_a_sq,
                              cfg.noise.sigma_b_sq)
+        amp_var = np.where(n_active > 0, cfg.ap.amp_noise_var, 0.0)
         energy = ris.energy_consumed(n_active, alpha, cfg.topo.R, cfg.cp)
-        # a slot capped at P_t reports P_t itself, so an integer P_t from a
-        # spec is logged as that integer
+        cap = phy.power_cap(cfg.pc, block.g_sp)
+        # a slot capped at P_t logs P_t itself, so an integer P_t from a
+        # spec is logged as that integer; an integer gain stays one too
         P_t = cfg.pc.P_t
-        caps = [P_t if c == P_t else c
-                for c in phy.power_cap(cfg.pc, block.g_sp).tolist()]
-        return list(map(SlotSetting._make, zip(
-            resolved.tolist(), n_active.tolist(), alpha.tolist(), caps,
-            noise_var.tolist(), penalty.tolist(), energy.tolist(),
-            ledger.total.tolist(), active.astype(float).tolist())))
-
-    def _observe(self) -> np.ndarray:
-        G = self._prev_G
-        return np.concatenate((self._rows[self._used - 1], G.real, G.imag,
-                               self._prev_phases,
-                               (self._prev_alpha, self._prev_mode_flag)),
-                              axis=None)
-
+        settings = list(zip(
+            resolved.tolist(), ledger.total.tolist(), alpha.tolist(),
+            energy.tolist(), [P_t if c == P_t else c for c in cap.tolist()],
+            penalty.tolist(), n_active.tolist(), noise_var.tolist(),
+            amp_var.tolist(), active.astype(float).tolist()))
+        values = np.stack((cap, n_active, noise_var, amp_var, penalty, alpha,
+                           active), axis=1)
+        # resolve_mode amplifies the same leading elements on every
+        # amplifying slot, so one count serves the block
+        n_amp = int(n_active.max()) if cfg.ap.amp_noise_var else 0
+        return values, settings, n_amp

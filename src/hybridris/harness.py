@@ -150,27 +150,51 @@ class TrainingLoop:
         self.obs = self.env.reset(env_seed)
 
     def run(self, n_steps: int):
-        for _ in range(n_steps):
-            self.one_step()
+        """Runs ``n_steps`` steps. Steps whose actions do not read the
+        observation are scored a channel block at a time."""
+        end = self.t + n_steps
+        while self.t < end:
+            k = self.agent.open_loop_steps(self.t, end - self.t)
+            if k:
+                self._open_loop(min(k, self.env.steps_in_block))
+            else:
+                self.one_step()
 
     def one_step(self):
         a = self.agent.act(self.obs, self.t)
         out = self.env.step(a)
-        if self.pipeline is not None:
-            rec = self.pipeline.step(out.reward)
-            # the record holds the logged fields first, in log order
-            for column, value in zip(self.pipeline_log.values(), rec):
-                column.append(value)
-            if rec.decision == ACCEPTED:
-                self.agent.observe(self.obs, a, rec.value, out.observation)
-        else:
-            self.agent.observe(self.obs, a, out.reward, out.observation)
-        self.agent.update(self.t)
+        self._learn(a, out.reward, out.observation)
         # the outcome holds the logged fields after t, in log order
         for column, value in zip(self.step_log.values(), (self.t, *out[1:-1])):
             column.append(value)
         self.obs = out.observation
         self.t += 1
+
+    def _open_loop(self, k: int):
+        """The next ``k`` steps, whose actions the agent draws at once."""
+        actions = self.agent.open_loop_actions(k)
+        out = self.env.step(actions)
+        for a, r, s2 in zip(actions, out.reward, out.observation):
+            self._learn(a, r, s2)
+            self.obs = s2
+            self.t += 1
+        for column, values in zip(self.step_log.values(),
+                                  (range(self.t - k, self.t), *out[1:-1])):
+            column.extend(values)
+
+    def _learn(self, a, reward, s2):
+        """Passes step t's reward through the pipeline, stores the
+        transition unless the pipeline discards it, and updates."""
+        if self.pipeline is not None:
+            rec = self.pipeline.step(reward)
+            # the record holds the logged fields first, in log order
+            for column, value in zip(self.pipeline_log.values(), rec):
+                column.append(value)
+            if rec.decision == ACCEPTED:
+                self.agent.observe(self.obs, a, rec.value, s2)
+        else:
+            self.agent.observe(self.obs, a, reward, s2)
+        self.agent.update(self.t)
 
     def get_state(self) -> dict:
         return {
@@ -288,15 +312,21 @@ def _run_single_worker(args):
     return run_single(spec, seed, out_dir)
 
 
-def resolve_workers(n_jobs: int) -> int:
+def resolve_workers(n_jobs: int, requested: int = None) -> int:
+    """Worker processes for ``n_jobs`` jobs: ``requested``, else
+    HYBRIDRIS_WORKERS, else the CPU count, and never more than the jobs. A
+    fork-started pool starts every worker at its first submit, so a worker
+    beyond the jobs would only idle."""
     env_val = os.environ.get("HYBRIDRIS_WORKERS")
-    if env_val is not None:
+    if requested is None and env_val is not None:
         try:
-            return max(1, int(env_val))
+            requested = int(env_val)
         except ValueError:
             raise ValueError(f"HYBRIDRIS_WORKERS must be an integer, not "
                              f"{env_val!r}") from None
-    return max(1, min(n_jobs, os.cpu_count() or 1))
+    if requested is None:
+        requested = os.cpu_count() or 1
+    return max(1, min(n_jobs, requested))
 
 
 def run_experiment(spec: ExperimentSpec, out_dir: str = None,
@@ -309,8 +339,8 @@ def run_experiment(spec: ExperimentSpec, out_dir: str = None,
     jobs = [(spec, seed,
              None if out_dir is None else os.path.join(out_dir, f"seed_{seed}"))
             for seed in spec.seeds]
-    workers = resolve_workers(len(jobs)) if workers is None else workers
-    if workers > 1 and len(jobs) > 1:
+    workers = resolve_workers(len(jobs), workers)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             summaries = list(pool.map(_run_single_worker, jobs))
     else:

@@ -6,14 +6,12 @@ are linear watts internally; dB-valued config inputs are converted at
 config-load time.
 """
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .channel import ChannelSet
-from .numerics import raise_broken, require_reals
+from .numerics import count_set, raise_broken, require_reals
 
 
 @dataclass(frozen=True)
@@ -43,7 +41,7 @@ class PowerConstraint:
 class RateReport(NamedTuple):
     per_user_sinr: np.ndarray
     per_user_rate: np.ndarray
-    sum_rate: float
+    sum_rate: np.ndarray      # one per slot of the leading axes
 
 
 def db_to_linear(db: float) -> float:
@@ -61,50 +59,86 @@ def power_cap(pc: PowerConstraint, g_sp) -> np.ndarray:
                         pc.P_t)
 
 
-def tx_power(G: np.ndarray) -> float:
-    """Transmit power tr(G G^H) of a beamformer."""
-    return float((G @ G.conj().T).trace().real)
+def tx_power(G: np.ndarray) -> np.ndarray:
+    """Transmit power tr(G G^H) of an A x B beamformer, or of each of a
+    stack of them (leading axes kept)."""
+    # the diagonal's sum, as ndarray.trace takes it, without trace's
+    # argument handling
+    gram = G @ G.conj().swapaxes(-1, -2)
+    return np.add.reduce(gram.diagonal(0, -2, -1), axis=-1).real
 
 
-def project_beamformer(G: np.ndarray, cap: float) -> np.ndarray:
-    """Scale G down (never up) so tr(G G^H) <= cap.
+def project_beamformer(G: np.ndarray, cap) -> np.ndarray:
+    """Scale each beamformer of ``G`` (A x B, or a stack with leading axes
+    that ``cap`` broadcasts against) down, never up, so tr(G G^H) <= cap.
 
-    Feasible inputs pass through unchanged; infeasible ones are rescaled by
+    Feasible beamformers pass through unchanged, and when every one is
+    feasible ``G`` itself is returned; infeasible ones are rescaled by
     sqrt(cap / power), which preserves the beam directions.
     """
-    if cap <= 0:
-        raise ValueError("cap must be > 0")
     power = tx_power(G)
-    if power <= cap:
+    over = power > cap
+    if not count_set(over):
         return G
-    return G * math.sqrt(cap / power)
+    if count_set(cap <= 0):
+        raise ValueError("cap must be > 0")
+    if not over.ndim:
+        # a lone beamformer takes its scale as a scalar, which costs less
+        # than broadcasting a 1 x 1 array
+        return G * np.sqrt(cap / power)
+    scale = np.sqrt(cap / np.maximum(power, cap))[..., None, None]
+    # the feasible ones are selected, not scaled by 1, so every bit of them
+    # (the sign of a zero included) passes through
+    return np.where(over[..., None, None], G * scale, G)
 
 
-def sinrs(ch: ChannelSet, refl: np.ndarray, G: np.ndarray, noise_var: float,
-          amp_noise_var: float = 0.0, n_amp=None) -> np.ndarray:
+def _cmul_apart(x, y):
+    """``x * y`` with each real product rounded on its own, as Python's
+    complex multiply and numpy's loop for a lone broadcast pair round it;
+    numpy's vector loop fuses a multiply into each add instead."""
+    out = np.empty(np.broadcast(x, y).shape, complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
+def sinrs(H_s: np.ndarray, h_b: np.ndarray, refl: np.ndarray, G: np.ndarray,
+          noise_var, amp_noise_var=0.0, n_amp=None) -> np.ndarray:
     """SINR at every SU receiver through the reflection vector ``refl``.
 
     Receiver b sees the cascaded link h_b^T diag(refl) H_s G; the beams
     intended for the other receivers are its interference. The first
     ``n_amp`` elements (all when None) amplify and add the thermal noise
     they re-radiate, amp_noise_var * |h_b,r refl_r|^2 summed over them. A
-    passive surface is n_amp = 0 or amp_noise_var = 0; its noise term is
-    left out, which is exact, as interference + 0.0 is the interference.
+    passive surface is n_amp = 0, which leaves the noise term out; a slot
+    with amp_noise_var = 0 adds it as 0.0. Both are exact, as
+    interference + 0.0 is the interference.
+
+    One slot is H_s (R x A), h_b (R x B), refl (R) and G (A x B); each may
+    carry leading slot axes, and the SINRs (receivers on the last axis)
+    keep them. ``noise_var`` and ``amp_noise_var`` broadcast against the
+    SINRs: scalars, or per-slot values with a trailing axis of 1.
     """
-    hrow = ch.h_b.T * refl                       # B x R
-    powers = np.abs(hrow @ ch.H_s @ G) ** 2      # receiver x beam
-    signal = powers.diagonal()
-    interf = np.add.reduce(powers, axis=1) - signal
-    if n_amp != 0 and amp_noise_var != 0:
-        amp = hrow if n_amp is None else hrow[:, :n_amp]
-        interf += amp_noise_var * np.add.reduce(np.abs(amp) ** 2, axis=1)
-    return signal / (interf + noise_var)
+    h = h_b.swapaxes(-1, -2)                     # B x R
+    r = refl[..., None, :]
+    # with one receiver and one element the former one-slot product rounded
+    # each part apart; so does this, for every stack of such slots
+    hrow = _cmul_apart(h, r) if h.shape[-2:] == (1, 1) else h * r
+    powers = np.abs(hrow @ H_s @ G) ** 2         # receiver x beam
+    signal = powers.diagonal(0, -2, -1)
+    interf = np.add.reduce(powers, axis=-1) - signal
+    if n_amp != 0:
+        amp = hrow if n_amp is None else hrow[..., :n_amp]
+        interf += amp_noise_var * np.add.reduce(np.abs(amp) ** 2, axis=-1)
+    interf += noise_var
+    return signal / interf
 
 
 def rate_report(sinrs) -> RateReport:
-    """Per-user rates log2(1 + sinr) and their sum."""
+    """Per-user rates log2(1 + sinr) and their sum, per slot of any
+    leading axes."""
     lam = np.asarray(sinrs, dtype=float)
-    if not np.logical_and.reduce(lam >= 0, axis=None):
+    if count_set(lam >= 0) < lam.size:
         raise ValueError("SINR values must be >= 0 and not NaN")
     rates = np.log2(1.0 + lam)
-    return RateReport(lam, rates, float(np.add.reduce(rates, axis=None)))
+    return RateReport(lam, rates, np.add.reduce(rates, axis=-1))

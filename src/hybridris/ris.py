@@ -12,9 +12,8 @@ Covers four operating modes:
 
 Each slot, ``resolve_mode`` turns any of them into one setting: the logged
 mode, how many leading elements amplify and their gain. Reflection and
-energy bill read only that setting. Harvest, setting and bill depend on the
-slot's channels alone, so their functions take arrays with a leading slot
-axis and work out a whole block of slots at once.
+energy bill read only that setting. Every function here takes arrays with
+leading slot axes, so a whole block of slots is worked out at once.
 
 Harvested energy is collected fresh each slot from a dedicated power beacon;
 there is no battery carry-over between slots.
@@ -160,8 +159,14 @@ def passive_amplitude(eps, p: PassiveParams):
     """
     # eps - 0 is eps, so a zero offset skips the subtraction
     shifted = eps - p.offset_l if p.offset_l else eps
-    shaped = ((np.sin(shifted) + 1.0) / 2.0) ** p.exponent
-    return (1.0 - p.beta_min) * shaped + p.beta_min
+    # the same operations in the same order, in place on sin's result
+    beta = np.sin(shifted)
+    beta += 1.0
+    beta /= 2.0
+    beta **= p.exponent
+    beta *= 1.0 - p.beta_min
+    beta += p.beta_min
+    return beta
 
 
 def harvest(h_PB: np.ndarray, hp: HarvestParams) -> EnergyLedger:
@@ -219,21 +224,29 @@ def wrap_phase(eps):
     return np.mod(eps, 2.0 * np.pi)
 
 
-def build_reflection(phases, n_active: int, gain: float,
-                     pp: PassiveParams) -> np.ndarray:
-    """Per-element reflection coefficients (length R) for one slot.
+def build_reflection(phases, n_active, gain, pp: PassiveParams) -> np.ndarray:
+    """Per-element reflection coefficients (length R) for one slot, or for
+    each slot of a stack: ``phases`` then carries leading slot axes, and
+    ``gain`` holds one value per slot on a trailing axis of 1.
+    ``n_active`` is one count for every slot, or an array of them shaped
+    like ``gain``.
 
     The first ``n_active`` elements amplify at ``gain``; the rest reflect
     passively with beta(eps_r). Every element applies its phase e^{j eps_r};
     phases outside [0, 2*pi) are wrapped, never rejected.
     """
-    eps = wrap_phase(np.asarray(phases, dtype=float).ravel())
+    eps = wrap_phase(np.asarray(phases, dtype=float))
     rotation = np.exp(1j * eps)
-    if n_active == eps.size:
+    R = eps.shape[-1]
+    if isinstance(n_active, np.ndarray):
+        mag = np.where(np.arange(R) < n_active, gain,
+                       passive_amplitude(eps, pp))
+    elif n_active == R:
         return gain * rotation
-    mag = passive_amplitude(eps, pp)
-    if n_active:
-        mag[:n_active] = gain
+    else:
+        mag = passive_amplitude(eps, pp)
+        if n_active:
+            mag[..., :n_active] = gain
     return mag * rotation
 
 

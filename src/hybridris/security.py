@@ -164,15 +164,22 @@ class RewardPipeline:
         self._raw_history = _Window(
             attack_cfg.trigger_window if attack_cfg else 1)
         self._t = 0
+        self._stats = None   # stats() of the window as it is, once asked
 
     def stats(self):
         """Mean and std of the accepted rewards in the window. The std is
         the unbiased (n-1) estimate, floored so the acceptance band never
-        collapses to zero width."""
-        vals = self._accepted.values()
-        if vals.size < 2:
-            return (float(vals.mean()) if vals.size else 0.0, STD_FLOOR)
-        return float(vals.mean()), max(float(vals.std(ddof=1)), STD_FLOOR)
+        collapses to zero width. A discarded reward leaves the window as it
+        was, so the pair is worked out again only after a push."""
+        if self._stats is None:
+            vals = self._accepted.values()
+            if vals.size < 2:
+                self._stats = (float(vals.mean()) if vals.size else 0.0,
+                               STD_FLOOR)
+            else:
+                self._stats = (float(vals.mean()),
+                               max(float(vals.std(ddof=1)), STD_FLOOR))
+        return self._stats
 
     def step(self, raw: float) -> RewardPipelineRecord:
         t = self._t
@@ -193,6 +200,7 @@ class RewardPipeline:
             accepted, clipped = defend(dfn, mean, std, post)
         if accepted:
             self._accepted.push(clipped)     # a no-op without a defense
+            self._stats = None
         return RewardPipelineRecord(
             t, float(raw), float(post), clipped,
             ACCEPTED if accepted else DISCARDED, mean, std, triggered,
@@ -211,5 +219,6 @@ class RewardPipeline:
         self._raw_history = _Window(self._raw_history.size,
                                     st["raw_history"])
         self._accepted = _Window(self._accepted.size, st["accepted"])
+        self._stats = None
         if st["rng"] is not None:
             self.rng = restore_rng(st["rng"])

@@ -167,6 +167,34 @@ class TestRandomPolicy:
             assert np.array_equal(a.act(obs, t), b.act(obs, t))
 
 
+class TestOpenLoop:
+    @pytest.mark.parametrize("cls", [RandomAgent, SacAgent, DdpgAgent,
+                                     Td3Agent])
+    def test_block_draw_equals_single_draws(self, cls):
+        # one draw of k rows takes the stream k warm-up acts take and
+        # leaves the generator where they leave it
+        block, single = cls(OBS, ACT, seed=4), cls(OBS, ACT, seed=4)
+        obs = np.zeros(OBS)
+        for k in (1, 7, 64):
+            rows = block.open_loop_actions(k)
+            assert rows.shape == (k, ACT)
+            want = np.array([single.act(obs, t) for t in range(k)])
+            assert rows.tobytes() == want.tobytes()
+            assert rng_state(block.rng) == rng_state(single.rng)
+
+    @pytest.mark.parametrize("cls,cfg_cls", [
+        (SacAgent, SacConfig), (DdpgAgent, DdpgConfig),
+        (Td3Agent, Td3Config)])
+    def test_open_loop_steps_are_the_warmup_left(self, cls, cfg_cls):
+        agent = cls(OBS, ACT, cfg_cls(warmup_steps=100, batch=4,
+                                      hidden=(8, 8)), seed=0)
+        assert ([agent.open_loop_steps(t, 64) for t in (0, 60, 99, 100, 250)]
+                == [64, 40, 1, 0, 0])
+
+    def test_random_agent_never_reads_the_observation(self):
+        assert RandomAgent(OBS, ACT).open_loop_steps(10 ** 6, 64) == 64
+
+
 class TestSacPolicy:
     def test_log_std_clamped_and_actions_finite(self):
         ag = SacAgent(OBS, ACT, SacConfig(warmup_steps=0), seed=0)

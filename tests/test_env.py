@@ -12,7 +12,7 @@ from hybridris.env import (CHANNEL_BLOCK, STEP_LOG_FIELDS, EnvConfig,
                            observation_size)
 from hybridris.numerics import make_rng, rng_state
 from hybridris.phy import PowerConstraint, power_cap, project_beamformer
-from hybridris.ris import PassiveParams, RisMode
+from hybridris.ris import ActiveParams, HarvestParams, PassiveParams, RisMode
 from oracles import naive_active_sinr, naive_beta, naive_passive_rates
 
 
@@ -156,14 +156,17 @@ class TestStep:
         assert env.violations == 0
 
     def test_rescaled_beamformer_over_the_cap_is_counted(self, monkeypatch):
-        # the check runs on every rescaled beamformer; a faulty projection
-        # that leaves it over the cap is counted
+        # the check runs on every rescaled beamformer, one step or a block
+        # of them; a faulty projection that leaves it over the cap is
+        # counted once per step
         monkeypatch.setattr("hybridris.phy.project_beamformer",
                             lambda G, cap: G * 1e3)
         env = RisCrnEnv(EnvConfig())
         env.reset(0)
         env.step(np.ones(env.action_size))
         assert env.violations == 1
+        env.step(np.ones((5, env.action_size)))
+        assert env.violations == 6
 
     def test_action_log_replay_bitwise(self):
         rng = make_rng(5)
@@ -188,6 +191,18 @@ class TestStep:
             with pytest.raises(ValueError, match="step 1"):
                 env.step(a)
         assert env.violations == 0
+
+    def test_non_finite_action_in_a_block_names_its_step(self):
+        # a block is refused whole, naming the first bad row's step
+        env = RisCrnEnv(EnvConfig())
+        env.reset(0)
+        env.step(np.zeros(env.action_size))
+        actions = np.zeros((6, env.action_size))
+        actions[4, 0] = actions[5, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite action at step 5"):
+            env.step(actions)
+        out = env.step(np.zeros(env.action_size))
+        assert env.get_state()["t"] == 2 and np.isfinite(out.reward)
 
     def test_ideal_reflection_degenerate_case(self):
         cfg = small_cfg(mode=RisMode.passive(),
@@ -463,3 +478,53 @@ def test_edge_action_digest_pinned(name):
         digest.update((json.dumps(log_record(t, out)) + "\n").encode())
         digest.update(out.observation.tobytes())
     assert digest.hexdigest() == expected
+
+
+BLOCK_TOPOLOGIES = {
+    "A1B1R1W1": (Topology(A=1, B=1, R=1, W=1), CascadeSpec(1, 1, 1)),
+    "default": (Topology(), CascadeSpec()),
+    "A2B3R5W2": (Topology(A=2, B=3, R=5, W=2), CascadeSpec(2, 3, 1)),
+    "A3B2R8W1": (Topology(A=3, B=2, R=8, W=1), CascadeSpec(3, 5, 5)),
+    "A4B4R16W3": (Topology(A=4, B=4, R=16, W=3), CascadeSpec(5, 2, 3)),
+}
+BLOCK_ENVS = {
+    "passive": dict(mode=RisMode.passive()),
+    "active": dict(mode=RisMode.active()),
+    "fixed_hybrid_0.5": dict(mode=RisMode.fixed_hybrid(0.5)),
+    "dynamic": dict(),
+    "dynamic_fading_block_3": dict(fading=FadingMode(3)),
+    "dynamic_amp_noise_var_0": dict(ap=ActiveParams(amp_noise_var=0.0)),
+}
+
+
+@pytest.mark.parametrize("topo_name", list(BLOCK_TOPOLOGIES))
+@pytest.mark.parametrize("env_name", list(BLOCK_ENVS))
+def test_block_scoring_equals_one_step_at_a_time(topo_name, env_name):
+    # tau near the mean harvest mixes passive and amplifying slots in a
+    # block; I_thr = 1 makes the projection bind on some steps of a block
+    # and not on others; the blocks cross channel blocks at uneven points
+    topo, cascade = BLOCK_TOPOLOGIES[topo_name]
+    cfg = EnvConfig(topo=topo, cascade=cascade,
+                    hp=HarvestParams(tau=8.0 * topo.R),
+                    pc=PowerConstraint(P_t=10.0, I_thr=1.0),
+                    **BLOCK_ENVS[env_name])
+    actions = make_rng(9).uniform(-1.5, 1.5, (200, action_size(topo)))
+    single, block = RisCrnEnv(cfg), RisCrnEnv(cfg)
+    assert single.reset(3).tobytes() == block.reset(3).tobytes()
+    want = [single.step(a) for a in actions]
+    got, start = [], 0
+    for k in (1, 40, 64, 30, 65):
+        out = block.step(actions[start:start + k])
+        assert out.observation.shape == (k, single.observation_size)
+        got += [type(out)._make(row) for row in zip(*out)]
+        start += k
+    assert start == len(actions)
+    modes = {out.mode for out in want}
+    assert env_name != "dynamic" or modes == {"active", "passive"}
+    for t, (w, g) in enumerate(zip(want, got)):
+        assert json.dumps(log_record(t, g)) == json.dumps(log_record(t, w))
+        assert g.observation.tobytes() == w.observation.tobytes()
+        assert g.penalty == w.penalty
+    assert block.violations == single.violations
+    s_state, b_state = single.get_state(), block.get_state()
+    assert pickle.dumps(b_state) == pickle.dumps(s_state)

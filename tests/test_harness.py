@@ -82,6 +82,39 @@ class TestRunExperiment:
         assert (tmp_path / "seed_0" / "steps.jsonl").exists()
         assert (tmp_path / "curve_mean.csv").exists()
 
+    @pytest.mark.parametrize("env_workers,workers,seeds,expected", [
+        ("8", None, (0, 1), [2]), (None, 8, (0, 1), [2]),
+        ("8", 3, (0, 1, 2, 3), [3]), (None, 1, (0, 1), [])])
+    def test_pool_is_capped_at_the_job_count(self, monkeypatch, env_workers,
+                                             workers, seeds, expected):
+        # a fork-started pool starts all its workers at its first submit;
+        # the recording pool runs the jobs here and starts no process
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr("hybridris.harness.ProcessPoolExecutor",
+                            RecordingPool)
+        if env_workers is None:
+            monkeypatch.delenv("HYBRIDRIS_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("HYBRIDRIS_WORKERS", env_workers)
+        agg = run_experiment(tiny_spec(steps=20, seeds=seeds),
+                             workers=workers)
+        assert sizes == expected
+        assert agg["seeds"] == list(seeds)
+
     def test_parallel_matches_serial(self, tmp_path):
         spec = tiny_spec(steps=200, seeds=(0, 1))
         a = run_experiment(spec, str(tmp_path / "ser"), workers=1)
@@ -101,6 +134,33 @@ class TestRunExperiment:
         ra = replay_summary(str(tmp_path / "a" / "seed_0" / "steps.jsonl"))
         replay_savings = 1.0 - rh["mean_energy_J"] / ra["mean_energy_J"]
         assert savings == pytest.approx(replay_savings, abs=1e-9)
+
+
+class TestOpenLoopBlocks:
+    # run() scores open-loop steps a channel block at a time; one_step()
+    # scores one step; both must give every bit of the same run
+    @pytest.mark.parametrize("kind,agent", [
+        ("random", None),
+        ("sac", hr.SacConfig(warmup_steps=100, batch=4, hidden=(8, 8))),
+        ("td3", hr.Td3Config(warmup_steps=100, batch=4, hidden=(8, 8)))])
+    @pytest.mark.parametrize("defended", [False, True])
+    def test_run_equals_one_step_at_a_time(self, kind, agent, defended):
+        extra = dict(attack=hr.AttackConfig(kind="invert", threshold=0.2,
+                                            trigger_window=5),
+                     defense=hr.DefenseConfig(warmup_count=10,
+                                              stats_window=50)) \
+            if defended else {}
+        spec = tiny_spec(agent_kind=kind, agent=agent, steps=180,
+                         **extra)
+        block, single = build_loop(spec, 2), build_loop(spec, 2)
+        block.run(180)
+        for _ in range(180):
+            single.one_step()
+        assert block.step_log == single.step_log
+        assert pipeline_log(block) == pipeline_log(single)
+        assert block.obs.tobytes() == single.obs.tobytes()
+        assert block.agent.get_state()["rng"] == \
+            single.agent.get_state()["rng"]
 
 
 def rewards(loop) -> list:
@@ -209,6 +269,34 @@ class TestCheckpoints:
             assert decisions == {"accepted", "discarded"}
             assert any(rec["triggered"] for rec in log)
 
+    @pytest.mark.parametrize("kind", ["sac", "td3"])
+    def test_resume_mid_block_and_mid_warmup_is_bitwise(self, tmp_path,
+                                                        kind):
+        # the 100-step warm-up runs on past the channel block that starts
+        # at step 65, and the checkpoint at step 40 falls inside both the
+        # warm-up and the block before it
+        spec = tiny_spec(
+            agent_kind=kind,
+            agent=LEARNER_CONFIGS[kind](warmup_steps=100, batch=4,
+                                        hidden=(12, 12)),
+            steps=200)
+        straight = build_loop(spec, 0)
+        straight.run(200)
+        loop = build_loop(spec, 0)
+        loop.run(40)
+        path = str(tmp_path / "ck.pkl")
+        save_checkpoint(path, loop)
+        resumed = build_loop(spec, 0)
+        load_checkpoint(path, resumed)
+        resumed.run(160)
+        assert resumed.step_log == {k: v[40:]
+                                    for k, v in straight.step_log.items()}
+        assert resumed.obs.tobytes() == straight.obs.tobytes()
+        want, got = straight.agent.get_state(), resumed.agent.get_state()
+        assert got["rng"] == want["rng"]
+        for name, params in want["nets"].items():
+            assert got["nets"][name].tobytes() == params.tobytes()
+
     # version 1 checkpoints hold h_b as a list of per-receiver columns;
     # version 2 ones hold each net and Adam moment as a list of per-layer
     # arrays; version 3 ones hold each critic member as its own net;
@@ -290,7 +378,10 @@ def test_default_size_learner_digest_pinned(kind, tmp_path):
 # env shapes the pin above leaves out. "small_I_thr" makes the projection
 # bind on most steps; "integer_fields" gives P_t, fixed_gain and tau as JSON
 # integers, which the log keeps as integers ("cap": 10, "alpha": 3).
-# Recorded like the pins above (numpy 2.4, OpenBLAS SkylakeX).
+# "A2B1R1W1" has one receiver and one element, whose complex product numpy
+# rounds one way for a lone pair and another way in a stack of them; it was
+# recorded with one step at a time, before steps were scored a block at a
+# time. Recorded like the pins above (numpy 2.4, OpenBLAS SkylakeX).
 ENV_DIGESTS = {
     "passive": (
         {"mode": "passive"},
@@ -311,6 +402,9 @@ ENV_DIGESTS = {
         {"power": {"P_t": 10, "I_thr": 30}, "harvest": {"tau": 40},
          "mode": {"kind": "fixed_hybrid", "fixed_gain": 3}},
         "3337a6e8d9e59438d88ce4fd5bd1a10f" "a356639b270e6c56c11134fb4c054e5e"),
+    "A2B1R1W1": (
+        {"topology": {"A": 2, "B": 1, "R": 1, "W": 1}},
+        "3ab6303ee428f7c07908f15172bcf304" "6ec61ae84499aaa2a4b3140dd39c6707"),
 }
 
 

@@ -74,14 +74,14 @@ class TestSinrPassive:
         ch = scalar_channels()
         refl = np.array([1.0 + 0j])
         G = np.array([[2.0 + 0j]])
-        lam = sinrs(ch, refl, G, NOISE.sigma_b_sq)[0]
+        lam = sinrs(ch.H_s, ch.h_b, refl, G, NOISE.sigma_b_sq)[0]
         assert lam == pytest.approx(4.0)
         assert rate_report([lam]).sum_rate == pytest.approx(np.log2(5.0))
 
     def test_zero_beam_zero_sinr(self):
         ch = scalar_channels()
-        lam = sinrs(ch, np.array([1.0 + 0j]), np.array([[0.0 + 0j]]),
-                    NOISE.sigma_b_sq)[0]
+        lam = sinrs(ch.H_s, ch.h_b, np.array([1.0 + 0j]),
+                    np.array([[0.0 + 0j]]), NOISE.sigma_b_sq)[0]
         assert lam == 0.0
 
     def test_global_phase_invariance(self):
@@ -90,9 +90,9 @@ class TestSinrPassive:
         pp = PassiveParams()
         refl = build_reflection(rng.uniform(0, 2 * np.pi, 4), 0, 1.0, pp)
         G = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        base = sinrs(ch, refl, G, NOISE.sigma_b_sq)
+        base = sinrs(ch.H_s, ch.h_b, refl, G, NOISE.sigma_b_sq)
         rot = refl * np.exp(1j * 1.234)
-        rotated = sinrs(ch, rot, G, NOISE.sigma_b_sq)
+        rotated = sinrs(ch.H_s, ch.h_b, rot, G, NOISE.sigma_b_sq)
         assert np.allclose(base, rotated, atol=1e-12)
 
     def test_single_user_monotone_in_aligned_magnitudes(self):
@@ -104,11 +104,13 @@ class TestSinrPassive:
                         g_sp=np.array([0.0]))
         G = np.array([[1.0 + 0j]])
         mags = np.array([0.6, 0.7, 0.8])
-        lam = sinrs(ch, mags.astype(complex), G, NOISE.sigma_b_sq)[0]
+        lam = sinrs(ch.H_s, ch.h_b, mags.astype(complex), G,
+                    NOISE.sigma_b_sq)[0]
         for k in range(3):
             bigger = mags.copy()
             bigger[k] += 0.1
-            lam2 = sinrs(ch, bigger.astype(complex), G, NOISE.sigma_b_sq)[0]
+            lam2 = sinrs(ch.H_s, ch.h_b, bigger.astype(complex), G,
+                         NOISE.sigma_b_sq)[0]
             assert lam2 > lam
 
 
@@ -117,7 +119,7 @@ class TestSinrActive:
         ch = scalar_channels()
         refl = np.array([2.0 + 0j])
         G = np.array([[1.0 + 0j]])
-        lam = sinrs(ch, refl, G, NOISE.sigma_a_sq, 0.01)[0]
+        lam = sinrs(ch.H_s, ch.h_b, refl, G, NOISE.sigma_a_sq, 0.01)[0]
         assert lam == pytest.approx(4.0 / 1.04)
         assert lam == pytest.approx(3.8462, abs=1e-4)
 
@@ -127,8 +129,8 @@ class TestSinrActive:
         refl = np.exp(1j * rng.uniform(0, 2 * np.pi, 4))
         G = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         noise = NoiseParams(sigma_b_sq=1.0, sigma_a_sq=1.0)
-        active = sinrs(ch, refl, G, noise.sigma_a_sq, 0.0)
-        passive = sinrs(ch, refl, G, noise.sigma_b_sq)
+        active = sinrs(ch.H_s, ch.h_b, refl, G, noise.sigma_a_sq, 0.0)
+        passive = sinrs(ch.H_s, ch.h_b, refl, G, noise.sigma_b_sq)
         assert active == pytest.approx(passive, rel=1e-12)
 
     def test_amp_noise_grows_with_gain_squared(self):
@@ -136,8 +138,8 @@ class TestSinrActive:
         G = np.array([[1.0 + 0j]])
 
         def amp_term(alpha):
-            lam = sinrs(ch, np.array([alpha + 0j]), G, NOISE.sigma_a_sq,
-                        1.0)[0]
+            lam = sinrs(ch.H_s, ch.h_b, np.array([alpha + 0j]), G,
+                        NOISE.sigma_a_sq, 1.0)[0]
             # lam = alpha^2 / (alpha^2 + 1) here, so recover the noise term
             return alpha ** 2 / lam - 1.0
 
@@ -149,8 +151,9 @@ class TestSinrActive:
         refl = 2.0 * np.exp(1j * rng.uniform(0, 2 * np.pi, 4))
         G = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         mask = np.array([True, True, False, False])
-        full = sinrs(ch, refl, G, NOISE.sigma_a_sq, 0.05)
-        masked = sinrs(ch, refl, G, NOISE.sigma_a_sq, 0.05, n_amp=2)
+        full = sinrs(ch.H_s, ch.h_b, refl, G, NOISE.sigma_a_sq, 0.05)
+        masked = sinrs(ch.H_s, ch.h_b, refl, G, NOISE.sigma_a_sq, 0.05,
+                       n_amp=2)
         cols = receiver_columns(ch)
         for b in range(len(cols)):
             oracle = naive_active_sinr(cols, refl, ch.H_s, G, 1.0, 0.05, b,
@@ -192,7 +195,7 @@ def test_sum_rate_matches_naive_reimplementation():
         phases = rng.uniform(0, 2 * np.pi, topo.R)
         refl = build_reflection(phases, 0, 1.0, pp)
         G = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-        rep = rate_report(sinrs(ch, refl, G, NOISE.sigma_b_sq))
+        rep = rate_report(sinrs(ch.H_s, ch.h_b, refl, G, NOISE.sigma_b_sq))
         _, _, naive_sum = naive_passive_rates(receiver_columns(ch), refl,
                                               ch.H_s, G, 1.0)
         assert rep.sum_rate == pytest.approx(naive_sum, abs=1e-10)
@@ -202,3 +205,14 @@ def test_tx_power_equals_frobenius():
     rng = make_rng(4)
     g = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
     assert tx_power(g) == pytest.approx(naive_frobenius_sq(g), abs=1e-10)
+
+
+def test_feasible_bits_pass_through_a_rescaled_stack():
+    # the first beamformer is feasible and the second is not; the first
+    # keeps every bit, the sign of its zero real part included
+    G = np.array([[[complex(-0.0, -0.5)]], [[3.0 + 0j]]])
+    out = project_beamformer(G, np.array([1.0, 1.0]))
+    assert out[0].tobytes() == G[0].tobytes()
+    assert np.signbit(out[0, 0, 0].real)
+    assert tx_power(out[1]) == pytest.approx(1.0, abs=1e-12)
+    assert tx_power(out).shape == (2,)

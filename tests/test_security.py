@@ -342,3 +342,25 @@ def test_discarded_transitions_never_reach_buffer():
     assert len(accepted_values) == stored.size
     assert np.allclose(stored, accepted_values)
     assert any(rec["decision"] == "discarded" for rec in recs)
+
+
+def test_stats_are_worked_out_again_only_after_a_push():
+    # a discarded reward leaves the window, and so its stats, as they were
+    pipe = RewardPipeline(None, DefenseConfig(warmup_count=3,
+                                              stats_window=10))
+    for r in (1.0, 1.2, 0.8):
+        pipe.step(r)
+    first = pipe.stats()
+    assert pipe.stats() is first
+    assert pipe.step(1.9).decision == DISCARDED
+    assert pipe.stats() is first
+    assert pipe.step(1.1).decision == ACCEPTED
+    second = pipe.stats()
+    assert second is not first
+    assert second == (float(np.mean([1.0, 1.2, 0.8, 1.1])),
+                      float(np.std([1.0, 1.2, 0.8, 1.1], ddof=1)))
+    restored = RewardPipeline(None, DefenseConfig(warmup_count=3,
+                                                  stats_window=10))
+    restored.stats()
+    restored.set_state(pipe.get_state())
+    assert restored.stats() == second
