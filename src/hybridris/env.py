@@ -11,8 +11,8 @@ that its action does not change (harvest, surface setting, power cap,
 penalty, energy bill, noise variance and the channel part of the
 observation) is worked out for the whole block at once. ``step`` also
 takes a stack of actions, for steps whose actions do not depend on the
-observations in between, and scores them against consecutive slots in one
-pass, with the same bits as one step at a time.
+observations in between, and scores them against consecutive slots of the
+drawn block in one pass, with the same bits as one step at a time.
 
 Observation layout (flat float64 vector, length 2 + 2RA + 2RB + 2AW + 2AB
 + R + 2):
@@ -44,8 +44,8 @@ import numpy as np
 from . import phy, ris
 from .channel import (CascadeSpec, ChannelBlock, FadingMode, Topology,
                       sample_channel_set, slot_draws)
-from .numerics import (count_set, make_rng, raise_broken, require_reals,
-                       restore_rng, rng_state)
+from .numerics import (make_rng, raise_broken, require_reals, restore_rng,
+                       rng_state)
 from .phy import NoiseParams, PowerConstraint
 from .ris import (ACTIVE, ActiveParams, ConsumptionParams, HarvestParams,
                   PassiveParams, RisMode)
@@ -179,30 +179,21 @@ class RisCrnEnv:
     def step(self, action) -> StepOutcome:
         """Scores one flat action, or a k x action_size array of actions
         against the next k steps' slots, in one pass over a leading step
-        axis. Returns the step's outcome, or for k actions their outcomes
-        as one ``StepOutcome`` of per-step entries."""
-        if self._block is None:
-            raise RuntimeError("call reset() before step()")
-        actions = np.asarray(action, dtype=float)
-        finite = np.isfinite(actions)
-        if count_set(finite) < finite.size:
-            bad = np.logical_and.reduce(finite, axis=-1).argmin()
-            raise ValueError(f"non-finite action at step {self._t + bad}")
-        out = self._score(actions)
-        # a block crossing the end of the drawn channels is scored in parts
-        while actions.ndim > 1 and len(out.reward) < len(actions):
-            rest = self._score(actions[len(out.reward):])
-            out = StepOutcome(np.concatenate((out[0], rest[0])),
-                              *(x + y for x, y in zip(out[1:], rest[1:])))
-        return out
+        axis; k may not exceed ``steps_in_block``. Returns the step's
+        outcome, or for k actions their outcomes as one ``StepOutcome`` of
+        per-step entries.
 
-    def _score(self, actions) -> StepOutcome:
-        """Scores one action, or as many leading rows of a stack of them as
-        take slots of the current block, and moves to the step after them.
         A single action is scored with no leading step axis and its slot's
         settings as Python numbers; a stack reads them as per-slot arrays,
         on a trailing axis of 1 where they broadcast against the elements
         or the receivers."""
+        if self._block is None:
+            raise RuntimeError("call reset() before step()")
+        actions = np.asarray(action, dtype=float)
+        finite = np.isfinite(actions)
+        if np.count_nonzero(finite) < finite.size:
+            bad = np.logical_and.reduce(finite, axis=-1).argmin()
+            raise ValueError(f"non-finite action at step {self._t + bad}")
         cfg = self.cfg
         if self._settings is None:
             self._settings = self._slot_settings(self._block)
@@ -216,24 +207,17 @@ class RisCrnEnv:
              amp_var, flag) = settings[c]
             caps, gain, tail, amplifying = cap, alpha, values[c, 5:], n_active
         else:
-            n = min(len(actions), self.steps_in_block)
-            actions = actions[:n]
-            if L == 1:
-                cur, nxt, last = (slice(c, c + n), slice(c + 1, c + n + 1),
-                                  c + n)
-                per_step = settings[cur]
-            else:
-                slots = [c + (t0 + i) // L - t0 // L for i in range(n + 1)]
-                cur, nxt, last = slots[:-1], slots[1:], slots[-1]
-                per_step = [settings[i] for i in cur]
+            n = len(actions)
+            if n > self.steps_in_block:
+                raise ValueError(f"{n} actions, but the drawn channel block "
+                                 f"holds {self.steps_in_block} steps")
+            slots = c + (t0 + np.arange(n + 1)) // L - t0 // L
+            cur, nxt, last = slots[:-1], slots[1:], int(slots[-1])
             mode, E_total, alpha, energy, cap, penalty, counts = \
-                list(zip(*per_step))[:7]
+                list(zip(*[settings[i] for i in cur.tolist()]))[:7]
             v = values[cur]
-            caps, gain, noise_var, amp_var, tail = (
-                v[:, 0], v[:, 5:6], v[:, 2:3], v[:, 3:4], v[:, 5:])
-            # a count shared by every slot is passed as it is
-            n_active = (counts[0] if counts.count(counts[0]) == n
-                        else v[:, 1:2])
+            caps, n_active, gain, noise_var, amp_var, tail = (
+                v[:, 0], v[:, 1:2], v[:, 5:6], v[:, 2:3], v[:, 3:4], v[:, 5:])
             amplifying = any(counts)
         raw, phases = _split_action(actions, cfg.topo)
         G = phy.project_beamformer(raw, caps)
@@ -246,8 +230,8 @@ class RisCrnEnv:
         # an unscaled G already has power <= cap; only a rescaled one can
         # round above it
         if G is not raw:
-            self._violations += count_set(
-                phy.tx_power(G) > caps + CONSTRAINT_TOL)
+            self._violations += int(np.count_nonzero(
+                phy.tx_power(G) > caps + CONSTRAINT_TOL))
 
         rows = self._rows
         self._t = t0 + n

@@ -1,5 +1,4 @@
-"""Seeded random sampling, the field checks the config classes share, and
-a count of set flags that reads a lone flag as it is.
+"""Seeded random sampling, and the field checks the config classes share.
 
 Randomness comes from counter-based Philox streams, so every experiment is
 bit-reproducible and a generator's exact position can be saved and
@@ -47,13 +46,6 @@ def restore_rng(state: dict) -> np.random.Generator:
     bg = getattr(np.random, st["bit_generator"])()
     bg.state = st
     return np.random.Generator(bg)
-
-
-def count_set(flags) -> int:
-    """How many of ``flags`` (an array, or one bool) are set. A lone flag is
-    read as it is, which costs less than a count on the per-step path."""
-    return int(np.count_nonzero(flags) if getattr(flags, "ndim", 0)
-               else flags)
 
 
 def sample_cn01(rng: np.random.Generator, size=None):

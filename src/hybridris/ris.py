@@ -159,14 +159,8 @@ def passive_amplitude(eps, p: PassiveParams):
     """
     # eps - 0 is eps, so a zero offset skips the subtraction
     shifted = eps - p.offset_l if p.offset_l else eps
-    # the same operations in the same order, in place on sin's result
-    beta = np.sin(shifted)
-    beta += 1.0
-    beta /= 2.0
-    beta **= p.exponent
-    beta *= 1.0 - p.beta_min
-    beta += p.beta_min
-    return beta
+    shaped = ((np.sin(shifted) + 1.0) / 2.0) ** p.exponent
+    return (1.0 - p.beta_min) * shaped + p.beta_min
 
 
 def harvest(h_PB: np.ndarray, hp: HarvestParams) -> EnergyLedger:
@@ -227,9 +221,8 @@ def wrap_phase(eps):
 def build_reflection(phases, n_active, gain, pp: PassiveParams) -> np.ndarray:
     """Per-element reflection coefficients (length R) for one slot, or for
     each slot of a stack: ``phases`` then carries leading slot axes, and
-    ``gain`` holds one value per slot on a trailing axis of 1.
-    ``n_active`` is one count for every slot, or an array of them shaped
-    like ``gain``.
+    ``n_active`` and ``gain`` hold one value per slot on a trailing axis
+    of 1.
 
     The first ``n_active`` elements amplify at ``gain``; the rest reflect
     passively with beta(eps_r). Every element applies its phase e^{j eps_r};
@@ -246,7 +239,7 @@ def build_reflection(phases, n_active, gain, pp: PassiveParams) -> np.ndarray:
     else:
         mag = passive_amplitude(eps, pp)
         if n_active:
-            mag[..., :n_active] = gain
+            mag[:n_active] = gain
     return mag * rotation
 
 

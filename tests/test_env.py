@@ -204,6 +204,20 @@ class TestStep:
         out = env.step(np.zeros(env.action_size))
         assert env.get_state()["t"] == 2 and np.isfinite(out.reward)
 
+    def test_block_past_the_drawn_channels_refused(self):
+        # a stack may hold at most the steps whose slots are drawn: the
+        # reset's one slot, then a block of them
+        env = RisCrnEnv(EnvConfig())
+        env.reset(0)
+        assert env.steps_in_block == 1
+        env.step(np.zeros(env.action_size))
+        env.step(np.zeros((5, env.action_size)))
+        assert env.steps_in_block == CHANNEL_BLOCK - 5
+        with pytest.raises(ValueError, match="holds 59 steps"):
+            env.step(np.zeros((60, env.action_size)))
+        out = env.step(np.zeros((59, env.action_size)))
+        assert len(out.reward) == 59 and env.steps_in_block == CHANNEL_BLOCK
+
     def test_ideal_reflection_degenerate_case(self):
         cfg = small_cfg(mode=RisMode.passive(),
                         pp=PassiveParams(beta_min=1.0, exponent=2.7))
@@ -514,10 +528,13 @@ def test_block_scoring_equals_one_step_at_a_time(topo_name, env_name):
     want = [single.step(a) for a in actions]
     got, start = [], 0
     for k in (1, 40, 64, 30, 65):
-        out = block.step(actions[start:start + k])
-        assert out.observation.shape == (k, single.observation_size)
-        got += [type(out)._make(row) for row in zip(*out)]
-        start += k
+        # a chunk is cut where the drawn channel block ends
+        while k:
+            n = min(k, block.steps_in_block)
+            out = block.step(actions[start:start + n])
+            assert out.observation.shape == (n, single.observation_size)
+            got += [type(out)._make(row) for row in zip(*out)]
+            start, k = start + n, k - n
     assert start == len(actions)
     modes = {out.mode for out in want}
     assert env_name != "dynamic" or modes == {"active", "passive"}
