@@ -9,7 +9,7 @@ import numpy as np
 
 from hybridris import (CascadeSpec, PassiveParams, PowerConstraint, Topology,
                        make_rng, passive_amplitude, power_cap,
-                       sample_cascaded, sample_channel_set)
+                       sample_channel_set)
 
 # --- reflection amplitude vs phase -----------------------------------------
 # Hardware cannot reflect at full amplitude for every phase: the amplitude
@@ -21,15 +21,16 @@ for eps in np.linspace(0.0, 2 * np.pi, 9):
     print(f"  {eps:5.2f}  {passive_amplitude(eps, pp):.4f}  {bar}")
 
 # --- cascaded fading gets heavier-tailed with the cascade level -------------
+# 25 000 slots of the 4 x 2 transmitter-to-RIS link H_s: 200 000 entries
 rng = make_rng(0)
+topo = Topology(A=2, B=2, R=4, W=2)
 print("\ncascade level -> mean |xi|^2 (always ~1) and P(|xi|^2 > 4) (tail)")
 for kappa in (1, 2, 4):
-    xi = sample_cascaded(rng, kappa, 200_000)
+    xi = sample_channel_set(rng, topo, CascadeSpec(kappa_s=kappa), 25_000).H_s
     power = np.abs(xi) ** 2
     print(f"  kappa={kappa}:  mean {power.mean():.3f}   tail {np.mean(power > 4):.4f}")
 
 # --- the strongest PU link caps the transmit power --------------------------
-topo = Topology(A=2, B=2, R=4, W=2)
 pc = PowerConstraint(P_t=10.0, I_thr=10.0)
 caps = []
 for seed in range(2000):

@@ -4,7 +4,7 @@ with deep-RL control (SAC, TD3, DDPG) and reward-poisoning defenses."""
 from .agents import (DdpgAgent, DdpgConfig, RandomAgent, ReplayBuffer,
                      SacAgent, SacConfig, Td3Agent, Td3Config, random_action)
 from .channel import (CascadeSpec, ChannelSet, FadingMode, Topology,
-                      pu_power_gains, sample_cascaded, sample_channel_set)
+                      pu_power_gains, sample_channel_set)
 from .env import (STEP_LOG_FIELDS, EnvConfig, RisCrnEnv, StepOutcome,
                   action_size, observation_size)
 from .harness import (ExperimentSpec, RunSummary, TrainingLoop, build_spec,
@@ -12,7 +12,7 @@ from .harness import (ExperimentSpec, RunSummary, TrainingLoop, build_spec,
                       replay_summary, run_experiment, run_single,
                       run_spec_dict, save_checkpoint)
 from .nets import Adam, DenseNet, soft_update
-from .numerics import make_rng, sample_cn01
+from .numerics import make_rng
 from .phy import (NoiseParams, PowerConstraint, RateReport, db_to_linear,
                   power_cap, project_beamformer, rate_report, sinrs,
                   tx_power)

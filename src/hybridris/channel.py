@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import is_count, raise_broken, sample_cn01
+from .numerics import is_count, raise_broken
 
 SQRT2 = np.sqrt(2.0)
 
@@ -90,20 +90,6 @@ class ChannelBlock(ChannelSet):
                           self.h_PB[i], self.g_sp[i])
 
 
-def sample_cascaded(rng: np.random.Generator, kappa: int, size=None):
-    """Product of ``kappa`` independent unit-power complex Gaussian factors.
-
-    E[|xi|^2] = 1 for every kappa; the tails get heavier as kappa grows
-    (var(|xi|^2) = 2^kappa - 1).
-    """
-    if kappa < 1:
-        raise ValueError("cascade level must be >= 1")
-    shape = (kappa,) if size is None else (kappa,) + tuple(np.atleast_1d(size))
-    factors = sample_cn01(rng, shape)
-    out = np.prod(factors, axis=0)
-    return complex(out) if size is None else out
-
-
 def pu_power_gains(H_p: np.ndarray) -> np.ndarray:
     """Per-PU channel power gain: squared Euclidean norm of each column,
     i.e. the total gain from all transmit antennas to that PU. A leading
@@ -120,9 +106,10 @@ def slot_draws(topo: Topology, spec: CascadeSpec) -> list:
 
 
 def _cascade(x: np.ndarray, kappa: int, shape: tuple) -> np.ndarray:
-    """Cascade products from normals laid out as ``sample_cascaded`` draws
-    them: along the last axis, every real part, then every imaginary part.
-    Leading axes are kept; the last becomes ``shape``."""
+    """Products of ``kappa`` unit-power complex Gaussian factors, from
+    normals laid out along the last axis as every factor's real parts, then
+    every factor's imaginary parts. Leading axes are kept; the last becomes
+    ``shape``."""
     x = x.reshape(x.shape[:-1] + (2, kappa, -1))
     factors = (x[..., 0, :, :] + 1j * x[..., 1, :, :]) / SQRT2
     return np.multiply.reduce(factors, axis=-2).reshape(x.shape[:-3] + shape)
@@ -137,7 +124,8 @@ def sample_channel_set(rng: np.random.Generator, topo: Topology,
     in a fixed order (H_s, each h_b column, H_p, h_PB), one slot after
     another, so a fixed seed reproduces every set byte-for-byte. One
     ``standard_normal`` call feeds the whole block: it consumes the stream
-    exactly as consecutive per-link ``sample_cascaded`` calls would.
+    exactly as drawing each link's factors on their own, link after link,
+    would.
 
     Returns one ``ChannelSet`` when ``slots`` is None, else a
     ``ChannelBlock`` of ``slots`` slots.

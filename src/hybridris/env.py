@@ -9,10 +9,9 @@ surface amplifies without enough harvest. Runs have no terminal state; a
 Channels are drawn a block of slots at a time. Everything a step needs
 that its action does not change (harvest, surface setting, power cap,
 penalty, energy bill, noise variance and the channel part of the
-observation) is worked out for the whole block at once. ``step`` also
-takes a stack of actions, for steps whose actions do not depend on the
-observations in between, and scores them against consecutive slots of the
-drawn block in one pass, with the same bits as one step at a time.
+observation) is worked out for the whole block at once. ``step`` scores a
+stack of actions against consecutive slots of the drawn block in one pass,
+with the same bits as one step at a time; one action is a stack of one.
 
 Observation layout (flat float64 vector, length 2 + 2RA + 2RB + 2AW + 2AB
 + R + 2):
@@ -155,6 +154,8 @@ class RisCrnEnv:
     def steps_in_block(self) -> int:
         """Steps from the current one whose slots the drawn channel block
         holds: a block of actions this long is scored in one pass."""
+        if self._block is None:
+            raise RuntimeError("call reset() before steps_in_block")
         c, L, t = self._used - 1, self.cfg.fading.block_length, self._t
         return (t // L + len(self._block) - c) * L - t
 
@@ -177,19 +178,24 @@ class RisCrnEnv:
                                                        + topo.R + 2)))
 
     def step(self, action) -> StepOutcome:
-        """Scores one flat action, or a k x action_size array of actions
-        against the next k steps' slots, in one pass over a leading step
-        axis; k may not exceed ``steps_in_block``. Returns the step's
-        outcome, or for k actions their outcomes as one ``StepOutcome`` of
-        per-step entries.
-
-        A single action is scored with no leading step axis and its slot's
-        settings as Python numbers; a stack reads them as per-slot arrays,
-        on a trailing axis of 1 where they broadcast against the elements
-        or the receivers."""
+        """Scores a k x action_size array of actions against the next k
+        steps' slots, 1 <= k <= ``steps_in_block``, in one pass over a
+        leading step axis, and returns their outcomes as one
+        ``StepOutcome`` of per-step entries. A flat action is scored as a
+        stack of one, and its step's outcome is returned."""
         if self._block is None:
             raise RuntimeError("call reset() before step()")
         actions = np.asarray(action, dtype=float)
+        flat = actions.ndim == 1
+        if flat:
+            actions = actions[None]
+        m, room = self.action_size, self.steps_in_block
+        if not (actions.ndim == 2 and 1 <= len(actions) <= room
+                and actions.shape[1] == m):
+            raise ValueError(
+                f"action shape {np.shape(action)}; expected ({m},), or "
+                f"(k, {m}) with 1 <= k <= {room}: the drawn channel block "
+                f"holds {room} steps")
         finite = np.isfinite(actions)
         if np.count_nonzero(finite) < finite.size:
             bad = np.logical_and.reduce(finite, axis=-1).argmin()
@@ -198,33 +204,23 @@ class RisCrnEnv:
         if self._settings is None:
             self._settings = self._slot_settings(self._block)
         values, settings, n_amp = self._settings
-        t0, c, L = self._t, self._used - 1, cfg.fading.block_length
-        # the block slot of each step and of the step after it
-        if actions.ndim == 1:
-            n, cur = 1, c
-            last = nxt = c + (t0 + 1) // L - t0 // L
-            (mode, E_total, alpha, energy, cap, penalty, n_active, noise_var,
-             amp_var, flag) = settings[c]
-            caps, gain, tail, amplifying = cap, alpha, values[c, 5:], n_active
-        else:
-            n = len(actions)
-            if n > self.steps_in_block:
-                raise ValueError(f"{n} actions, but the drawn channel block "
-                                 f"holds {self.steps_in_block} steps")
-            slots = c + (t0 + np.arange(n + 1)) // L - t0 // L
-            cur, nxt, last = slots[:-1], slots[1:], int(slots[-1])
-            mode, E_total, alpha, energy, cap, penalty, counts = \
-                list(zip(*[settings[i] for i in cur.tolist()]))[:7]
-            v = values[cur]
-            caps, n_active, gain, noise_var, amp_var, tail = (
-                v[:, 0], v[:, 1:2], v[:, 5:6], v[:, 2:3], v[:, 3:4], v[:, 5:])
-            amplifying = any(counts)
+        n, t0, c = len(actions), self._t, self._used - 1
+        L = cfg.fading.block_length
+        # the block slot of each step and of the step after it; ``take``
+        # reads a slot list's rows in 0.6 us where indexing with the list
+        # takes 1.6 us per array
+        slots = [c + (t0 + i) // L - t0 // L for i in range(n + 1)]
+        cur, nxt, last = slots[:-1], slots[1:], slots[-1]
+        mode, E_total, alpha, energy, cap, penalty, counts = \
+            zip(*[settings[i] for i in cur])
+        v = values.take(cur, 0)
+        caps, tail = v[:, 0], v[:, 4:]
         raw, phases = _split_action(actions, cfg.topo)
         G = phy.project_beamformer(raw, caps)
-        refl = ris.build_reflection(phases, n_active, gain, cfg.pp)
+        refl = ris.build_reflection(phases, v[:, 1:2], v[:, 4:5], cfg.pp)
         blk = self._block
-        sinrs = phy.sinrs(blk.H_s[cur], blk.h_b[cur], refl, G, noise_var,
-                          amp_var, n_amp if amplifying else 0)
+        sinrs = phy.sinrs(blk.H_s.take(cur, 0), blk.h_b.take(cur, 0), refl, G,
+                          v[:, 2:3], v[:, 3:4], n_amp if any(counts) else 0)
         sum_rate = phy.rate_report(sinrs).sum_rate.tolist()
 
         # an unscaled G already has power <= cap; only a rescaled one can
@@ -241,19 +237,13 @@ class RisCrnEnv:
         if last == len(rows):
             # the step after the last takes the first slot of a fresh block
             rows = np.concatenate((rows, self._rows[:1]))
-        if actions.ndim == 1:
-            self._prev = (G, phases, alpha, flag)
-            reward = sum_rate - penalty
-            obs = np.concatenate((rows[nxt], G.real, G.imag, phases, tail),
-                                 axis=None)
-        else:
-            self._prev = (G[-1], phases[-1], alpha[-1], float(tail[-1, 1]))
-            reward = [r - p for r, p in zip(sum_rate, penalty)]
-            G = G.reshape(n, -1)
-            obs = np.concatenate((rows[nxt], G.real, G.imag, phases, tail),
-                                 axis=1)
-        return StepOutcome(obs, reward, sum_rate, mode, E_total, alpha,
-                           energy, cap, penalty)
+        self._prev = (G[-1], phases[-1], alpha[-1], float(tail[-1, 1]))
+        G = G.reshape(n, -1)
+        out = (np.concatenate((rows.take(nxt, 0), G.real, G.imag, phases, tail),
+                              axis=1),
+               [r - p for r, p in zip(sum_rate, penalty)], sum_rate, mode,
+               E_total, alpha, energy, cap, penalty)
+        return StepOutcome(*[f[0] for f in out] if flat else out)
 
     def get_state(self) -> dict:
         """Snapshot for exact run continuation (channels, RNG position,
@@ -329,10 +319,9 @@ class RisCrnEnv:
         action, and how many leading elements add amplifier noise on an
         amplifying slot. The settings come as a float array with one row
         per slot (cap, amplifying elements, noise variance, amplifier noise
-        variance, penalty, gain, mode flag), and as one tuple per slot of
-        the logged values (mode, harvested total, gain, energy bill, cap),
-        the penalty, the amplifying elements, the two variances and the
-        mode flag, all Python numbers."""
+        variance, gain, mode flag), and as one tuple per slot of the logged
+        values (mode, harvested total, gain, energy bill, cap), the penalty
+        and the amplifying elements, all Python numbers."""
         cfg = self.cfg
         ledger = ris.harvest(block.h_PB, cfg.hp)
         resolved, n_active, alpha = ris.resolve_mode(
@@ -351,10 +340,9 @@ class RisCrnEnv:
         settings = list(zip(
             resolved.tolist(), ledger.total.tolist(), alpha.tolist(),
             energy.tolist(), [P_t if c == P_t else c for c in cap.tolist()],
-            penalty.tolist(), n_active.tolist(), noise_var.tolist(),
-            amp_var.tolist(), active.astype(float).tolist()))
-        values = np.stack((cap, n_active, noise_var, amp_var, penalty, alpha,
-                           active), axis=1)
+            penalty.tolist(), n_active.tolist()))
+        values = np.stack((cap, n_active, noise_var, amp_var, alpha, active),
+                          axis=1)
         # resolve_mode amplifies the same leading elements on every
         # amplifying slot, so one count serves the block
         n_amp = int(n_active.max()) if cfg.ap.amp_noise_var else 0

@@ -154,32 +154,28 @@ class TrainingLoop:
         observation are scored a channel block at a time."""
         end = self.t + n_steps
         while self.t < end:
-            k = self.agent.open_loop_steps(self.t, end - self.t)
-            if k:
-                self._open_loop(min(k, self.env.steps_in_block))
-            else:
-                self.one_step()
+            self.one_step(self.agent.open_loop_steps(self.t, end - self.t))
 
-    def one_step(self):
-        a = self.agent.act(self.obs, self.t)
-        out = self.env.step(a)
-        self._learn(a, out.reward, out.observation)
-        # the outcome holds the logged fields after t, in log order
-        for column, value in zip(self.step_log.values(), (self.t, *out[1:-1])):
-            column.append(value)
-        self.obs = out.observation
-        self.t += 1
-
-    def _open_loop(self, k: int):
-        """The next ``k`` steps, whose actions the agent draws at once."""
-        actions = self.agent.open_loop_actions(k)
+    def one_step(self, open_loop: int = 0):
+        """Scores the next step's action in one ``env.step``, or with
+        ``open_loop`` > 0 the actions of that many next steps, as many as
+        the drawn channel block holds, which the agent draws at once. Then,
+        per step, the reward pipeline, ``observe``, ``update`` and the log
+        columns."""
+        if open_loop:
+            actions = self.agent.open_loop_actions(
+                min(open_loop, self.env.steps_in_block))
+        else:
+            actions = self.agent.act(self.obs, self.t)[None]
         out = self.env.step(actions)
         for a, r, s2 in zip(actions, out.reward, out.observation):
             self._learn(a, r, s2)
             self.obs = s2
             self.t += 1
+        # the outcome holds the logged fields after t, in log order
         for column, values in zip(self.step_log.values(),
-                                  (range(self.t - k, self.t), *out[1:-1])):
+                                  (range(self.t - len(actions), self.t),
+                                   *out[1:-1])):
             column.extend(values)
 
     def _learn(self, a, reward, s2):

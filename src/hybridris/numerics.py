@@ -1,4 +1,5 @@
-"""Seeded random sampling, and the field checks the config classes share.
+"""Seeded random generators, and the field checks the config classes
+share.
 
 Randomness comes from counter-based Philox streams, so every experiment is
 bit-reproducible and a generator's exact position can be saved and
@@ -46,17 +47,6 @@ def restore_rng(state: dict) -> np.random.Generator:
     bg = getattr(np.random, st["bit_generator"])()
     bg.state = st
     return np.random.Generator(bg)
-
-
-def sample_cn01(rng: np.random.Generator, size=None):
-    """Unit-power circularly-symmetric complex Gaussian samples.
-
-    Real and imaginary parts are independent Gaussians with variance 1/2,
-    so E[|z|^2] = 1 and |z| is Rayleigh distributed.
-    """
-    re = rng.standard_normal(size)
-    im = rng.standard_normal(size)
-    return (re + 1j * im) / np.sqrt(2.0)
 
 
 def is_count(x, least) -> bool:

@@ -78,16 +78,10 @@ def project_beamformer(G: np.ndarray, cap) -> np.ndarray:
     """
     power = tx_power(G)
     over = power > cap
-    # a lone flag is read as it is: counting it costs 1.2 us, about 2 % of
-    # a closed-loop env step
-    if not (np.count_nonzero(over) if over.ndim else over):
+    if not np.count_nonzero(over):
         return G
     if np.count_nonzero(cap <= 0):
         raise ValueError("cap must be > 0")
-    if not over.ndim:
-        # a lone beamformer takes its scale as a scalar: the general form
-        # costs 4.4 us more per rescaled beamformer
-        return G * np.sqrt(cap / power)
     scale = np.sqrt(cap / np.maximum(power, cap))[..., None, None]
     # the feasible ones are selected, not scaled by 1, so every bit of them
     # (the sign of a zero included) passes through

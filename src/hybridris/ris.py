@@ -219,28 +219,18 @@ def wrap_phase(eps):
 
 
 def build_reflection(phases, n_active, gain, pp: PassiveParams) -> np.ndarray:
-    """Per-element reflection coefficients (length R) for one slot, or for
-    each slot of a stack: ``phases`` then carries leading slot axes, and
-    ``n_active`` and ``gain`` hold one value per slot on a trailing axis
-    of 1.
+    """Per-element reflection coefficients (length R, on the last axis of
+    ``phases``); leading slot axes of ``phases`` are kept, and ``n_active``
+    and ``gain`` broadcast against them on a trailing axis of 1.
 
     The first ``n_active`` elements amplify at ``gain``; the rest reflect
     passively with beta(eps_r). Every element applies its phase e^{j eps_r};
     phases outside [0, 2*pi) are wrapped, never rejected.
     """
     eps = wrap_phase(np.asarray(phases, dtype=float))
-    rotation = np.exp(1j * eps)
-    R = eps.shape[-1]
-    if isinstance(n_active, np.ndarray):
-        mag = np.where(np.arange(R) < n_active, gain,
-                       passive_amplitude(eps, pp))
-    elif n_active == R:
-        return gain * rotation
-    else:
-        mag = passive_amplitude(eps, pp)
-        if n_active:
-            mag[:n_active] = gain
-    return mag * rotation
+    mag = np.where(np.arange(eps.shape[-1]) < n_active, gain,
+                   passive_amplitude(eps, pp))
+    return mag * np.exp(1j * eps)
 
 
 def energy_consumed(n_active, gain, R: int, cp: ConsumptionParams):

@@ -3,10 +3,40 @@
 Everything here is deliberately naive and never calls into the package
 code it checks. Most references are explicit scalar loops; the dense-net
 reverse pass uses whole 2-D matrix products in the textbook order, so that
-the gradients it gives can be compared bit for bit.
+the gradients it gives can be compared bit for bit. The channel samplers
+draw one link at a time, the reference stream for the package's draws of
+whole channel blocks.
 """
 
 import numpy as np
+
+
+def sample_cn01(rng, size=None):
+    """Unit-power circularly-symmetric complex Gaussian samples.
+
+    Real and imaginary parts are independent Gaussians with variance 1/2,
+    so E[|z|^2] = 1 and |z| is Rayleigh distributed. All real parts are
+    drawn first, then all imaginary parts.
+    """
+    re = rng.standard_normal(size)
+    im = rng.standard_normal(size)
+    return (re + 1j * im) / np.sqrt(2.0)
+
+
+def sample_cascaded(rng, kappa, size=None):
+    """One link drawn on its own: the product of ``kappa`` independent
+    ``sample_cn01`` factors, the reference stream for the package's
+    block-wise channel draws.
+
+    E[|xi|^2] = 1 for every kappa; the tails get heavier as kappa grows
+    (var(|xi|^2) = 2^kappa - 1).
+    """
+    if kappa < 1:
+        raise ValueError("cascade level must be >= 1")
+    shape = (kappa,) if size is None else (kappa,) + tuple(np.atleast_1d(size))
+    factors = sample_cn01(rng, shape)
+    out = np.prod(factors, axis=0)
+    return complex(out) if size is None else out
 
 
 def naive_frobenius_sq(g):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from hybridris.channel import (CascadeSpec, Topology, pu_power_gains,
-                               sample_cascaded, sample_channel_set)
+                               sample_channel_set)
 from hybridris.numerics import make_rng, rng_state
-from oracles import naive_column_gains
+from oracles import naive_column_gains, sample_cascaded
 
 
 class ScriptedRng:

@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from hybridris.channel import (CascadeSpec, FadingMode, Topology,
-                               pu_power_gains, sample_cascaded)
+                               pu_power_gains)
 from hybridris.env import (CHANNEL_BLOCK, STEP_LOG_FIELDS, EnvConfig,
                            RisCrnEnv, _split_action, action_size,
                            observation_size)
 from hybridris.numerics import make_rng, rng_state
 from hybridris.phy import PowerConstraint, power_cap, project_beamformer
 from hybridris.ris import ActiveParams, HarvestParams, PassiveParams, RisMode
-from oracles import naive_active_sinr, naive_beta, naive_passive_rates
+from oracles import (naive_active_sinr, naive_beta, naive_passive_rates,
+                     sample_cascaded)
 
 
 def small_cfg(**kw):
@@ -81,6 +82,11 @@ class TestReset:
             env.get_state()
         with pytest.raises(RuntimeError, match=r"reset\(\) before step"):
             env.step(np.zeros(env.action_size))
+
+    def test_steps_in_block_needs_a_reset(self):
+        with pytest.raises(RuntimeError,
+                           match=r"reset\(\) before steps_in_block"):
+            RisCrnEnv(EnvConfig()).steps_in_block
 
     def test_observation_length_default_topology(self):
         env = RisCrnEnv(EnvConfig())
@@ -217,6 +223,20 @@ class TestStep:
             env.step(np.zeros((60, env.action_size)))
         out = env.step(np.zeros((59, env.action_size)))
         assert len(out.reward) == 59 and env.steps_in_block == CHANNEL_BLOCK
+
+    @pytest.mark.parametrize("shape", [(1, 3, 12), (0, 12), ()])
+    def test_malformed_action_refused_before_any_change(self, shape):
+        # a stack of stacks, an empty stack and a 0-d action are each
+        # refused with one message naming the accepted shapes, and the env
+        # is left as it was
+        env = RisCrnEnv(EnvConfig())
+        env.reset(0)
+        env.step(np.zeros(env.action_size))
+        before = pickle.dumps(env.get_state())
+        with pytest.raises(ValueError, match=r"expected \(12,\), or "
+                           r"\(k, 12\) with 1 <= k <= 64"):
+            env.step(np.zeros(shape))
+        assert pickle.dumps(env.get_state()) == before
 
     def test_ideal_reflection_degenerate_case(self):
         cfg = small_cfg(mode=RisMode.passive(),

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hybridris.numerics import make_rng, restore_rng, rng_state, sample_cn01
+from hybridris.numerics import make_rng, restore_rng, rng_state
+from oracles import sample_cn01
 
 
 def test_cn01_unit_power():
