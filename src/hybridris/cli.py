@@ -4,7 +4,8 @@
     hybridris compare <dir>... --out table.csv
 
 Spec files are JSON; see the README for the schema. HYBRIDRIS_WORKERS caps
-the worker pool when --workers is not given.
+the worker pool, which serves every sweep point, when --workers is not
+given.
 """
 
 import argparse
@@ -57,7 +58,7 @@ def main(argv=None) -> int:
                        help="override total_steps")
     p_run.add_argument("--out", default=None, help="output directory")
     p_run.add_argument("--workers", type=int, default=None,
-                       help="parallel seed workers")
+                       help="parallel seed-run workers, over all sweep points")
     p_run.set_defaults(func=_cmd_run)
 
     p_cmp = sub.add_parser("compare", help="tabulate runs against each other")

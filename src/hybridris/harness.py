@@ -4,17 +4,20 @@ summaries, sweeps, and run-to-run comparisons.
 A run is fully determined by (spec, seed): the environment, agent, and
 reward pipeline each get an independent child stream of the run seed, so
 every artifact except the wall-clock metadata is reproducible
-byte-for-byte. Seeds and sweep points execute in parallel worker processes
-(HYBRIDRIS_WORKERS caps the pool); the aggregator is the only writer of
-top-level summary files.
+byte-for-byte. The seed-runs of every sweep point of a call execute in one
+pool of worker processes (HYBRIDRIS_WORKERS caps it); the parent process
+is the only writer of a point's summary files, and writes them as soon as
+that point's seed-runs are back.
 """
 
 import copy
 import json
+import math
 import os
 import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -261,11 +264,34 @@ def summarize(name: str, seed: int, loop: TrainingLoop,
                       wall_clock_s)
 
 
+def _repr_is_json(column) -> bool:
+    """Whether ``%r`` prints every cell as json.dumps does: each is an int
+    or a finite float (a bool or a NaN is not)."""
+    kinds = set(map(type, column))
+    try:
+        return kinds <= {int, float} and (float not in kinds
+                                          or math.isfinite(sum(column)))
+    except OverflowError:           # an int beyond the float range
+        return False
+
+
 def _write_jsonl(path, log: dict):
-    """Write a log kept as columns, one JSON object per row."""
+    """Write a log kept as columns, one JSON object per row, with the bytes
+    of ``json.dumps`` of each row's dict. Every row is formatted from one
+    template: ``%r`` for a column of ints and finite floats, else each
+    cell's JSON text, worked out once per distinct (type, value)."""
+    fields, cells = [], []
+    for name, column in log.items():
+        fmt = "%r"
+        if not _repr_is_json(column):
+            keys = list(zip(map(type, column), column))
+            text = {key: json.dumps(key[1]) for key in set(keys)}
+            column, fmt = list(map(text.__getitem__, keys)), "%s"
+        fields.append(json.dumps(name).replace("%", "%%") + ": " + fmt)
+        cells.append(column)
+    template = "{" + ", ".join(fields) + "}\n"
     with open(path, "w") as fh:
-        for row in zip(*log.values()):
-            fh.write(json.dumps(dict(zip(log, row))) + "\n")
+        fh.writelines(map(template.__mod__, zip(*cells)))
 
 
 def _write_csv(path, header, rows):
@@ -310,7 +336,9 @@ def _run_single_worker(args):
 
 def resolve_workers(n_jobs: int, requested: int = None) -> int:
     """Worker processes for ``n_jobs`` jobs: ``requested``, else
-    HYBRIDRIS_WORKERS, else the CPU count, and never more than the jobs. A
+    HYBRIDRIS_WORKERS, else the CPU count, and never more than the jobs.
+    One pool serves all the points of a ``run_experiment`` or
+    ``run_spec_dict`` call, so the jobs are the seed-runs of every point. A
     fork-started pool starts every worker at its first submit, so a worker
     beyond the jobs would only idle."""
     env_val = os.environ.get("HYBRIDRIS_WORKERS")
@@ -325,23 +353,10 @@ def resolve_workers(n_jobs: int, requested: int = None) -> int:
     return max(1, min(n_jobs, requested))
 
 
-def run_experiment(spec: ExperimentSpec, out_dir: str = None,
-                   workers: int = None) -> dict:
-    """Run every seed of a spec and aggregate.
-
-    Returns the aggregate summary dict; per-seed artifacts land in
-    ``out_dir/seed_<k>/`` when an output directory is given.
-    """
-    jobs = [(spec, seed,
-             None if out_dir is None else os.path.join(out_dir, f"seed_{seed}"))
-            for seed in spec.seeds]
-    workers = resolve_workers(len(jobs), workers)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            summaries = list(pool.map(_run_single_worker, jobs))
-    else:
-        summaries = [_run_single_worker(j) for j in jobs]
-
+def _aggregate(spec: ExperimentSpec, out_dir: str, summaries) -> dict:
+    """The aggregate summary of one point's seed-runs; with an output
+    directory, also written as its ``summary.json`` and
+    ``curve_mean.csv``."""
     per_seed = [s.stats for s in summaries]
     conv = np.array([p["converged_mean"] for p in per_seed])
     aggregate = {
@@ -369,6 +384,32 @@ def run_experiment(spec: ExperimentSpec, out_dir: str = None,
                    zip(range(curves.shape[1]), curves.mean(axis=0).tolist(),
                        curves.std(axis=0).tolist()))
     return aggregate
+
+
+def _run_points(points, workers: int) -> list:
+    """Run the seed-runs of every ``(spec, out_dir)`` point, in point
+    order, in one pool, and aggregate each point as soon as its seed-runs
+    are back. A raising seed-run reaches the caller after the points before
+    its own are aggregated; the seed-runs not yet started are cancelled."""
+    jobs = [(spec, seed,
+             None if out_dir is None else os.path.join(out_dir, f"seed_{seed}"))
+            for spec, out_dir in points for seed in spec.seeds]
+    workers = resolve_workers(len(jobs), workers)
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
+          else nullcontext()) as pool:
+        runs = (pool.map if pool else map)(_run_single_worker, jobs)
+        return [_aggregate(spec, out_dir, [next(runs) for _ in spec.seeds])
+                for spec, out_dir in points]
+
+
+def run_experiment(spec: ExperimentSpec, out_dir: str = None,
+                   workers: int = None) -> dict:
+    """Run every seed of a spec and aggregate.
+
+    Returns the aggregate summary dict; per-seed artifacts land in
+    ``out_dir/seed_<k>/`` when an output directory is given.
+    """
+    return _run_points([(spec, out_dir)], workers)[0]
 
 
 def replay_summary(steps_jsonl_path: str) -> dict:
@@ -553,7 +594,7 @@ def run_spec_dict(d: dict, out_dir: str, seeds_override=None,
                   steps_override=None, workers=None) -> list:
     """Run every sweep point of a spec dict; returns aggregate summaries.
     Every point's spec is built before any point runs, and a point's error
-    names its label."""
+    names its label. The seed-runs of all points share one pool."""
     runs = []
     for label, point in expand_sweep(d):
         point = copy.deepcopy(point)
@@ -572,7 +613,7 @@ def run_spec_dict(d: dict, out_dir: str, seeds_override=None,
         if label:
             spec = replace(spec, name=f"{spec.name}_{label}")
         runs.append((spec, sub))
-    return [run_experiment(spec, sub, workers=workers) for spec, sub in runs]
+    return _run_points(runs, workers)
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 
 import hybridris as hr
-from hybridris.harness import (ExperimentSpec, SpecError, build_loop,
-                               build_spec, compare, converged_mean,
-                               expand_sweep, load_checkpoint, moving_average,
-                               replay_summary, resolve_workers,
-                               run_experiment, run_single, run_spec_dict,
-                               save_checkpoint, summarize)
+from hybridris import harness
+from hybridris.harness import (ExperimentSpec, SpecError, _write_jsonl,
+                               build_loop, build_spec, compare,
+                               converged_mean, expand_sweep, load_checkpoint,
+                               moving_average, replay_summary,
+                               resolve_workers, run_experiment, run_single,
+                               run_spec_dict, save_checkpoint, summarize)
 
 NAN = float("nan")
+INF = float("inf")
 
 def tiny_env(**kw):
     base = dict(topo=hr.Topology(A=1, B=1, R=2, W=1),
@@ -25,6 +27,54 @@ def tiny_env(**kw):
 def tiny_spec(name="t", agent_kind="random", steps=300, seeds=(0,), **kw):
     return ExperimentSpec(name=name, env=tiny_env(), agent_kind=agent_kind,
                           seeds=seeds, total_steps=steps, **kw)
+
+
+def tau_sweep():
+    """A 3-point x 2-seed random-agent sweep on the tiny topology."""
+    return {"name": "sweep", "agent": {"kind": "random"},
+            "env": {"topology": {"A": 1, "B": 1, "R": 2, "W": 1}},
+            "seeds": [0, 1], "total_steps": 20,
+            "sweep": [{"path": "env.harvest.tau", "values": [10, 30, 40]}]}
+
+
+def file_tree(root) -> dict:
+    """Every file under ``root`` but ``meta.json``, by relative path."""
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in root.rglob("*")
+            if p.is_file() and p.name != "meta.json"}
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Stands a recording pool in for the process pool and returns the
+    list of the sizes of the pools built. A fork-started pool starts all
+    its workers at its first submit; the recording pool runs the jobs here
+    and starts no process."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr("hybridris.harness.ProcessPoolExecutor",
+                        RecordingPool)
+    return sizes
+
+
+def dumps_per_row(log: dict) -> str:
+    """A log's JSON lines as one ``json.dumps`` per row's dict writes
+    them: the reference the template writer must match."""
+    return "".join(json.dumps(dict(zip(log, row))) + "\n"
+                   for row in zip(*log.values()))
 
 
 class TestMovingAverage:
@@ -85,34 +135,16 @@ class TestRunExperiment:
     @pytest.mark.parametrize("env_workers,workers,seeds,expected", [
         ("8", None, (0, 1), [2]), (None, 8, (0, 1), [2]),
         ("8", 3, (0, 1, 2, 3), [3]), (None, 1, (0, 1), [])])
-    def test_pool_is_capped_at_the_job_count(self, monkeypatch, env_workers,
-                                             workers, seeds, expected):
-        # a fork-started pool starts all its workers at its first submit;
-        # the recording pool runs the jobs here and starts no process
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        monkeypatch.setattr("hybridris.harness.ProcessPoolExecutor",
-                            RecordingPool)
+    def test_pool_is_capped_at_the_job_count(self, monkeypatch, pool_sizes,
+                                             env_workers, workers, seeds,
+                                             expected):
         if env_workers is None:
             monkeypatch.delenv("HYBRIDRIS_WORKERS", raising=False)
         else:
             monkeypatch.setenv("HYBRIDRIS_WORKERS", env_workers)
         agg = run_experiment(tiny_spec(steps=20, seeds=seeds),
                              workers=workers)
-        assert sizes == expected
+        assert pool_sizes == expected
         assert agg["seeds"] == list(seeds)
 
     def test_parallel_matches_serial(self, tmp_path):
@@ -748,6 +780,88 @@ class TestSweepRun:
         assert str(err.value) == message
         assert not out.exists()
 
+    @pytest.mark.parametrize("env_workers,workers", [
+        (None, None), (None, 2), (None, 8), ("5", None)])
+    def test_one_pool_serves_every_point(self, monkeypatch, pool_sizes,
+                                         tmp_path, env_workers, workers):
+        if env_workers is None:
+            monkeypatch.delenv("HYBRIDRIS_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("HYBRIDRIS_WORKERS", env_workers)
+        size = resolve_workers(6, workers)     # 3 points x 2 seeds
+        res = run_spec_dict(tau_sweep(), str(tmp_path), workers=workers)
+        assert pool_sizes == ([size] if size > 1 else [])
+        assert [r["name"] for r in res] == [
+            "sweep_tau=10", "sweep_tau=30", "sweep_tau=40"]
+        assert all((tmp_path / f"tau={tau}" / "curve_mean.csv").exists()
+                   for tau in (10, 30, 40))
+
+    def test_pool_writes_the_serial_tree(self, tmp_path):
+        # 4 seed-runs of 2 points on 2 workers: a worker runs more than one
+        d = {"name": "mix",
+             "env": {"topology": {"A": 1, "B": 1, "R": 2, "W": 1}},
+             "agent": {"kind": "random", "warmup_steps": 30, "batch": 4,
+                       "hidden": [8, 8]},
+             "attack": {"kind": "invert", "threshold": 0.6,
+                        "trigger_window": 8},
+             "defense": {"chi": 2.0, "warmup_count": 12, "stats_window": 60},
+             "seeds": [0, 1], "total_steps": 60,
+             "sweep": [{"path": "agent.kind", "values": ["random", "sac"]}]}
+        for workers in (1, 2):
+            run_spec_dict(d, str(tmp_path / f"w{workers}"), workers=workers)
+        serial = file_tree(tmp_path / "w1")
+        assert "kind=sac/seed_1/checkpoint.pkl" in serial
+        assert "kind=sac/seed_1/pipeline.jsonl" in serial
+        assert serial == file_tree(tmp_path / "w2")
+
+    def test_failing_seed_run_keeps_earlier_aggregates(self, monkeypatch,
+                                                       tmp_path):
+        real = harness.run_single
+
+        def run_single(spec, seed, out_dir=None):
+            if spec.name == "sweep_tau=30" and seed == 1:
+                raise RuntimeError("seed-run failed")
+            return real(spec, seed, out_dir)
+
+        monkeypatch.setattr("hybridris.harness.run_single", run_single)
+        with pytest.raises(RuntimeError, match="seed-run failed"):
+            run_spec_dict(tau_sweep(), str(tmp_path), workers=1)
+        for tau, written in ((10, True), (30, False), (40, False)):
+            for name in ("summary.json", "curve_mean.csv"):
+                assert (tmp_path / f"tau={tau}" / name).exists() == written
+
+
+class TestJsonlWriter:
+    @pytest.mark.parametrize("log", [
+        {"x": [NAN, INF, -INF, -0.0, 1e16, 5e-324, 0.1]},
+        {"x": [-0.0, 1e16, 5e-324, 1 / 3, -2.5e-8, 1e300]},
+        {"x": [1.7e308, 1.7e308, 0.5], "n": [10 ** 400, 1.5, 2]},
+        {"cap": [9.5, 10, 7.25], "alpha": [1.0, 2, 1.5]},
+        {"t": [0, 1, 2], "triggered": [True, False, True]},
+        {"x": [True, 1, 1.0, False, 0, 0.0]},
+        {"s": ['a"b', "c\\d", "na\u00efve \u20ac", "%s %r %%"],
+         "100%": [1, 2, 3, 4]},
+        {"t": [], "mode": []},
+        {},
+    ], ids=["non_finite", "finite_edges", "float_range", "int_in_float",
+            "bool", "true_and_one", "strings", "no_rows", "no_columns"])
+    def test_bytes_match_one_dumps_per_row(self, tmp_path, log):
+        path = tmp_path / "log.jsonl"
+        _write_jsonl(path, log)
+        assert path.read_bytes() == dumps_per_row(log).encode()
+
+    def test_integer_power_cap_in_a_step_log(self, tmp_path):
+        # a slot capped at an integer P_t logs that integer among floats
+        env = tiny_env(pc=hr.PowerConstraint(P_t=10, I_thr=5.0))
+        loop = build_loop(ExperimentSpec(name="cap", env=env,
+                                         agent_kind="random", seeds=(0,),
+                                         total_steps=100), 0)
+        loop.run(100)
+        kinds = {type(c) for c in loop.step_log["cap"]}
+        assert kinds == {int, float}
+        _write_jsonl(tmp_path / "steps.jsonl", loop.step_log)
+        assert (tmp_path / "steps.jsonl").read_bytes() == \
+            dumps_per_row(loop.step_log).encode()
 
 
 class TestPaperClaimsRandomAgent:
