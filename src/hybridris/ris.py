@@ -215,7 +215,12 @@ def resolve_mode(mode: RisMode, ledger: EnergyLedger, R: int,
 
 def wrap_phase(eps):
     """Wrap onto [0, 2*pi)."""
-    return np.mod(eps, 2.0 * np.pi)
+    wrapped = np.mod(eps, 2.0 * np.pi)
+    # np.mod rounds a tiny negative phase up to 2*pi itself; checking the
+    # maximum first costs less than a pass that maps every value
+    if wrapped.max(initial=0.0) < 2.0 * np.pi:
+        return wrapped
+    return np.where(wrapped == 2.0 * np.pi, 0.0, wrapped)
 
 
 def build_reflection(phases, n_active, gain, pp: PassiveParams) -> np.ndarray:

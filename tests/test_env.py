@@ -218,11 +218,13 @@ class TestStep:
         assert env.steps_in_block == 1
         env.step(np.zeros(env.action_size))
         env.step(np.zeros((5, env.action_size)))
-        assert env.steps_in_block == CHANNEL_BLOCK - 5
-        with pytest.raises(ValueError, match="holds 59 steps"):
-            env.step(np.zeros((60, env.action_size)))
-        out = env.step(np.zeros((59, env.action_size)))
-        assert len(out.reward) == 59 and env.steps_in_block == CHANNEL_BLOCK
+        room = CHANNEL_BLOCK - 5
+        assert env.steps_in_block == room
+        with pytest.raises(ValueError, match=f"holds {room} steps"):
+            env.step(np.zeros((room + 1, env.action_size)))
+        out = env.step(np.zeros((room, env.action_size)))
+        assert len(out.reward) == room
+        assert env.steps_in_block == CHANNEL_BLOCK
 
     @pytest.mark.parametrize("shape", [(1, 3, 12), (0, 12), ()])
     def test_malformed_action_refused_before_any_change(self, shape):
@@ -234,7 +236,7 @@ class TestStep:
         env.step(np.zeros(env.action_size))
         before = pickle.dumps(env.get_state())
         with pytest.raises(ValueError, match=r"expected \(12,\), or "
-                           r"\(k, 12\) with 1 <= k <= 64"):
+                           rf"\(k, 12\) with 1 <= k <= {CHANNEL_BLOCK}:"):
             env.step(np.zeros(shape))
         assert pickle.dumps(env.get_state()) == before
 
@@ -259,7 +261,9 @@ class TestStep:
 
     def test_observed_receiver_channels_are_the_scored_ones(self):
         # the h_b block holds [Re, Im] of each receiver's channel column in
-        # receiver order, and the next step is scored on exactly those
+        # receiver order, and the next step is scored on exactly those; the
+        # run crosses the refills after the reset's slot and after the first
+        # drawn channel block
         topo = Topology(A=2, B=3, R=4, W=2)
         cfg = EnvConfig(topo=topo, mode=RisMode.passive())
         R, A, B = topo.R, topo.A, topo.B
@@ -269,7 +273,7 @@ class TestStep:
         draws = make_rng(5)      # replays the env's channel stream
         act_rng = make_rng(6)
         block = slice(2 + 2 * R * A, 2 + 2 * R * A + 2 * R * B)
-        for _ in range(3):
+        for _ in range(CHANNEL_BLOCK + 3):
             H_s = sample_cascaded(draws, kappa.kappa_s, (R, A))
             cols = [sample_cascaded(draws, kappa.kappa_b, (R, 1))
                     for _ in range(B)]
@@ -386,15 +390,19 @@ class TestCheckpointInsideBlock:
 
     @pytest.mark.parametrize("fading_block", [1, 3])
     def test_checkpointing_leaves_the_run_unchanged(self, fading_block):
+        # states are taken in the first three drawn channel blocks and,
+        # when fading_block > 1, inside a fading block
         cfg = EnvConfig(fading=FadingMode(fading_block))
-        actions = make_rng(9).uniform(-1, 1, (300, action_size(cfg.topo)))
+        span = fading_block * CHANNEL_BLOCK
+        actions = make_rng(9).uniform(-1, 1, (2 * span + 44,
+                                              action_size(cfg.topo)))
         plain, checked = RisCrnEnv(cfg), RisCrnEnv(cfg)
         plain.reset(2)
         checked.reset(2)
         expected = [plain.step(a).reward for a in actions]
         rewards, states = [], {}
         for t, a in enumerate(actions):
-            if t in (1, 70, 130):
+            if t in (1, span + 7, 2 * span + 7):
                 states[t] = checked.get_state()
             rewards.append(checked.step(a).reward)
         assert rewards == expected
@@ -415,15 +423,17 @@ class TestCheckpointInsideBlock:
         # it continues with the same step records and observations
         cfg = EnvConfig(mode=mode, fading=FadingMode(fading_block),
                         pc=PowerConstraint(P_t=10.0, I_thr=3.0))
-        actions = make_rng(3).uniform(-1, 1, (120, action_size(cfg.topo)))
+        start = (CHANNEL_BLOCK + 2) * fading_block + 1
+        actions = make_rng(3).uniform(-1, 1, (start + 50,
+                                              action_size(cfg.topo)))
         env = RisCrnEnv(cfg)
         env.reset(6)
-        for a in actions[:70]:
+        for a in actions[:start]:
             env.step(a)
         state = pickle.loads(pickle.dumps(env.get_state()))
         resumed = RisCrnEnv(cfg)
         resumed.set_state(state)
-        for t, a in enumerate(actions[70:], start=70):
+        for t, a in enumerate(actions[start:], start=start):
             out, again = env.step(a), resumed.step(a)
             assert log_record(t, again) == log_record(t, out)
             assert again[1:] == out[1:]
@@ -484,8 +494,7 @@ def edge_actions(topo):
 
 
 # sha256 of the step-log lines and the bytes of every observation while the
-# edge actions run twice (so a channel block boundary is crossed), on the
-# paper-default topology at seed 3. "passive" scores without amplifier
+# edge actions run twice (84 steps), on the paper-default topology at seed 3. "passive" scores without amplifier
 # noise, "active" with it on every element, and "small_I_thr" makes the
 # projection bind. Recorded like the step-log pins (numpy 2.4, OpenBLAS
 # SkylakeX).
@@ -502,16 +511,29 @@ EDGE_ACTION_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name", list(EDGE_ACTION_DIGESTS))
-def test_edge_action_digest_pinned(name):
-    cfg_kw, expected = EDGE_ACTION_DIGESTS[name]
-    env = RisCrnEnv(EnvConfig(**cfg_kw))
+def edge_action_digest(name) -> str:
+    env = RisCrnEnv(EnvConfig(**EDGE_ACTION_DIGESTS[name][0]))
     digest = hashlib.sha256(env.reset(3).tobytes())
     for t, a in enumerate(2 * edge_actions(env.cfg.topo)):
         out = env.step(a)
         digest.update((json.dumps(log_record(t, out)) + "\n").encode())
         digest.update(out.observation.tobytes())
-    assert digest.hexdigest() == expected
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", list(EDGE_ACTION_DIGESTS))
+def test_edge_action_digest_pinned(name):
+    assert edge_action_digest(name) == EDGE_ACTION_DIGESTS[name][1]
+
+
+# the block size reaches neither the stream nor the arithmetic, so each pin
+# holds at any size; blocks of 3 and 64 slots put refills inside the pinned
+# steps, where the default block puts none
+@pytest.mark.parametrize("block", [3, 64])
+@pytest.mark.parametrize("name", list(EDGE_ACTION_DIGESTS))
+def test_edge_action_digest_at_any_block_size(name, block, monkeypatch):
+    monkeypatch.setattr("hybridris.env.CHANNEL_BLOCK", block)
+    assert edge_action_digest(name) == EDGE_ACTION_DIGESTS[name][1]
 
 
 BLOCK_TOPOLOGIES = {
@@ -536,18 +558,21 @@ BLOCK_ENVS = {
 def test_block_scoring_equals_one_step_at_a_time(topo_name, env_name):
     # tau near the mean harvest mixes passive and amplifying slots in a
     # block; I_thr = 1 makes the projection bind on some steps of a block
-    # and not on others; the blocks cross channel blocks at uneven points
+    # and not on others; the blocks cross channel blocks at uneven points,
+    # and the run crosses three refills
     topo, cascade = BLOCK_TOPOLOGIES[topo_name]
     cfg = EnvConfig(topo=topo, cascade=cascade,
                     hp=HarvestParams(tau=8.0 * topo.R),
                     pc=PowerConstraint(P_t=10.0, I_thr=1.0),
                     **BLOCK_ENVS[env_name])
-    actions = make_rng(9).uniform(-1.5, 1.5, (200, action_size(topo)))
+    span = cfg.fading.block_length * CHANNEL_BLOCK
+    chunks = (1, 40, span, 30, span + 1)
+    actions = make_rng(9).uniform(-1.5, 1.5, (sum(chunks), action_size(topo)))
     single, block = RisCrnEnv(cfg), RisCrnEnv(cfg)
     assert single.reset(3).tobytes() == block.reset(3).tobytes()
     want = [single.step(a) for a in actions]
     got, start = [], 0
-    for k in (1, 40, 64, 30, 65):
+    for k in chunks:
         # a chunk is cut where the drawn channel block ends
         while k:
             n = min(k, block.steps_in_block)

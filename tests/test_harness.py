@@ -7,6 +7,7 @@ import pytest
 
 import hybridris as hr
 from hybridris import harness
+from hybridris.env import CHANNEL_BLOCK
 from hybridris.harness import (ExperimentSpec, SpecError, _write_jsonl,
                                build_loop, build_spec, compare,
                                converged_mean, expand_sweep, load_checkpoint,
@@ -170,11 +171,14 @@ class TestRunExperiment:
 
 class TestOpenLoopBlocks:
     # run() scores open-loop steps a channel block at a time; one_step()
-    # scores one step; both must give every bit of the same run
+    # scores one step; both must give every bit of the same run, whose
+    # warm-up runs on past the refill after the first drawn channel block
     @pytest.mark.parametrize("kind,agent", [
         ("random", None),
-        ("sac", hr.SacConfig(warmup_steps=100, batch=4, hidden=(8, 8))),
-        ("td3", hr.Td3Config(warmup_steps=100, batch=4, hidden=(8, 8)))])
+        ("sac", hr.SacConfig(warmup_steps=CHANNEL_BLOCK + 36, batch=4,
+                             hidden=(8, 8))),
+        ("td3", hr.Td3Config(warmup_steps=CHANNEL_BLOCK + 36, batch=4,
+                             hidden=(8, 8)))])
     @pytest.mark.parametrize("defended", [False, True])
     def test_run_equals_one_step_at_a_time(self, kind, agent, defended):
         extra = dict(attack=hr.AttackConfig(kind="invert", threshold=0.2,
@@ -182,11 +186,11 @@ class TestOpenLoopBlocks:
                      defense=hr.DefenseConfig(warmup_count=10,
                                               stats_window=50)) \
             if defended else {}
-        spec = tiny_spec(agent_kind=kind, agent=agent, steps=180,
-                         **extra)
+        steps = CHANNEL_BLOCK + 116
+        spec = tiny_spec(agent_kind=kind, agent=agent, steps=steps, **extra)
         block, single = build_loop(spec, 2), build_loop(spec, 2)
-        block.run(180)
-        for _ in range(180):
+        block.run(steps)
+        for _ in range(steps):
             single.one_step()
         assert block.step_log == single.step_log
         assert pipeline_log(block) == pipeline_log(single)
@@ -304,23 +308,24 @@ class TestCheckpoints:
     @pytest.mark.parametrize("kind", ["sac", "td3"])
     def test_resume_mid_block_and_mid_warmup_is_bitwise(self, tmp_path,
                                                         kind):
-        # the 100-step warm-up runs on past the channel block that starts
-        # at step 65, and the checkpoint at step 40 falls inside both the
-        # warm-up and the block before it
+        # the warm-up runs on past the channel block that starts at step
+        # CHANNEL_BLOCK + 1, and the checkpoint at step 40 falls inside both
+        # the warm-up and the block before it
+        warmup = CHANNEL_BLOCK + 36
         spec = tiny_spec(
             agent_kind=kind,
-            agent=LEARNER_CONFIGS[kind](warmup_steps=100, batch=4,
+            agent=LEARNER_CONFIGS[kind](warmup_steps=warmup, batch=4,
                                         hidden=(12, 12)),
-            steps=200)
+            steps=warmup + 100)
         straight = build_loop(spec, 0)
-        straight.run(200)
+        straight.run(warmup + 100)
         loop = build_loop(spec, 0)
         loop.run(40)
         path = str(tmp_path / "ck.pkl")
         save_checkpoint(path, loop)
         resumed = build_loop(spec, 0)
         load_checkpoint(path, resumed)
-        resumed.run(160)
+        resumed.run(warmup + 60)
         assert resumed.step_log == {k: v[40:]
                                     for k, v in straight.step_log.items()}
         assert resumed.obs.tobytes() == straight.obs.tobytes()
@@ -455,6 +460,17 @@ def step_log_digest(env_d: dict, seed: int, steps: int) -> str:
 
 @pytest.mark.parametrize("name", list(ENV_DIGESTS))
 def test_env_digest_pinned(name):
+    env_d, expected = ENV_DIGESTS[name]
+    assert step_log_digest(env_d, 3, 200) == expected
+
+
+# the block size reaches neither the stream nor the arithmetic, so each pin
+# holds at any size; blocks of 3 and 64 slots put refills inside the pinned
+# steps, where the default block puts none
+@pytest.mark.parametrize("block", [3, 64])
+@pytest.mark.parametrize("name", list(ENV_DIGESTS))
+def test_env_digest_at_any_block_size(name, block, monkeypatch):
+    monkeypatch.setattr("hybridris.env.CHANNEL_BLOCK", block)
     env_d, expected = ENV_DIGESTS[name]
     assert step_log_digest(env_d, 3, 200) == expected
 
