@@ -35,7 +35,7 @@ obs = env.reset(123)
 for t in range(5000):
     a = agent.act(obs, t)
     out = env.step(a)
-    agent.observe(obs, a, out.reward, out.observation)
+    agent.observe(obs[None], a[None], [out.reward], out.observation[None])
     agent.update(t)
     obs = out.observation
     if (t + 1) % 1000 == 0:

@@ -3,15 +3,18 @@ action vectors: soft actor-critic (primary), DDPG and TD3 baselines, and a
 uniform random policy.
 
 All agents share one loop contract: ``act(obs, t)`` returns an action in
-[-1, 1]^dim, ``observe(s, a, r, s2)`` stores a transition (the caller
-decides whether a transition is stored at all, e.g. when a reward filter
-discards it), and ``update(t)`` performs one gradient step once the warmup
-phase is over. ``open_loop_steps(t, n)`` says how many of the n steps from
-t on act without reading the observation (the random agent's steps and a
-learner's warmup), and ``open_loop_actions(k)`` draws the actions of k such
-steps at once, from the stream k calls of ``act`` would use. Every
-stochastic choice comes from the agent's own generator so a (seed, config)
-pair replays bit-for-bit.
+[-1, 1]^dim, ``observe(s, a, r, s2)`` stores a k-row stack of transitions
+in row order (k >= 0; the caller decides which transitions are stored at
+all, e.g. when a reward filter discards some), and ``update(t)`` performs
+one gradient step once the warmup phase is over. ``open_loop_steps(t, n)``
+says how many of the n steps from t on act without reading the
+observation (the random agent's steps and a learner's warmup), and
+``open_loop_actions(k)`` draws the actions of k such steps at once, from
+the stream k calls of ``act`` would use. Open-loop steps never train: the
+caller runs ``update`` only after a closed-loop step, and for every
+open-loop step ``update`` would do nothing. Every stochastic choice comes
+from the agent's own generator so a (seed, config) pair replays
+bit-for-bit.
 """
 
 import math
@@ -55,13 +58,22 @@ class ReplayBuffer:
         self.size = 0
 
     def store(self, s, a, r, s2):
-        i = self.ptr
-        self.s[i] = s
-        self.a[i] = a
-        self.r[i] = r
-        self.s2[i] = s2
-        self.ptr = (i + 1) % self.capacity
-        self.size = min(self.size + 1, self.capacity)
+        """Stores a k-row stack of transitions, in row order, as k one-row
+        stores would: the ring keeps the last ``capacity`` of them."""
+        k, cap = len(r), self.capacity
+        # row j lands at (ptr + j) % cap, so only the last cap rows stay;
+        # they are written as at most two runs, split where the ring wraps
+        j = max(0, k - cap)
+        while j < k:
+            i = (self.ptr + j) % cap
+            m = min(k - j, cap - i)
+            self.s[i:i + m] = s[j:j + m]
+            self.a[i:i + m] = a[j:j + m]
+            self.r[i:i + m] = r[j:j + m]
+            self.s2[i:i + m] = s2[j:j + m]
+            j += m
+        self.ptr = (self.ptr + k) % cap
+        self.size = min(self.size + k, cap)
 
     def sample(self, rng: np.random.Generator, batch: int):
         idx = rng.choice(self.size, size=batch, replace=False)

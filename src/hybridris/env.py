@@ -42,7 +42,7 @@ import numpy as np
 
 from . import phy, ris
 from .channel import (CascadeSpec, ChannelBlock, FadingMode, Topology,
-                      sample_channel_set, slot_draws)
+                      sample_channel_set)
 from .numerics import (make_rng, raise_broken, require_reals, restore_rng,
                        rng_state)
 from .phy import NoiseParams, PowerConstraint
@@ -228,7 +228,7 @@ class RisCrnEnv:
         v = values.take(cur, 0)
         caps, tail = v[:, 0], v[:, 4:]
         raw, phases = _split_action(actions, cfg.topo)
-        G = phy.project_beamformer(raw, caps)
+        G, over = phy.project_beamformer(raw, caps)
         refl = ris.build_reflection(phases, v[:, 1:2], v[:, 4:5], cfg.pp)
         blk = self._block
         sinrs = phy.sinrs(blk.H_s.take(cur, 0), blk.h_b.take(cur, 0), refl, G,
@@ -239,7 +239,7 @@ class RisCrnEnv:
         # round above it
         if G is not raw:
             self._violations += int(np.count_nonzero(
-                phy.tx_power(G) > caps + CONSTRAINT_TOL))
+                phy.tx_power(G[over]) > caps[over] + CONSTRAINT_TOL))
 
         rows = self._rows
         self._t = t0 + n
@@ -258,28 +258,17 @@ class RisCrnEnv:
         return StepOutcome(*[f[0] for f in out] if flat else out)
 
     def get_state(self) -> dict:
-        """Snapshot for exact run continuation (channels, RNG position,
-        previous-action fields, counters). The saved RNG position is the
-        one right after the current slot's draw, as if slots were drawn one
-        at a time."""
+        """Snapshot for exact run continuation: the generator state before
+        the current channel block's draw, the block's length and the slots
+        of it taken, the previous-action fields and the counters.
+        ``set_state`` redraws the block from that state."""
         if self._rng is None:
             raise RuntimeError("call reset() before get_state()")
-        ch = None if self._block is None else self._block[self._used - 1]
-        rng = self._rng
-        if ch is not None and self._used < len(self._block):
-            rng = restore_rng(self._block_start)
-            rng.standard_normal(
-                self._used * sum(slot_draws(self.cfg.topo, self.cfg.cascade)))
         G, phases, alpha, flag = self._prev
         return {
-            "rng": rng_state(rng),
-            "channels": None if ch is None else {
-                "H_s": ch.H_s.copy(),
-                "h_b": ch.h_b.copy(),
-                "H_p": ch.H_p.copy(),
-                "h_PB": ch.h_PB.copy(),
-                "g_sp": np.asarray(ch.g_sp).copy(),
-            },
+            "block_start": rng_state(restore_rng(self._block_start)),
+            "block": len(self._block),
+            "slot": self._used,
             "t": self._t,
             "violations": self._violations,
             "prev_G": G.copy(),
@@ -289,42 +278,36 @@ class RisCrnEnv:
         }
 
     def set_state(self, st: dict):
-        self._rng = restore_rng(st["rng"])
-        chd = st["channels"]
+        self._rng = restore_rng(st["block_start"])
         self._block = None
-        if chd is not None:
-            # the restored slot is a used-up block of one, so the next
-            # refill draws from the restored generator
-            self._start_block(ChannelBlock(
-                **{k: np.asarray(v)[None] for k, v in chd.items()}))
-            self._used = 1
+        self._next_slot(int(st["block"]))
+        self._used = int(st["slot"])
         self._t = int(st["t"])
         self._violations = int(st["violations"])
         self._prev = (st["prev_G"], st["prev_phases"],
                       float(st["prev_alpha"]), float(st["prev_mode_flag"]))
 
     def _next_slot(self, block: int):
-        """Moves to the next slot; draws ``block`` slots when the current
-        block is used up."""
+        """Moves to the next slot; when the current block is used up, draws
+        ``block`` slots and lays out their observation rows. Their slot
+        settings wait for the first step that reads them, so a reset does
+        not pay for them."""
         if self._block is None or self._used == len(self._block):
             self._block_start = self._rng.bit_generator.state
-            self._start_block(sample_channel_set(
-                self._rng, self.cfg.topo, self.cfg.cascade, block))
+            blk = sample_channel_set(self._rng, self.cfg.topo,
+                                     self.cfg.cascade, block)
+            h_b = blk.h_b.transpose(0, 2, 1)              # slot x B x R
+            self._block, self._used, self._settings = blk, 0, None
+            self._rows = np.concatenate([
+                np.full((block, 2), (self.cfg.pc.P_t, self.cfg.pc.I_thr),
+                        float),
+                blk.H_s.real.reshape(block, -1),
+                blk.H_s.imag.reshape(block, -1),
+                np.stack([h_b.real, h_b.imag], axis=2).reshape(block, -1),
+                blk.H_p.real.reshape(block, -1),
+                blk.H_p.imag.reshape(block, -1),
+            ], axis=1)
         self._used += 1
-
-    def _start_block(self, block: ChannelBlock):
-        """Makes ``block`` the current one, with its observation rows; its
-        slot settings wait for the first step that reads them, so a reset
-        does not pay for them."""
-        n = len(block)
-        h_b = block.h_b.transpose(0, 2, 1)              # slot x B x R
-        self._block, self._used, self._settings = block, 0, None
-        self._rows = np.concatenate([
-            np.full((n, 2), (self.cfg.pc.P_t, self.cfg.pc.I_thr), float),
-            block.H_s.real.reshape(n, -1), block.H_s.imag.reshape(n, -1),
-            np.stack([h_b.real, h_b.imag], axis=2).reshape(n, -1),
-            block.H_p.real.reshape(n, -1), block.H_p.imag.reshape(n, -1),
-        ], axis=1)
 
     def _slot_settings(self, block: ChannelBlock):
         """What each slot of ``block`` fixes for its step, whatever the

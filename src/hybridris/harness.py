@@ -36,7 +36,7 @@ from .numerics import is_real, make_rng, raise_broken
 
 MA_WINDOW = 200
 CONVERGED_FRACTION = 0.1
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 AGENT_KINDS = {
     "sac": (SacAgent, SacConfig),
@@ -162,38 +162,42 @@ class TrainingLoop:
     def one_step(self, open_loop: int = 0):
         """Scores the next step's action in one ``env.step``, or with
         ``open_loop`` > 0 the actions of that many next steps, as many as
-        the drawn channel block holds, which the agent draws at once. Then,
-        per step, the reward pipeline, ``observe``, ``update`` and the log
-        columns."""
+        the drawn channel block holds, which the agent draws at once. The
+        reward pipeline then takes each reward in turn, the agent observes
+        the accepted transitions as one stack, and a closed-loop step
+        updates the agent (open-loop steps never train)."""
         if open_loop:
             actions = self.agent.open_loop_actions(
                 min(open_loop, self.env.steps_in_block))
         else:
             actions = self.agent.act(self.obs, self.t)[None]
         out = self.env.step(actions)
-        for a, r, s2 in zip(actions, out.reward, out.observation):
-            self._learn(a, r, s2)
-            self.obs = s2
-            self.t += 1
+        s2, r = out.observation, out.reward
+        s = np.concatenate((self.obs[None], s2[:-1]))
+        if self.pipeline is not None:
+            keep, r = [], []
+            for i, reward in enumerate(out.reward):
+                rec = self.pipeline.step(reward)
+                # the record holds the logged fields first, in log order
+                for column, value in zip(self.pipeline_log.values(), rec):
+                    column.append(value)
+                if rec.decision == ACCEPTED:
+                    keep.append(i)
+                    r.append(rec.value)
+            if len(keep) < len(s):
+                # take reads a row list in a third of the time indexing does
+                s, actions, s2 = (s.take(keep, 0), actions.take(keep, 0),
+                                  s2.take(keep, 0))
+        self.agent.observe(s, actions, r, s2)
+        if not open_loop:
+            self.agent.update(self.t)
+        n = len(out.reward)
+        self.obs = out.observation[-1]
+        self.t += n
         # the outcome holds the logged fields after t, in log order
         for column, values in zip(self.step_log.values(),
-                                  (range(self.t - len(actions), self.t),
-                                   *out[1:-1])):
+                                  (range(self.t - n, self.t), *out[1:-1])):
             column.extend(values)
-
-    def _learn(self, a, reward, s2):
-        """Passes step t's reward through the pipeline, stores the
-        transition unless the pipeline discards it, and updates."""
-        if self.pipeline is not None:
-            rec = self.pipeline.step(reward)
-            # the record holds the logged fields first, in log order
-            for column, value in zip(self.pipeline_log.values(), rec):
-                column.append(value)
-            if rec.decision == ACCEPTED:
-                self.agent.observe(self.obs, a, rec.value, s2)
-        else:
-            self.agent.observe(self.obs, a, reward, s2)
-        self.agent.update(self.t)
 
     def get_state(self) -> dict:
         return {
@@ -244,7 +248,7 @@ def build_loop(spec: ExperimentSpec, seed: int) -> TrainingLoop:
 def _log_stats(step_log: dict) -> dict:
     """The summary statistics of a step log given as columns."""
     rewards = step_log["reward"]
-    active = float(np.mean(np.array(step_log["mode"]) == ACTIVE))
+    active = step_log["mode"].count(ACTIVE) / len(rewards)
     return {
         "steps": len(rewards),
         "converged_mean": converged_mean(rewards),
@@ -264,10 +268,10 @@ def summarize(name: str, seed: int, loop: TrainingLoop,
                       wall_clock_s)
 
 
-def _repr_is_json(column) -> bool:
+def _repr_is_json(column, kinds) -> bool:
     """Whether ``%r`` prints every cell as json.dumps does: each is an int
-    or a finite float (a bool or a NaN is not)."""
-    kinds = set(map(type, column))
+    or a finite float (a bool or a NaN is not); ``kinds`` is the set of
+    the cells' types."""
     try:
         return kinds <= {int, float} and (float not in kinds
                                           or math.isfinite(sum(column)))
@@ -279,13 +283,16 @@ def _write_jsonl(path, log: dict):
     """Write a log kept as columns, one JSON object per row, with the bytes
     of ``json.dumps`` of each row's dict. Every row is formatted from one
     template: ``%r`` for a column of ints and finite floats, else each
-    cell's JSON text, worked out once per distinct (type, value)."""
+    cell's JSON text, worked out once per distinct (type, value); floats
+    are keyed by their text, since 0.0 == -0.0 prints two ways."""
     fields, cells = [], []
     for name, column in log.items():
-        fmt = "%r"
-        if not _repr_is_json(column):
-            keys = list(zip(map(type, column), column))
-            text = {key: json.dumps(key[1]) for key in set(keys)}
+        fmt, kinds = "%r", set(map(type, column))
+        if not _repr_is_json(column, kinds):
+            keys = list(zip(map(type, column), map(str, column)
+                            if float in kinds else column))
+            text = {key: json.dumps(x)
+                    for key, x in dict(zip(keys, column)).items()}
             column, fmt = list(map(text.__getitem__, keys)), "%s"
         fields.append(json.dumps(name).replace("%", "%%") + ": " + fmt)
         cells.append(column)
@@ -294,16 +301,21 @@ def _write_jsonl(path, log: dict):
         fh.writelines(map(template.__mod__, zip(*cells)))
 
 
+def _csv_cells(row) -> tuple:
+    """A table row's cells, with an empty cell for each None."""
+    if None in row:
+        return tuple("" if x is None else x for x in row)
+    return tuple(row)
+
+
 def _write_csv(path, header, rows):
     """Write a table whose cells are Python ints, floats and strings, each
-    as ``str`` prints it (for a float, its repr); None is an empty cell."""
+    as ``str`` prints it (for a float, its repr); None is an empty cell.
+    Every row is formatted from one template."""
     line = ",".join(["%s"] * len(header)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            if None in row:
-                row = ["" if x is None else x for x in row]
-            fh.write(line % tuple(row))
+        fh.writelines(map(line.__mod__, map(_csv_cells, rows)))
 
 
 def run_single(spec: ExperimentSpec, seed: int,

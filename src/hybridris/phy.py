@@ -68,24 +68,26 @@ def tx_power(G: np.ndarray) -> np.ndarray:
     return np.add.reduce(gram.diagonal(0, -2, -1), axis=-1).real
 
 
-def project_beamformer(G: np.ndarray, cap) -> np.ndarray:
+def project_beamformer(G: np.ndarray, cap):
     """Scale each beamformer of ``G`` (A x B, or a stack with leading axes
     that ``cap`` broadcasts against) down, never up, so tr(G G^H) <= cap.
 
-    Feasible beamformers pass through unchanged, and when every one is
-    feasible ``G`` itself is returned; infeasible ones are rescaled by
-    sqrt(cap / power), which preserves the beam directions.
+    Returns the projected beamformers and the mask of the rescaled ones,
+    shaped like the leading axes. Feasible beamformers pass through
+    unchanged, and when every one is feasible ``G`` itself is returned;
+    infeasible ones are rescaled by sqrt(cap / power), which preserves the
+    beam directions.
     """
     power = tx_power(G)
     over = power > cap
     if not np.count_nonzero(over):
-        return G
+        return G, over
     if np.count_nonzero(cap <= 0):
         raise ValueError("cap must be > 0")
     scale = np.sqrt(cap / np.maximum(power, cap))[..., None, None]
     # the feasible ones are selected, not scaled by 1, so every bit of them
     # (the sign of a zero included) passes through
-    return np.where(over[..., None, None], G * scale, G)
+    return np.where(over[..., None, None], G * scale, G), over
 
 
 def _cmul_apart(x, y):

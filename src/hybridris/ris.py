@@ -229,10 +229,12 @@ def build_reflection(phases, n_active, gain, pp: PassiveParams) -> np.ndarray:
     and ``gain`` broadcast against them on a trailing axis of 1.
 
     The first ``n_active`` elements amplify at ``gain``; the rest reflect
-    passively with beta(eps_r). Every element applies its phase e^{j eps_r};
-    phases outside [0, 2*pi) are wrapped, never rejected.
+    passively with beta(eps_r). Every element applies its phase e^{j eps_r}.
+    The phases are read as given: the env wraps an action's phases once,
+    with ``wrap_phase``, before the observation and this function read
+    them.
     """
-    eps = wrap_phase(np.asarray(phases, dtype=float))
+    eps = np.asarray(phases, dtype=float)
     mag = np.where(np.arange(eps.shape[-1]) < n_active, gain,
                    passive_amplitude(eps, pp))
     return mag * np.exp(1j * eps)

@@ -21,7 +21,7 @@ def filled_agent(agent, n=40, seed=0):
         a = rng.uniform(-1, 1, agent.act_dim)
         r = float(rng.standard_normal())
         s2 = rng.standard_normal(agent.obs_dim)
-        agent.observe(s, a, r, s2)
+        agent.observe(s[None], a[None], [r], s2[None])
     return agent
 
 
@@ -29,21 +29,50 @@ class TestReplayBuffer:
     def test_ring_overwrite(self):
         buf = ReplayBuffer(4, 2, 1)
         for i in range(6):
-            buf.store(np.full(2, i), [i], float(i), np.full(2, i + 0.5))
+            buf.store(np.full((1, 2), i), [[i]], [float(i)],
+                      np.full((1, 2), i + 0.5))
         assert buf.size == 4 and buf.ptr == 2
         assert sorted(buf.r[:4].tolist()) == [2.0, 3.0, 4.0, 5.0]
+
+    # a stack stores what its rows stored one at a time would: one row, a
+    # stack that ends exactly at capacity, one that wraps the ring, and
+    # ones longer than the ring, from a part-filled and from a full one
+    @pytest.mark.parametrize("before,k", [(3, 1), (3, 5), (6, 5), (3, 19),
+                                          (11, 20), (4, 0)],
+                             ids=["one_row", "ends_at_capacity", "wraps",
+                                  "longer_than_capacity",
+                                  "longer_after_a_wrap", "empty"])
+    def test_stack_equals_one_row_stores(self, before, k):
+        rng = make_rng(before + k)
+        rows = [(rng.standard_normal(2), rng.uniform(-1, 1, 1),
+                 float(rng.standard_normal()), rng.standard_normal(2))
+                for _ in range(before + k)]
+        stacked, single = ReplayBuffer(8, 2, 1), ReplayBuffer(8, 2, 1)
+        for i, (s, a, r, s2) in enumerate(rows):
+            if i < before:
+                stacked.store(s[None], a[None], [r], s2[None])
+            single.store(s[None], a[None], [r], s2[None])
+        tail = rows[before:]
+        stacked.store(np.array([s for s, _, _, _ in tail]).reshape(k, 2),
+                      np.array([a for _, a, _, _ in tail]).reshape(k, 1),
+                      [r for _, _, r, _ in tail],
+                      np.array([s2 for *_, s2 in tail]).reshape(k, 2))
+        for name in ("s", "a", "r", "s2"):
+            assert getattr(stacked, name).tobytes() == \
+                getattr(single, name).tobytes()
+        assert (stacked.ptr, stacked.size) == (single.ptr, single.size)
 
     def test_sample_without_replacement(self):
         buf = ReplayBuffer(16, 2, 1)
         for i in range(8):
-            buf.store([i, i], [i], float(i), [i, i])
+            buf.store([[i, i]], [[i]], [float(i)], [[i, i]])
         s, a, r, s2 = buf.sample(make_rng(0), 8)
         assert sorted(r.tolist()) == [float(i) for i in range(8)]
 
     def test_state_roundtrip(self):
         buf = ReplayBuffer(8, 2, 1)
         for i in range(5):
-            buf.store([i, i], [i], float(i), [i, -i])
+            buf.store([[i, i]], [[i]], [float(i)], [[i, -i]])
         st = buf.get_state()
         buf2 = ReplayBuffer(8, 2, 1)
         buf2.set_state(st)
@@ -370,7 +399,7 @@ class TestSacUpdate:
         s = np.full(OBS, 0.3)
         a = np.zeros(ACT)
         r = 1.234
-        ag.observe(s, a, r, np.full(OBS, 0.1))
+        ag.observe(s[None], a[None], [r], np.full((1, OBS), 0.1))
         for t in range(200):
             ag.update(t)
         x = np.concatenate([s, a])[None, :]

@@ -12,7 +12,8 @@ from hybridris.env import (CHANNEL_BLOCK, STEP_LOG_FIELDS, EnvConfig,
                            observation_size)
 from hybridris.numerics import make_rng, rng_state
 from hybridris.phy import PowerConstraint, power_cap, project_beamformer
-from hybridris.ris import ActiveParams, HarvestParams, PassiveParams, RisMode
+from hybridris.ris import (ActiveParams, HarvestParams, PassiveParams,
+                           RisMode, build_reflection, wrap_phase)
 from oracles import (naive_active_sinr, naive_beta, naive_passive_rates,
                      sample_cascaded)
 
@@ -33,7 +34,7 @@ def decode_action(a, cap, topo):
     """The cap-feasible beamformer and the wrapped phases that env.step
     scores a flat action with."""
     raw, phases = _split_action(a, topo)
-    return project_beamformer(raw, cap), phases
+    return project_beamformer(raw, cap)[0], phases
 
 
 class TestDecodeAction:
@@ -54,6 +55,21 @@ class TestDecodeAction:
         topo = Topology(A=1, B=1, R=1, W=1)
         _, phases = decode_action(np.array([0.0, 0.0, 1.0]), 1.0, topo)
         assert phases[0] == pytest.approx(0.0, abs=1e-12)
+
+    # the env wraps an action's phases once, and the reflection reads them
+    # as they come: an action whose phases (x + 1) * pi fall outside
+    # [0, 2*pi) reflects as its wrapped phases do
+    @pytest.mark.parametrize("n_active", [0, 2, 4])
+    def test_phases_are_read_as_their_wrapped_values(self, n_active):
+        phases = np.array([2 * np.pi + 0.3, -0.3, 7.5, 1.0, -1e-17])
+        x = phases / np.pi - 1.0
+        _, wrapped = _split_action(np.concatenate([np.zeros(2), x]),
+                                   Topology(A=1, B=1, R=5, W=1))
+        pp = PassiveParams(beta_min=0.6, exponent=1.5, offset_l=0.0)
+        assert np.array_equal(
+            build_reflection(wrapped, n_active, 1.6, pp),
+            build_reflection(wrap_phase((x + 1.0) * np.pi), n_active, 1.6,
+                             pp))
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
@@ -166,13 +182,18 @@ class TestStep:
         # of them; a faulty projection that leaves it over the cap is
         # counted once per step
         monkeypatch.setattr("hybridris.phy.project_beamformer",
-                            lambda G, cap: G * 1e3)
+                            lambda G, cap: (G * 1e3, np.full(len(G), True)))
         env = RisCrnEnv(EnvConfig())
         env.reset(0)
         env.step(np.ones(env.action_size))
         assert env.violations == 1
         env.step(np.ones((5, env.action_size)))
         assert env.violations == 6
+        # only the beamformers the projection says it rescaled are checked
+        monkeypatch.setattr("hybridris.phy.project_beamformer",
+                            lambda G, cap: (G * 1e3, np.arange(len(G)) < 2))
+        env.step(np.ones((5, env.action_size)))
+        assert env.violations == 8
 
     def test_action_log_replay_bitwise(self):
         rng = make_rng(5)
@@ -374,7 +395,7 @@ class TestCheckpointInsideBlock:
             sample_cascaded(rng, 1, (topo.R, 1))
 
     @pytest.mark.parametrize("fading_block", [1, 3])
-    def test_rng_is_the_per_slot_position(self, fading_block):
+    def test_state_is_the_block_start_and_the_slot(self, fading_block):
         cfg = EnvConfig(fading=FadingMode(fading_block))
         env = RisCrnEnv(cfg)
         env.reset(4)
@@ -384,9 +405,21 @@ class TestCheckpointInsideBlock:
         act_rng = make_rng(8)
         for _ in range(slots * fading_block - 1):
             env.step(act_rng.uniform(-1, 1, env.action_size))
+        # the state holds no channels: the generator before the current
+        # block's draw (where one-slot-at-a-time draws of reset's slot and
+        # the first full block leave it), the block's length and the slots
+        # taken of it
         expected = make_rng(4)
-        self.advance_per_slot(expected, cfg, slots)
-        assert env.get_state()["rng"] == rng_state(expected)
+        self.advance_per_slot(expected, cfg, 1 + CHANNEL_BLOCK)
+        st = env.get_state()
+        assert set(st) == {"block_start", "block", "slot", "t", "violations",
+                           "prev_G", "prev_phases", "prev_alpha",
+                           "prev_mode_flag"}
+        assert st["block_start"] == rng_state(expected)
+        assert (st["block"], st["slot"]) == (CHANNEL_BLOCK, 5)
+        resumed = RisCrnEnv(cfg)
+        resumed.set_state(st)
+        assert resumed.steps_in_block == env.steps_in_block
 
     @pytest.mark.parametrize("fading_block", [1, 3])
     def test_checkpointing_leaves_the_run_unchanged(self, fading_block):
@@ -406,7 +439,7 @@ class TestCheckpointInsideBlock:
                 states[t] = checked.get_state()
             rewards.append(checked.step(a).reward)
         assert rewards == expected
-        # restoring drops the slots left in the env's current block
+        # restoring redraws the current block from its start
         for t, st in states.items():
             checked.set_state(st)
             assert [checked.step(a).reward for a in actions[t:]] == \

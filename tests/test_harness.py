@@ -172,13 +172,16 @@ class TestRunExperiment:
 class TestOpenLoopBlocks:
     # run() scores open-loop steps a channel block at a time; one_step()
     # scores one step; both must give every bit of the same run, whose
-    # warm-up runs on past the refill after the first drawn channel block
+    # warm-up runs on past the refill after the first drawn channel block;
+    # the last case's replay ring is shorter than the block's stack
     @pytest.mark.parametrize("kind,agent", [
         ("random", None),
         ("sac", hr.SacConfig(warmup_steps=CHANNEL_BLOCK + 36, batch=4,
                              hidden=(8, 8))),
         ("td3", hr.Td3Config(warmup_steps=CHANNEL_BLOCK + 36, batch=4,
-                             hidden=(8, 8)))])
+                             hidden=(8, 8))),
+        ("sac", hr.SacConfig(warmup_steps=CHANNEL_BLOCK + 36, batch=4,
+                             hidden=(8, 8), buffer_capacity=64))])
     @pytest.mark.parametrize("defended", [False, True])
     def test_run_equals_one_step_at_a_time(self, kind, agent, defended):
         extra = dict(attack=hr.AttackConfig(kind="invert", threshold=0.2,
@@ -195,8 +198,12 @@ class TestOpenLoopBlocks:
         assert block.step_log == single.step_log
         assert pipeline_log(block) == pipeline_log(single)
         assert block.obs.tobytes() == single.obs.tobytes()
-        assert block.agent.get_state()["rng"] == \
-            single.agent.get_state()["rng"]
+        want, got = single.agent.get_state(), block.agent.get_state()
+        assert got["rng"] == want["rng"]
+        if "buffer" in want:
+            for name, stored in want["buffer"].items():
+                assert np.asarray(got["buffer"][name]).tobytes() == \
+                    np.asarray(stored).tobytes(), name
 
 
 def rewards(loop) -> list:
@@ -338,8 +345,9 @@ class TestCheckpoints:
     # version 2 ones hold each net and Adam moment as a list of per-layer
     # arrays; version 3 ones hold each critic member as its own net;
     # version 4 ones hold reward sums, the filter count and DDPG/TD3's
-    # update count
-    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    # update count; version 5 ones hold the current slot's channels and
+    # the generator where one-slot-at-a-time draws leave it
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
     def test_older_checkpoint_version_refused(self, version):
         loop = build_loop(tiny_spec(), 0)
         st = loop.get_state()
@@ -473,6 +481,54 @@ def test_env_digest_at_any_block_size(name, block, monkeypatch):
     monkeypatch.setattr("hybridris.env.CHANNEL_BLOCK", block)
     env_d, expected = ENV_DIGESTS[name]
     assert step_log_digest(env_d, 3, 200) == expected
+
+
+# sha256 of every observation row that env.step returns in the runs of
+# ENV_DIGESTS, which hash only the last one. The random agent never reads
+# its observation, so a wrong row at a channel-block end leaves the step
+# log as it was and shows only here. Recorded like the pins above (numpy
+# 2.4, OpenBLAS SkylakeX).
+OBSERVATION_DIGESTS = {
+    "passive":
+        "1095ce4301c6bdcad0080d44495d3d09" "0f5abc54b9ec273535da0b1158ba3003",
+    "active":
+        "f9ee64dbe2fdf3004fddbc5ef576c6d7" "43a76a3773768c4adf6ccd596b9cd41c",
+    "fixed_hybrid_0.5":
+        "83090e8bf32b888086cdef1b7ee6eae6" "15edf3529685699d3fbd991095e5bc49",
+    "A2B3R5W2_fading_block_3":
+        "8976d4777338f919296c22547aa9c91b" "a2ffff7d56b1e5d296dbdc009880b243",
+    "small_I_thr":
+        "821ec9e904403fa38498a035b757cb03" "c62479cd7458ccdda971688239220ac8",
+    "integer_fields":
+        "41b02762aaab30b0ac35d5e2bb31fb8d" "494a4141047d886d0ee4a851ebbbbc7f",
+    "A2B1R1W1":
+        "3476103bda941b7367200db70a0af50a" "a36fd9c08ad72fc70da4c860f9cc6ae1",
+}
+
+
+def observation_digest(env_d: dict, seed: int, steps: int) -> str:
+    spec = build_spec({"env": env_d, "agent": {"kind": "random"},
+                       "seeds": [seed], "total_steps": steps})
+    loop = build_loop(spec, seed)
+    digest = hashlib.sha256()
+    step = loop.env.step
+
+    def recording_step(actions):
+        out = step(actions)
+        digest.update(out.observation.tobytes())
+        return out
+
+    loop.env.step = recording_step
+    loop.run(steps)
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("block", [3, 64, CHANNEL_BLOCK])
+@pytest.mark.parametrize("name", list(OBSERVATION_DIGESTS))
+def test_observation_digest_pinned(name, block, monkeypatch):
+    monkeypatch.setattr("hybridris.env.CHANNEL_BLOCK", block)
+    assert observation_digest(ENV_DIGESTS[name][0], 3, 200) == \
+        OBSERVATION_DIGESTS[name]
 
 
 # sha256 of every artifact but meta.json and checkpoint.pkl for two 150-step
@@ -855,12 +911,15 @@ class TestJsonlWriter:
         {"cap": [9.5, 10, 7.25], "alpha": [1.0, 2, 1.5]},
         {"t": [0, 1, 2], "triggered": [True, False, True]},
         {"x": [True, 1, 1.0, False, 0, 0.0]},
+        {"x": [NAN, 0.0, -0.0]},
+        {"x": [True, -0.0, 0.0, False]},
         {"s": ['a"b', "c\\d", "na\u00efve \u20ac", "%s %r %%"],
          "100%": [1, 2, 3, 4]},
         {"t": [], "mode": []},
         {},
     ], ids=["non_finite", "finite_edges", "float_range", "int_in_float",
-            "bool", "true_and_one", "strings", "no_rows", "no_columns"])
+            "bool", "true_and_one", "signed_zeros",
+         "bool_and_signed_zeros", "strings", "no_rows", "no_columns"])
     def test_bytes_match_one_dumps_per_row(self, tmp_path, log):
         path = tmp_path / "log.jsonl"
         _write_jsonl(path, log)

@@ -44,27 +44,29 @@ class TestPowerCap:
 class TestProjectBeamformer:
     def test_feasible_untouched(self):
         G = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)  # power 4
-        assert project_beamformer(G, 5.0) is G
+        out, over = project_beamformer(G, 5.0)
+        assert out is G and not over
 
     def test_infeasible_rescaled(self):
         G = np.full((2, 2), np.sqrt(5.0), dtype=complex)  # power 20
-        out = project_beamformer(G, 5.0)
+        out, over = project_beamformer(G, 5.0)
+        assert over
         power = np.sum(np.abs(out) ** 2)
         assert power == pytest.approx(5.0, abs=1e-12)
         assert np.allclose(out, 0.5 * G)
 
     def test_zero_stays_zero(self):
         G = np.zeros((2, 3), dtype=complex)
-        assert np.all(project_beamformer(G, 1.0) == 0)
+        assert np.all(project_beamformer(G, 1.0)[0] == 0)
 
     def test_idempotent_and_direction_preserving(self):
         rng = make_rng(0)
         G = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        once = project_beamformer(G, 1.0)
-        twice = project_beamformer(once, 1.0)
+        once = project_beamformer(G, 1.0)[0]
+        twice = project_beamformer(once, 1.0)[0]
         assert np.allclose(once, twice, atol=1e-15)
         # uniform positive scaling of the input leaves the output direction
-        scaled = project_beamformer(3.0 * G, 1.0)
+        scaled = project_beamformer(3.0 * G, 1.0)[0]
         assert np.allclose(scaled / np.linalg.norm(scaled),
                            once / np.linalg.norm(once), atol=1e-12)
 
@@ -211,7 +213,8 @@ def test_feasible_bits_pass_through_a_rescaled_stack():
     # the first beamformer is feasible and the second is not; the first
     # keeps every bit, the sign of its zero real part included
     G = np.array([[[complex(-0.0, -0.5)]], [[3.0 + 0j]]])
-    out = project_beamformer(G, np.array([1.0, 1.0]))
+    out, over = project_beamformer(G, np.array([1.0, 1.0]))
+    assert over.tolist() == [False, True]
     assert out[0].tobytes() == G[0].tobytes()
     assert np.signbit(out[0, 0, 0].real)
     assert tx_power(out[1]) == pytest.approx(1.0, abs=1e-12)

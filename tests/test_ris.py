@@ -160,13 +160,6 @@ class TestBuildReflection:
         # np.mod rounds this phase up to 2*pi, which wraps to 0
         assert wrap_phase(-1e-17) == 0.0
 
-    @pytest.mark.parametrize("n_active", [0, 2, 4])
-    def test_phases_are_read_as_their_wrapped_values(self, n_active):
-        phases = np.array([2 * np.pi + 0.3, -0.3, 7.5, 1.0, -1e-17])
-        assert np.array_equal(
-            build_reflection(phases, n_active, 1.6, PP),
-            build_reflection(wrap_phase(phases), n_active, 1.6, PP))
-
 
 class TestEnergyConsumed:
     def test_passive_slot(self):
