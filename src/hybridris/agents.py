@@ -178,9 +178,10 @@ class Td3Config(DdpgConfig):
 
 
 class RandomAgent:
-    """Chooses uniform random actions; never learns."""
+    """Chooses uniform random actions; never learns. It takes a config as
+    the learners do, and has none to read."""
 
-    def __init__(self, obs_dim: int, act_dim: int, seed: int = 0):
+    def __init__(self, obs_dim: int, act_dim: int, cfg=None, seed: int = 0):
         self.act_dim = act_dim
         self.rng = make_rng(seed)
 

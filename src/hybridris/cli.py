@@ -9,16 +9,18 @@ given.
 """
 
 import argparse
+import json
 import os
 import sys
 
-from .harness import compare, load_spec_file, run_spec_dict
+from .harness import ExperimentSpec, compare, run_spec_dict
 
 
 def _cmd_run(args):
-    d = load_spec_file(args.spec)
+    with open(args.spec) as fh:
+        d = json.load(fh)
     seeds = list(range(args.seeds)) if args.seeds is not None else None
-    out = args.out or os.path.join("runs", d.get("name", "experiment"))
+    out = args.out or os.path.join("runs", d.get("name", ExperimentSpec.name))
     results = run_spec_dict(d, out, seeds_override=seeds,
                             steps_override=args.steps, workers=args.workers)
     for agg in results:

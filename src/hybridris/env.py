@@ -80,7 +80,6 @@ class EnvConfig:
     mode: RisMode = field(default_factory=RisMode.dynamic_hybrid)
     penalty_weight: float = 0.1
     fading: FadingMode = field(default_factory=FadingMode)
-    seed: int = 0
 
     def __post_init__(self):
         require_reals(self)
@@ -144,8 +143,8 @@ class RisCrnEnv:
     def __init__(self, cfg: EnvConfig):
         self.cfg = cfg
         self._rng = None
-        self._block = None        # drawn slots; the first _used are taken
-        self._used = 0
+        self._block = None        # drawn slots
+        self._first = 0           # the run's slot of the block's first row
         self._block_start = None  # generator state before the block's draw
         self._rows = None         # channel part of each slot's observation
         self._settings = None     # slot settings, made at the first step
@@ -168,19 +167,18 @@ class RisCrnEnv:
         holds: a block of actions this long is scored in one pass."""
         if self._block is None:
             raise RuntimeError("call reset() before steps_in_block")
-        c, L, t = self._used - 1, self.cfg.fading.block_length, self._t
-        return (t // L + len(self._block) - c) * L - t
+        L = self.cfg.fading.block_length
+        return (self._first + len(self._block)) * L - self._t
 
     @property
     def violations(self) -> int:
         """Steps on which the projected beamformer exceeded the cap."""
         return self._violations
 
-    def reset(self, seed=None) -> np.ndarray:
-        seed = self.cfg.seed if seed is None else seed
+    def reset(self, seed) -> np.ndarray:
         self._rng = make_rng(seed)
-        self._block = None
-        self._next_slot(1)
+        self._first = 0
+        self._draw(1)
         self._t = 0
         self._violations = 0
         topo = self.cfg.topo
@@ -216,13 +214,13 @@ class RisCrnEnv:
         if self._settings is None:
             self._settings = self._slot_settings(self._block)
         values, settings, n_amp = self._settings
-        n, t0, c = len(actions), self._t, self._used - 1
+        n, t0, first = len(actions), self._t, self._first
         L = cfg.fading.block_length
         # the block slot of each step and of the step after it; ``take``
         # reads a slot list's rows in 0.6 us where indexing with the list
         # takes 1.6 us per array
-        slots = [c + (t0 + i) // L - t0 // L for i in range(n + 1)]
-        cur, nxt, last = slots[:-1], slots[1:], slots[-1]
+        slots = [(t0 + i) // L - first for i in range(n + 1)]
+        cur, nxt = slots[:-1], slots[1:]
         mode, E_total, alpha, energy, cap, penalty, counts = \
             zip(*[settings[i] for i in cur])
         v = values.take(cur, 0)
@@ -243,11 +241,10 @@ class RisCrnEnv:
 
         rows = self._rows
         self._t = t0 + n
-        if last > c:
-            self._used = last
-            self._next_slot(CHANNEL_BLOCK)
-        if last == len(rows):
+        if nxt[-1] == len(rows):
             # the step after the last takes the first slot of a fresh block
+            self._first += len(rows)
+            self._draw(CHANNEL_BLOCK)
             rows = np.concatenate((rows, self._rows[:1]))
         self._prev = (G[-1], phases[-1], alpha[-1], float(tail[-1, 1]))
         G = G.reshape(n, -1)
@@ -259,8 +256,8 @@ class RisCrnEnv:
 
     def get_state(self) -> dict:
         """Snapshot for exact run continuation: the generator state before
-        the current channel block's draw, the block's length and the slots
-        of it taken, the previous-action fields and the counters.
+        the current channel block's draw, the block's length and the run's
+        slot of its first row, the previous-action fields and the counters.
         ``set_state`` redraws the block from that state."""
         if self._rng is None:
             raise RuntimeError("call reset() before get_state()")
@@ -268,7 +265,7 @@ class RisCrnEnv:
         return {
             "block_start": rng_state(restore_rng(self._block_start)),
             "block": len(self._block),
-            "slot": self._used,
+            "first": self._first,
             "t": self._t,
             "violations": self._violations,
             "prev_G": G.copy(),
@@ -279,35 +276,30 @@ class RisCrnEnv:
 
     def set_state(self, st: dict):
         self._rng = restore_rng(st["block_start"])
-        self._block = None
-        self._next_slot(int(st["block"]))
-        self._used = int(st["slot"])
+        self._draw(int(st["block"]))
+        self._first = int(st["first"])
         self._t = int(st["t"])
         self._violations = int(st["violations"])
         self._prev = (st["prev_G"], st["prev_phases"],
                       float(st["prev_alpha"]), float(st["prev_mode_flag"]))
 
-    def _next_slot(self, block: int):
-        """Moves to the next slot; when the current block is used up, draws
-        ``block`` slots and lays out their observation rows. Their slot
-        settings wait for the first step that reads them, so a reset does
-        not pay for them."""
-        if self._block is None or self._used == len(self._block):
-            self._block_start = self._rng.bit_generator.state
-            blk = sample_channel_set(self._rng, self.cfg.topo,
-                                     self.cfg.cascade, block)
-            h_b = blk.h_b.transpose(0, 2, 1)              # slot x B x R
-            self._block, self._used, self._settings = blk, 0, None
-            self._rows = np.concatenate([
-                np.full((block, 2), (self.cfg.pc.P_t, self.cfg.pc.I_thr),
-                        float),
-                blk.H_s.real.reshape(block, -1),
-                blk.H_s.imag.reshape(block, -1),
-                np.stack([h_b.real, h_b.imag], axis=2).reshape(block, -1),
-                blk.H_p.real.reshape(block, -1),
-                blk.H_p.imag.reshape(block, -1),
-            ], axis=1)
-        self._used += 1
+    def _draw(self, block: int):
+        """Draws ``block`` slots and lays out their observation rows. Their
+        slot settings wait for the first step that reads them, so a reset
+        does not pay for them."""
+        self._block_start = self._rng.bit_generator.state
+        blk = sample_channel_set(self._rng, self.cfg.topo, self.cfg.cascade,
+                                 block)
+        h_b = blk.h_b.transpose(0, 2, 1)              # slot x B x R
+        self._block, self._settings = blk, None
+        self._rows = np.concatenate([
+            np.full((block, 2), (self.cfg.pc.P_t, self.cfg.pc.I_thr), float),
+            blk.H_s.real.reshape(block, -1),
+            blk.H_s.imag.reshape(block, -1),
+            np.stack([h_b.real, h_b.imag], axis=2).reshape(block, -1),
+            blk.H_p.real.reshape(block, -1),
+            blk.H_p.imag.reshape(block, -1),
+        ], axis=1)
 
     def _slot_settings(self, block: ChannelBlock):
         """What each slot of ``block`` fixes for its step, whatever the

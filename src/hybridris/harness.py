@@ -36,7 +36,7 @@ from .numerics import is_real, make_rng, raise_broken
 
 MA_WINDOW = 200
 CONVERGED_FRACTION = 0.1
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 
 AGENT_KINDS = {
     "sac": (SacAgent, SacConfig),
@@ -80,7 +80,7 @@ def _run_size_errors(seeds, total_steps) -> list:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    name: str
+    name: str = "experiment"
     env: EnvConfig = field(default_factory=EnvConfig)
     agent_kind: str = "sac"
     agent: object = None            # kind-matching config, None for defaults
@@ -106,13 +106,6 @@ class RunSummary(NamedTuple):
     stats: dict
     curve: np.ndarray               # moving-average reward, one per step
     wall_clock_s: float
-
-
-def make_agent(kind: str, obs_dim: int, act_dim: int, cfg, seed):
-    cls, cfg_cls = AGENT_KINDS[kind]
-    if kind == "random":
-        return cls(obs_dim, act_dim, seed=seed)
-    return cls(obs_dim, act_dim, cfg or cfg_cls(), seed=seed)
 
 
 def moving_average(x, window: int = MA_WINDOW) -> np.ndarray:
@@ -149,7 +142,7 @@ class TrainingLoop:
         self.step_log = {name: [] for name in STEP_LOG_FIELDS}
         self.pipeline_log = {name: [] for name in PIPELINE_LOG_FIELDS}
 
-    def start(self, env_seed=None):
+    def start(self, env_seed):
         self.obs = self.env.reset(env_seed)
 
     def run(self, n_steps: int):
@@ -234,8 +227,8 @@ def load_checkpoint(path, loop: TrainingLoop):
 def build_loop(spec: ExperimentSpec, seed: int) -> TrainingLoop:
     env = RisCrnEnv(spec.env)
     env_ss, agent_ss, attack_ss = np.random.SeedSequence(seed).spawn(3)
-    agent = make_agent(spec.agent_kind, env.observation_size,
-                       env.action_size, spec.agent, agent_ss)
+    agent = AGENT_KINDS[spec.agent_kind][0](
+        env.observation_size, env.action_size, spec.agent, seed=agent_ss)
     pipeline = None
     if spec.attack is not None or spec.defense is not None:
         pipeline = RewardPipeline(spec.attack, spec.defense,
@@ -341,11 +334,6 @@ def run_single(spec: ExperimentSpec, seed: int,
     return summary
 
 
-def _run_single_worker(args):
-    spec, seed, out_dir = args
-    return run_single(spec, seed, out_dir)
-
-
 def resolve_workers(n_jobs: int, requested: int = None) -> int:
     """Worker processes for ``n_jobs`` jobs: ``requested``, else
     HYBRIDRIS_WORKERS, else the CPU count, and never more than the jobs.
@@ -409,7 +397,7 @@ def _run_points(points, workers: int) -> list:
     workers = resolve_workers(len(jobs), workers)
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1
           else nullcontext()) as pool:
-        runs = (pool.map if pool else map)(_run_single_worker, jobs)
+        runs = (pool.map if pool else map)(run_single, *zip(*jobs))
         return [_aggregate(spec, out_dir, [next(runs) for _ in spec.seeds])
                 for spec, out_dir in points]
 
@@ -440,25 +428,37 @@ def replay_summary(steps_jsonl_path: str) -> dict:
 # Spec files (JSON)
 # ---------------------------------------------------------------------------
 
-def _build_section(errors, label, cls, data, transform=None):
-    data = dict(data or {})
-    if transform:
-        try:
-            data = transform(data)
-        except (ValueError, TypeError, KeyError) as exc:
-            errors.append(f"{label}: {exc}")
-            return None
+def _build_section(errors, label, build, value):
+    """``build(value)``; if that raises, None, with the error named by
+    ``label`` added to ``errors``."""
     try:
-        return cls(**data)
+        return build(value)
     except (ValueError, TypeError) as exc:
         errors.append(f"{label}: {exc}")
         return None
 
 
-def _power_section(data):
+def _object(errors, label, value) -> dict:
+    """The keys of an object section, none for null; a value that is no
+    object is an error."""
+    if value is None or isinstance(value, dict):
+        return value or {}
+    errors.append(f"{label}: must be an object, not {value!r}")
+    return {}
+
+
+def _fields(build):
+    """What builds an object section: ``build(**section)``, a null section
+    meaning every default."""
+    return lambda data: build(**({} if data is None else data))
+
+
+def _power(**data):
+    """The power constraint in linear watts (``P_t``, ``I_thr``) or in dB
+    (``P_t_dB``, ``I_dB``)."""
     db_keys = ("P_t_dB", "I_dB")
     if not any(k in data for k in db_keys):
-        return data
+        return PowerConstraint(**data)
     if "P_t" in data or "I_thr" in data:
         raise ValueError("give either dB or linear powers, not both")
     raise_broken(
@@ -467,105 +467,103 @@ def _power_section(data):
         *[(k in data and not is_real(data[k]), f"{k} must be a real number")
           for k in db_keys])
     rest = {k: v for k, v in data.items() if k not in db_keys}
-    return {**rest, "P_t": db_to_linear(data["P_t_dB"]),
-            "I_thr": db_to_linear(data["I_dB"])}
+    return PowerConstraint(**rest, P_t=db_to_linear(data["P_t_dB"]),
+                           I_thr=db_to_linear(data["I_dB"]))
 
 
 def _mode_section(mode):
-    if isinstance(mode, str):
-        return RisMode(mode)
-    if isinstance(mode, dict):
-        return RisMode(**mode)
-    raise ValueError(f"unrecognized mode {mode!r}")
+    return RisMode(**mode) if isinstance(mode, dict) else RisMode(mode)
+
+
+# Each key of a spec's env object: the EnvConfig field it sets and what
+# builds that field from the key's value (None: the value as it is).
+# A key left out keeps the field's default.
+ENV_KEYS = {
+    "topology": ("topo", _fields(Topology)),
+    "cascade": ("cascade", _fields(CascadeSpec)),
+    "passive": ("pp", _fields(PassiveParams)),
+    "active": ("ap", _fields(ActiveParams)),
+    "harvest": ("hp", _fields(HarvestParams)),
+    "consumption": ("cp", _fields(ConsumptionParams)),
+    "noise": ("noise", _fields(NoiseParams)),
+    "power": ("pc", _fields(_power)),
+    "mode": ("mode", _mode_section),
+    "fading_block": ("fading", FadingMode),
+    "penalty_weight": ("penalty_weight", None),
+}
+# The top-level keys of a spec; ``sweep`` is expand_sweep's.
+SPEC_KEYS = ("name", "env", "agent", "attack", "defense", "seeds", "n_seeds",
+             "total_steps")
 
 
 def env_config_from_dict(d: dict, errors: list) -> EnvConfig:
-    d = dict(d or {})
-    topo = _build_section(errors, "env.topology", Topology, d.get("topology"))
-    cascade = _build_section(errors, "env.cascade", CascadeSpec,
-                             d.get("cascade"))
-    pp = _build_section(errors, "env.passive", PassiveParams, d.get("passive"))
-    ap = _build_section(errors, "env.active", ActiveParams, d.get("active"))
-    hp = _build_section(errors, "env.harvest", HarvestParams, d.get("harvest"))
-    cp = _build_section(errors, "env.consumption", ConsumptionParams,
-                        d.get("consumption"))
-    noise = _build_section(errors, "env.noise", NoiseParams, d.get("noise"))
-    pc = _build_section(errors, "env.power", PowerConstraint, d.get("power"),
-                        transform=_power_section)
-    try:
-        mode = _mode_section(d.get("mode", "dynamic_hybrid"))
-    except (ValueError, TypeError) as exc:
-        errors.append(f"env.mode: {exc}")
-        mode = RisMode.dynamic_hybrid()
-    fading = _build_section(errors, "env.fading_block", FadingMode,
-                            {"block_length": d.get("fading_block", 1)})
-    if errors:
-        return None
-    try:
-        return EnvConfig(topo=topo, cascade=cascade, pp=pp, ap=ap, hp=hp,
-                         cp=cp, noise=noise, pc=pc, mode=mode,
-                         penalty_weight=d.get("penalty_weight", 0.1),
-                         fading=fading, seed=d.get("seed", 0))
-    except ValueError as exc:
-        errors.append(f"env: {exc}")
-        return None
+    """The EnvConfig of a spec's env object (null means every default);
+    each problem is added to ``errors``."""
+    fields = {}
+    for key, value in _object(errors, "env", d).items():
+        if key not in ENV_KEYS:
+            errors.append(f"env: unknown key {key!r}")
+            continue
+        name, build = ENV_KEYS[key]
+        fields[name] = (_build_section(errors, f"env.{key}", build, value)
+                        if build else value)
+    return _build_section(errors, "env", _fields(EnvConfig), fields)
 
 
 def build_spec(d: dict) -> ExperimentSpec:
     """Build a validated spec from a config dict; raises SpecError listing
-    every offending field."""
+    every offending field and every key it does not read."""
     errors = []
+    d = _object(errors, "spec", d)
+    errors += [f"spec: unknown key {k!r}" for k in d if k not in SPEC_KEYS]
     env = env_config_from_dict(d.get("env"), errors)
 
-    agent_d = dict(d.get("agent") or {})
-    kind = agent_d.pop("kind", "sac")
+    agent_d = dict(_object(errors, "agent", d.get("agent")))
+    kind = agent_d.pop("kind", ExperimentSpec.agent_kind)
     agent_cfg = None
     if kind not in AGENT_KINDS:
         errors.append(f"agent.kind: unknown kind {kind!r}")
     elif kind != "random":
         if isinstance(agent_d.get("hidden"), list):
             agent_d["hidden"] = tuple(agent_d["hidden"])
-        agent_cfg = _build_section(errors, "agent", AGENT_KINDS[kind][1],
-                                   agent_d)
+        agent_cfg = _build_section(errors, "agent",
+                                   _fields(AGENT_KINDS[kind][1]), agent_d)
 
-    attack = defense = None
-    if d.get("attack"):
-        attack = _build_section(errors, "attack", AttackConfig, d["attack"])
-    if d.get("defense"):
-        defense = _build_section(errors, "defense", DefenseConfig,
-                                 d["defense"])
+    # an empty object is the default config; null or no key is none
+    attack, defense = [
+        None if d.get(key) is None
+        else _build_section(errors, key, _fields(cls), d[key])
+        for key, cls in (("attack", AttackConfig), ("defense", DefenseConfig))]
 
     seeds = d.get("seeds")
     if seeds is None:
-        n_seeds = d.get("n_seeds", 10)
+        n_seeds = d.get("n_seeds", len(ExperimentSpec.seeds))
         if not _is_int(n_seeds):
             errors.append(f"n_seeds: must be an integer, not {n_seeds!r}")
             n_seeds = 1
         seeds = list(range(n_seeds))
-    total_steps = d.get("total_steps", 20_000)
+    total_steps = d.get("total_steps", ExperimentSpec.total_steps)
     errors += _run_size_errors(seeds, total_steps)
 
     if errors:
         raise SpecError("invalid spec: " + "; ".join(errors))
-    return ExperimentSpec(name=d.get("name", "experiment"), env=env,
+    return ExperimentSpec(name=d.get("name", ExperimentSpec.name), env=env,
                           agent_kind=kind, agent=agent_cfg, attack=attack,
                           defense=defense, seeds=tuple(seeds),
                           total_steps=total_steps)
 
 
 def expand_sweep(d: dict):
-    """Expand the optional sweep section into (label, spec-dict) points.
+    """Expand the optional sweep section into (label, spec-dict) points,
+    each without the sweep section.
 
     Each sweep entry is {"path": "env.harvest.tau", "values": [...]};
     multiple entries expand as a cartesian product. Every point's label
     names its run directory, so values that format to the same label are
     refused.
     """
-    sweep = d.get("sweep")
-    if not sweep:
-        return [("", d)]
-    points = [("", d)]
-    for i, entry in enumerate(sweep):
+    points = [("", {k: v for k, v in d.items() if k != "sweep"})]
+    for i, entry in enumerate(d.get("sweep") or ()):
         if not (isinstance(entry, dict) and isinstance(entry.get("path"), str)
                 and isinstance(entry.get("values"), (list, tuple))
                 and entry["values"]):
@@ -597,11 +595,6 @@ def expand_sweep(d: dict):
     return points
 
 
-def load_spec_file(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def run_spec_dict(d: dict, out_dir: str, seeds_override=None,
                   steps_override=None, workers=None) -> list:
     """Run every sweep point of a spec dict; returns aggregate summaries.
@@ -609,8 +602,6 @@ def run_spec_dict(d: dict, out_dir: str, seeds_override=None,
     names its label. The seed-runs of all points share one pool."""
     runs = []
     for label, point in expand_sweep(d):
-        point = copy.deepcopy(point)
-        point.pop("sweep", None)
         if seeds_override is not None:
             point["seeds"] = list(seeds_override)
         if steps_override is not None:

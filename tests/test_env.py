@@ -77,6 +77,12 @@ class TestDecodeAction:
 
 
 class TestReset:
+    def test_seed_is_required(self):
+        # the config holds no seed, so a reset without one would seed the
+        # env from OS entropy
+        with pytest.raises(TypeError, match="seed"):
+            RisCrnEnv(EnvConfig()).reset()
+
     def test_deterministic(self):
         env = RisCrnEnv(EnvConfig())
         a = env.reset(7)
@@ -395,7 +401,8 @@ class TestCheckpointInsideBlock:
             sample_cascaded(rng, 1, (topo.R, 1))
 
     @pytest.mark.parametrize("fading_block", [1, 3])
-    def test_state_is_the_block_start_and_the_slot(self, fading_block):
+    def test_state_is_the_block_start_and_its_first_slot(self,
+                                                          fading_block):
         cfg = EnvConfig(fading=FadingMode(fading_block))
         env = RisCrnEnv(cfg)
         env.reset(4)
@@ -407,16 +414,17 @@ class TestCheckpointInsideBlock:
             env.step(act_rng.uniform(-1, 1, env.action_size))
         # the state holds no channels: the generator before the current
         # block's draw (where one-slot-at-a-time draws of reset's slot and
-        # the first full block leave it), the block's length and the slots
-        # taken of it
+        # the first full block leave it), the block's length and the run's
+        # slot of its first row, which the step index places the step in
         expected = make_rng(4)
         self.advance_per_slot(expected, cfg, 1 + CHANNEL_BLOCK)
         st = env.get_state()
-        assert set(st) == {"block_start", "block", "slot", "t", "violations",
-                           "prev_G", "prev_phases", "prev_alpha",
-                           "prev_mode_flag"}
+        assert set(st) == {"block_start", "block", "first", "t",
+                           "violations", "prev_G", "prev_phases",
+                           "prev_alpha", "prev_mode_flag"}
         assert st["block_start"] == rng_state(expected)
-        assert (st["block"], st["slot"]) == (CHANNEL_BLOCK, 5)
+        assert (st["block"], st["first"]) == (CHANNEL_BLOCK, 1 + CHANNEL_BLOCK)
+        assert st["t"] // fading_block - st["first"] == 4
         resumed = RisCrnEnv(cfg)
         resumed.set_state(st)
         assert resumed.steps_in_block == env.steps_in_block

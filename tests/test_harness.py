@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,8 +64,8 @@ def pool_sizes(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs):
-            return map(fn, jobs)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr("hybridris.harness.ProcessPoolExecutor",
                         RecordingPool)
@@ -346,8 +347,9 @@ class TestCheckpoints:
     # arrays; version 3 ones hold each critic member as its own net;
     # version 4 ones hold reward sums, the filter count and DDPG/TD3's
     # update count; version 5 ones hold the current slot's channels and
-    # the generator where one-slot-at-a-time draws leave it
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+    # the generator where one-slot-at-a-time draws leave it; version 6 ones
+    # hold the env's slot as the slots taken of its channel block
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
     def test_older_checkpoint_version_refused(self, version):
         loop = build_loop(tiny_spec(), 0)
         st = loop.get_state()
@@ -630,6 +632,7 @@ class TestSpecParsing:
             "env": {"topology": {"A": 0}, "harvest": {"eta": 2.0}},
             "agent": {"kind": "nope"},
             "total_steps": 0,
+            "total_step": 5,
         }
         with pytest.raises(SpecError) as err:
             build_spec(bad)
@@ -637,7 +640,30 @@ class TestSpecParsing:
         assert "env.topology" in msg
         assert "env.harvest" in msg
         assert "agent.kind" in msg
-        assert "total_steps" in msg
+        assert "total_steps: must be >= 1" in msg
+        assert "spec: unknown key 'total_step'" in msg
+
+    def test_readme_spec_shows_the_defaults(self):
+        # the README says every field of its spec example shows its default
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        d = json.loads(text.split("```json\n", 1)[1].split("```", 1)[0])
+        assert d.pop("sweep")
+        assert build_spec(d) == build_spec({"name": "tau-sweep"})
+
+    @pytest.mark.parametrize("key,cls", [("attack", hr.AttackConfig),
+                                         ("defense", hr.DefenseConfig)])
+    def test_empty_attack_or_defense_is_the_default(self, key, cls):
+        assert getattr(build_spec({key: {}}), key) == cls()
+        assert getattr(build_spec({key: None}), key) is None
+        assert getattr(build_spec({}), key) is None
+
+    def test_sweep_is_not_a_spec_key(self):
+        # expand_sweep takes the sweep off every point it yields
+        d = {"sweep": [{"path": "env.harvest.tau", "values": [10]}]}
+        with pytest.raises(SpecError, match="spec: unknown key 'sweep'"):
+            build_spec(d)
+        assert "sweep" not in expand_sweep(d)[0][1]
+        assert "sweep" not in expand_sweep({"sweep": []})[0][1]
 
     # Each of these passed the spec on earlier versions: the non-integer
     # counts and the penalty string then raised a TypeError in the run, and
@@ -659,10 +685,15 @@ class TestSpecParsing:
          "env.mode: fixed_gain must be > 1"),
         ({"mode": {"kind": "passive", "gain": 2}},
          "env.mode: .*unexpected keyword argument 'gain'"),
+        # each of these was dropped without a word; a run drew its env
+        # stream from the run seed whatever env.seed said
+        ({"topolgy": {"A": 1}}, "env: unknown key 'topolgy'"),
+        ({"fading": 4}, "env: unknown key 'fading'"),
+        ({"seed": 123}, "env: unknown key 'seed'"),
     ], ids=["penalty_string", "float_count", "bool_count", "float_kappa",
             "float_fading_block", "nan_tau", "nan_noise", "nan_I_thr",
             "nan_offset", "nan_amp_noise", "nan_power_draw", "nan_gain",
-            "unknown_mode_field"])
+            "unknown_mode_field", "misspelt_key", "unknown_key", "env_seed"])
     def test_malformed_env_field_is_named(self, env, message):
         with pytest.raises(SpecError, match=message):
             build_spec({"env": env})
@@ -773,6 +804,18 @@ class TestSpecParsing:
         with pytest.raises(SpecError, match=message):
             build_spec(spec)
 
+    # a list or a string where an object belongs used to run the defaults
+    # (an empty one) or raise outside SpecError
+    @pytest.mark.parametrize("spec,message", [
+        ([1], r"spec: must be an object, not \[1\]"),
+        ({"env": []}, r"env: must be an object, not \[\]"),
+        ({"agent": "sac"}, "agent: must be an object, not 'sac'"),
+        ({"attack": [1]}, "attack: .* must be a mapping, not list"),
+    ], ids=["spec", "env", "agent", "attack"])
+    def test_section_that_is_no_object_is_named(self, spec, message):
+        with pytest.raises(SpecError, match=message):
+            build_spec(spec)
+
     def test_attack_and_defense_sections(self):
         spec = build_spec({
             "attack": {"kind": "scale", "scale": 0.5, "threshold": 0.4},
@@ -841,7 +884,9 @@ class TestSweepRun:
          "tau=-1: invalid spec: env.harvest: tau must be >= 0"),
         ("agent.kind", ["random", "bogus"],
          "kind=bogus: invalid spec: agent.kind: unknown kind 'bogus'"),
-    ], ids=["tau", "agent_kind"])
+        ("env.fadng_block", [2, 3],
+         "fadng_block=2: invalid spec: env: unknown key 'fadng_block'"),
+    ], ids=["tau", "agent_kind", "unknown_key"])
     def test_invalid_point_refused_before_any_point_runs(
             self, tmp_path, path, values, message):
         d = {"name": "s", "agent": {"kind": "random"}, "seeds": [0],
