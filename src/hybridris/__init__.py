@@ -8,9 +8,8 @@ from .channel import (CascadeSpec, ChannelSet, FadingMode, Topology,
 from .env import (STEP_LOG_FIELDS, EnvConfig, RisCrnEnv, StepOutcome,
                   action_size, observation_size)
 from .harness import (ExperimentSpec, RunSummary, TrainingLoop, build_spec,
-                      compare, load_checkpoint, moving_average,
-                      replay_summary, run_experiment, run_single,
-                      run_spec_dict, save_checkpoint)
+                      compare, moving_average, replay_summary,
+                      run_experiment, run_single, run_spec_dict)
 from .nets import Adam, DenseNet, soft_update
 from .numerics import make_rng
 from .phy import (NoiseParams, PowerConstraint, RateReport, db_to_linear,

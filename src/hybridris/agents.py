@@ -208,12 +208,11 @@ class RandomAgent:
 
 
 class _OffPolicyAgent:
-    """Replay buffer, warmup gate, critic and checkpoint state shared by
-    the learners. Subclasses set ``config_cls`` and ``n_critics``, build
-    their nets from ``self.rng`` after this constructor (the critic
-    through ``_build_critic``) and add their own parameter arrays and
-    optimizers to ``_nets``/``_opts``, whose keys name them in the
-    checkpoint."""
+    """Replay buffer, warmup gate, critic and resume state shared by the
+    learners. Subclasses set ``config_cls`` and ``n_critics``, build their
+    nets from ``self.rng`` after this constructor (the critic through
+    ``_build_critic``) and add their own parameter arrays and optimizers
+    to ``_nets``/``_opts``, whose keys name them in ``get_state``."""
 
     def __init__(self, obs_dim: int, act_dim: int, cfg=None, seed: int = 0):
         self.cfg = cfg or self.config_cls()

@@ -13,12 +13,12 @@ import json
 import os
 import sys
 
-from .harness import ExperimentSpec, compare, run_spec_dict
+from .harness import ExperimentSpec, compare, run_spec_dict, spec_object
 
 
 def _cmd_run(args):
     with open(args.spec) as fh:
-        d = json.load(fh)
+        d = spec_object(json.load(fh))
     seeds = list(range(args.seeds)) if args.seeds is not None else None
     out = args.out or os.path.join("runs", d.get("name", ExperimentSpec.name))
     results = run_spec_dict(d, out, seeds_override=seeds,

@@ -14,7 +14,6 @@ import copy
 import json
 import math
 import os
-import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -36,7 +35,6 @@ from .numerics import is_real, make_rng, raise_broken
 
 MA_WINDOW = 200
 CONVERGED_FRACTION = 0.1
-CHECKPOINT_VERSION = 7
 
 AGENT_KINDS = {
     "sac": (SacAgent, SacConfig),
@@ -193,8 +191,10 @@ class TrainingLoop:
             column.extend(values)
 
     def get_state(self) -> dict:
+        """Snapshot for an exact resume in memory: ``set_state`` of a loop
+        built from the same spec continues this one bit for bit. It holds
+        copies, so this loop may run on after taking it."""
         return {
-            "version": CHECKPOINT_VERSION,
             "t": self.t,
             "obs": None if self.obs is None else np.asarray(self.obs).copy(),
             "env": self.env.get_state(),
@@ -204,24 +204,12 @@ class TrainingLoop:
         }
 
     def set_state(self, st: dict):
-        if st["version"] != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {st['version']}")
         self.t = int(st["t"])
         self.obs = st["obs"]
         self.env.set_state(st["env"])
         self.agent.set_state(st["agent"])
         if self.pipeline is not None and st["pipeline"] is not None:
             self.pipeline.set_state(st["pipeline"])
-
-
-def save_checkpoint(path, loop: TrainingLoop):
-    with open(path, "wb") as fh:
-        pickle.dump(loop.get_state(), fh)
-
-
-def load_checkpoint(path, loop: TrainingLoop):
-    with open(path, "rb") as fh:
-        loop.set_state(pickle.load(fh))
 
 
 def build_loop(spec: ExperimentSpec, seed: int) -> TrainingLoop:
@@ -253,8 +241,8 @@ def _log_stats(step_log: dict) -> dict:
 
 def summarize(name: str, seed: int, loop: TrainingLoop,
               wall_clock_s: float) -> RunSummary:
-    """The summary of the steps ``loop`` ran (after a resume, of the steps
-    since the checkpoint, as its step log holds)."""
+    """The summary of the steps ``loop`` ran (after a ``set_state``, of the
+    steps run since, as its step log holds)."""
     stats = {"name": name, "seed": seed, **_log_stats(loop.step_log),
              "violations": loop.env.violations, "ma_window": MA_WINDOW}
     return RunSummary(stats, moving_average(loop.step_log["reward"]),
@@ -330,7 +318,6 @@ def run_single(spec: ExperimentSpec, seed: int,
             json.dump(summary.stats, fh, indent=1)
         with open(os.path.join(out_dir, "meta.json"), "w") as fh:
             json.dump({"wall_clock_s": summary.wall_clock_s}, fh)
-        save_checkpoint(os.path.join(out_dir, "checkpoint.pkl"), loop)
     return summary
 
 
@@ -447,6 +434,16 @@ def _object(errors, label, value) -> dict:
     return {}
 
 
+def spec_object(d) -> dict:
+    """A spec's top level as a dict, null meaning every default; a value
+    that is no object raises the SpecError that build_spec gives."""
+    errors = []
+    d = _object(errors, "spec", d)
+    if errors:
+        raise SpecError("invalid spec: " + errors[0])
+    return d
+
+
 def _fields(build):
     """What builds an object section: ``build(**section)``, a null section
     meaning every default."""
@@ -513,9 +510,8 @@ def env_config_from_dict(d: dict, errors: list) -> EnvConfig:
 def build_spec(d: dict) -> ExperimentSpec:
     """Build a validated spec from a config dict; raises SpecError listing
     every offending field and every key it does not read."""
-    errors = []
-    d = _object(errors, "spec", d)
-    errors += [f"spec: unknown key {k!r}" for k in d if k not in SPEC_KEYS]
+    d = spec_object(d)
+    errors = [f"spec: unknown key {k!r}" for k in d if k not in SPEC_KEYS]
     env = env_config_from_dict(d.get("env"), errors)
 
     agent_d = dict(_object(errors, "agent", d.get("agent")))
@@ -542,6 +538,8 @@ def build_spec(d: dict) -> ExperimentSpec:
             errors.append(f"n_seeds: must be an integer, not {n_seeds!r}")
             n_seeds = 1
         seeds = list(range(n_seeds))
+    elif "n_seeds" in d:
+        errors.append("spec: give either seeds or n_seeds, not both")
     total_steps = d.get("total_steps", ExperimentSpec.total_steps)
     errors += _run_size_errors(seeds, total_steps)
 
@@ -562,6 +560,7 @@ def expand_sweep(d: dict):
     names its run directory, so values that format to the same label are
     refused.
     """
+    d = spec_object(d)
     points = [("", {k: v for k, v in d.items() if k != "sweep"})]
     for i, entry in enumerate(d.get("sweep") or ()):
         if not (isinstance(entry, dict) and isinstance(entry.get("path"), str)
@@ -603,6 +602,7 @@ def run_spec_dict(d: dict, out_dir: str, seeds_override=None,
     runs = []
     for label, point in expand_sweep(d):
         if seeds_override is not None:
+            point.pop("n_seeds", None)
             point["seeds"] = list(seeds_override)
         if steps_override is not None:
             point["total_steps"] = steps_override

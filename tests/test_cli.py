@@ -62,12 +62,17 @@ def test_run_twice_then_compare(tmp_path):
      "tau=-1: invalid spec: env.harvest: tau must be >= 0"),
     (["run", "sweep_empty.json"], 'sweep[0]: needs a "path" string and a '
      'non-empty "values" list'),
+    (["run", "list.json", "--out", "lst"],
+     "invalid spec: spec: must be an object, not [1]"),
+    (["run", "list.json"], "invalid spec: spec: must be an object, not [1]"),
 ], ids=["bad_spec", "missing_spec", "missing_run_dir", "malformed_sweep",
         "untrainable_agent", "non_integer_window", "non_real_field",
         "non_real_env_field", "non_integer_topology", "nan_env_field",
         "non_integer_fading_block", "sweep_through_string",
-        "sweep_below_string", "sweep_invalid_point", "sweep_empty_values"])
+        "sweep_below_string", "sweep_invalid_point", "sweep_empty_values",
+        "spec_not_an_object_out", "spec_not_an_object"])
 def test_user_error_is_one_line(argv, named, tmp_path):
+    (tmp_path / "list.json").write_text("[1]")
     (tmp_path / "bad.json").write_text(json.dumps(
         {"name": "bad", "agent": {"kind": "td3", "policy_delay": 0}}))
     (tmp_path / "untrainable.json").write_text(json.dumps(
@@ -101,6 +106,8 @@ def test_user_error_is_one_line(argv, named, tmp_path):
     assert len(res.stderr.splitlines()) == 1
     assert named in res.stderr
     assert "Traceback" not in res.stderr
+    # no run directory or table was written, only the spec files
+    assert all(p.suffix == ".json" for p in tmp_path.iterdir())
 
 
 def test_malformed_seeds_and_steps_are_one_line_errors(tmp_path):

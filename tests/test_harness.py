@@ -11,10 +11,9 @@ from hybridris import harness
 from hybridris.env import CHANNEL_BLOCK
 from hybridris.harness import (ExperimentSpec, SpecError, _write_jsonl,
                                build_loop, build_spec, compare,
-                               converged_mean, expand_sweep, load_checkpoint,
-                               moving_average, replay_summary,
-                               resolve_workers, run_experiment, run_single,
-                               run_spec_dict, save_checkpoint, summarize)
+                               converged_mean, expand_sweep, moving_average,
+                               replay_summary, resolve_workers, run_experiment,
+                               run_single, run_spec_dict, summarize)
 
 NAN = float("nan")
 INF = float("inf")
@@ -44,6 +43,21 @@ def file_tree(root) -> dict:
     return {p.relative_to(root).as_posix(): p.read_bytes()
             for p in root.rglob("*")
             if p.is_file() and p.name != "meta.json"}
+
+
+def assert_same_state(got, want, where="state"):
+    """Two ``get_state`` snapshots hold the same keys and values, and each
+    array the same dtype, shape and bits."""
+    assert type(got) is type(want), where
+    if isinstance(want, dict):
+        assert got.keys() == want.keys(), where
+        for key in want:
+            assert_same_state(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, np.ndarray):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), where
+        assert got.tobytes() == want.tobytes(), where
+    else:
+        assert got == want, where
 
 
 @pytest.fixture
@@ -100,12 +114,35 @@ class TestRunSingle:
         s1 = run_single(spec, 0, str(d1))
         s2 = run_single(spec, 0, str(d2))
         assert s1.stats == s2.stats
-        assert (d1 / "steps.jsonl").read_bytes() == \
-               (d2 / "steps.jsonl").read_bytes()
-        assert (d1 / "summary.json").read_bytes() == \
-               (d2 / "summary.json").read_bytes()
-        assert (d1 / "checkpoint.pkl").read_bytes() == \
-               (d2 / "checkpoint.pkl").read_bytes()
+        assert file_tree(d1) == file_tree(d2)
+        # a learner's weights, Adam moments and replay buffer, and the env
+        # and pipeline state, end the same on a rerun
+        spec = tiny_spec(
+            agent_kind="td3",
+            agent=hr.Td3Config(warmup_steps=30, batch=4, hidden=(12, 12)),
+            attack=hr.AttackConfig(kind="invert", threshold=0.2),
+            defense=hr.DefenseConfig(warmup_count=10), steps=150)
+        states = []
+        for _ in range(2):
+            loop = build_loop(spec, 0)
+            loop.run(spec.total_steps)
+            states.append(loop.get_state())
+        assert_same_state(*states)
+
+    @pytest.mark.parametrize("attack,defense,logs", [
+        (None, None, ()),
+        (hr.AttackConfig(), None, ("pipeline.jsonl",)),
+        (None, hr.DefenseConfig(), ("pipeline.jsonl",))],
+        ids=["plain", "attack", "defense"])
+    def test_seed_dir_holds_exactly_its_artifacts(self, tmp_path, attack,
+                                                  defense, logs):
+        spec = tiny_spec(
+            agent_kind="sac",
+            agent=hr.SacConfig(warmup_steps=20, batch=4, hidden=(8, 8)),
+            attack=attack, defense=defense, steps=40)
+        run_single(spec, 0, str(tmp_path))
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ("steps.jsonl", "curve.csv", "summary.json", "meta.json", *logs))
 
     def test_summary_matches_log_replay(self, tmp_path):
         spec = tiny_spec(steps=400)
@@ -223,31 +260,37 @@ LEARNER_CONFIGS = {"sac": hr.SacConfig, "ddpg": hr.DdpgConfig,
 
 
 class TestCheckpoints:
+    """A loop's state restored, in memory, into a fresh loop of the same
+    spec continues it bit for bit."""
+
     # every learner also stops at an odd step; for TD3 the restored critic
-    # Adam step count must put the delayed actor update back in phase
+    # Adam step count must put the delayed actor update back in phase. The
+    # source loop runs on before its state is restored, so a snapshot that
+    # held views of its arrays would restore their later values; the
+    # 50-row replay ring wraps after the snapshot, so its rows change too.
     @pytest.mark.parametrize("kind,stop", [
         ("sac", 120), ("ddpg", 120), ("td3", 120), ("td3", 121),
         ("sac", 121), ("ddpg", 121)])
-    def test_resume_is_bitwise_identical(self, tmp_path, kind, stop):
+    def test_resume_is_bitwise_identical(self, kind, stop):
         spec = tiny_spec(
             agent_kind=kind,
             agent=LEARNER_CONFIGS[kind](warmup_steps=30, batch=4,
-                                        hidden=(12, 12)),
+                                        hidden=(12, 12), buffer_capacity=50),
             steps=stop + 100)
         loop = build_loop(spec, 0)
         loop.run(stop)
-        path = str(tmp_path / "ck.pkl")
-        save_checkpoint(path, loop)
+        state = loop.get_state()
         loop.run(100)
         expected_tail = rewards(loop)[stop:]
 
         loop2 = build_loop(spec, 0)
-        load_checkpoint(path, loop2)
+        loop2.set_state(state)
         assert loop2.t == stop
         loop2.run(100)
         assert rewards(loop2) == expected_tail
+        assert_same_state(loop2.get_state(), loop.get_state())
 
-    def test_uninterrupted_equals_checkpointed(self, tmp_path):
+    def test_uninterrupted_equals_checkpointed(self):
         spec = tiny_spec(
             agent_kind="sac",
             agent=hr.SacConfig(warmup_steps=30, batch=4, hidden=(12, 12)),
@@ -256,10 +299,8 @@ class TestCheckpoints:
         straight.run(200)
         loop = build_loop(spec, 0)
         loop.run(80)
-        path = str(tmp_path / "ck.pkl")
-        save_checkpoint(path, loop)
         resumed = build_loop(spec, 0)
-        load_checkpoint(path, resumed)
+        resumed.set_state(loop.get_state())
         resumed.run(120)  # a restored loop logs only its own steps
         assert rewards(straight) == rewards(loop) + rewards(resumed)
 
@@ -268,10 +309,8 @@ class TestCheckpoints:
         # of its step index, and its summary says the same as a replay
         loop = build_loop(tiny_spec(), 0)
         loop.run(200)
-        path = str(tmp_path / "ck.pkl")
-        save_checkpoint(path, loop)
         resumed = build_loop(tiny_spec(), 0)
-        load_checkpoint(path, resumed)
+        resumed.set_state(loop.get_state())
         resumed.run(100)
         summary = summarize("t", 0, resumed, 0.0)
         log = resumed.step_log
@@ -283,8 +322,8 @@ class TestCheckpoints:
                 == replay["steps"] == 100)
         assert {k: summary.stats[k] for k in replay} == replay
 
-    def test_resumed_pipeline_log_continues_the_log(self, tmp_path):
-        # the checkpoint falls after the filter's warm-up and before its
+    def test_resumed_pipeline_log_continues_the_log(self):
+        # the state is taken after the filter's warm-up and before its
         # window of accepted rewards is full, with the attack firing
         spec = tiny_spec(
             agent_kind="sac",
@@ -297,10 +336,8 @@ class TestCheckpoints:
         straight.run(220)
         loop = build_loop(spec, 0)
         loop.run(120)
-        path = str(tmp_path / "ck.pkl")
-        save_checkpoint(path, loop)
         resumed = build_loop(spec, 0)
-        load_checkpoint(path, resumed)
+        resumed.set_state(loop.get_state())
         resumed.run(100)
         expected, got = pipeline_log(straight)[120:], pipeline_log(resumed)
         assert len(got) == 100
@@ -314,10 +351,9 @@ class TestCheckpoints:
             assert any(rec["triggered"] for rec in log)
 
     @pytest.mark.parametrize("kind", ["sac", "td3"])
-    def test_resume_mid_block_and_mid_warmup_is_bitwise(self, tmp_path,
-                                                        kind):
+    def test_resume_mid_block_and_mid_warmup_is_bitwise(self, kind):
         # the warm-up runs on past the channel block that starts at step
-        # CHANNEL_BLOCK + 1, and the checkpoint at step 40 falls inside both
+        # CHANNEL_BLOCK + 1, and the state taken at step 40 falls inside both
         # the warm-up and the block before it
         warmup = CHANNEL_BLOCK + 36
         spec = tiny_spec(
@@ -329,10 +365,8 @@ class TestCheckpoints:
         straight.run(warmup + 100)
         loop = build_loop(spec, 0)
         loop.run(40)
-        path = str(tmp_path / "ck.pkl")
-        save_checkpoint(path, loop)
         resumed = build_loop(spec, 0)
-        load_checkpoint(path, resumed)
+        resumed.set_state(loop.get_state())
         resumed.run(warmup + 60)
         assert resumed.step_log == {k: v[40:]
                                     for k, v in straight.step_log.items()}
@@ -341,21 +375,6 @@ class TestCheckpoints:
         assert got["rng"] == want["rng"]
         for name, params in want["nets"].items():
             assert got["nets"][name].tobytes() == params.tobytes()
-
-    # version 1 checkpoints hold h_b as a list of per-receiver columns;
-    # version 2 ones hold each net and Adam moment as a list of per-layer
-    # arrays; version 3 ones hold each critic member as its own net;
-    # version 4 ones hold reward sums, the filter count and DDPG/TD3's
-    # update count; version 5 ones hold the current slot's channels and
-    # the generator where one-slot-at-a-time draws leave it; version 6 ones
-    # hold the env's slot as the slots taken of its channel block
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
-    def test_older_checkpoint_version_refused(self, version):
-        loop = build_loop(tiny_spec(), 0)
-        st = loop.get_state()
-        st["version"] = version
-        with pytest.raises(ValueError, match=f"version {version}"):
-            build_loop(tiny_spec(), 0).set_state(st)
 
 
 # sha256 of steps.jsonl for a 300-step random-agent run on the paper-default
@@ -533,8 +552,8 @@ def test_observation_digest_pinned(name, block, monkeypatch):
         OBSERVATION_DIGESTS[name]
 
 
-# sha256 of every artifact but meta.json and checkpoint.pkl for two 150-step
-# runs of 2 seeds, and of compare's tables over them: a random agent on an
+# sha256 of every artifact but meta.json for two 150-step runs of 2 seeds,
+# and of compare's tables over them: a random agent on an
 # always-active surface (so shortfall penalties part reward from sum rate),
 # and a small SAC on the paper-default env under the invert attack with clip
 # and filter (which then clips, attacks and discards). The summaries, the
@@ -601,8 +620,8 @@ def test_artifact_digests_pinned(tmp_path):
             str(tmp_path / "table.csv"))
     digests = {path.relative_to(tmp_path).as_posix():
                hashlib.sha256(path.read_bytes()).hexdigest()
-               for path in tmp_path.rglob("*") if path.is_file()
-               and path.name not in ("meta.json", "checkpoint.pkl")}
+               for path in tmp_path.rglob("*")
+               if path.is_file() and path.name != "meta.json"}
     assert digests == ARTIFACT_SHA256
 
 
@@ -816,6 +835,37 @@ class TestSpecParsing:
         with pytest.raises(SpecError, match=message):
             build_spec(spec)
 
+    # expand_sweep reads the top level before build_spec does, so each
+    # reader must refuse it with build_spec's error
+    @pytest.mark.parametrize("spec", [[1], "x", 3])
+    def test_spec_that_is_no_object_is_refused_before_any_run(self, spec,
+                                                             tmp_path):
+        message = f"invalid spec: spec: must be an object, not {spec!r}"
+        for read in (build_spec, expand_sweep,
+                     lambda d: run_spec_dict(d, str(tmp_path / "out"))):
+            with pytest.raises(SpecError) as err:
+                read(spec)
+            assert str(err.value) == message
+        assert not (tmp_path / "out").exists()
+
+    def test_seeds_and_n_seeds_refused_together(self):
+        # one of the two would be dropped, so both are named
+        with pytest.raises(SpecError) as err:
+            build_spec({"seeds": [0], "n_seeds": 5, "total_step": 5})
+        assert str(err.value) == (
+            "invalid spec: spec: unknown key 'total_step'; "
+            "spec: give either seeds or n_seeds, not both")
+        assert build_spec({"n_seeds": 3}).seeds == (0, 1, 2)
+        assert build_spec({"seeds": None, "n_seeds": 2}).seeds == (0, 1)
+
+    def test_seeds_override_replaces_n_seeds(self):
+        # the CLI's --seeds stands in for the spec's seeds, n_seeds too
+        d = {"agent": {"kind": "random"}, "n_seeds": 3, "total_steps": 5,
+             "env": {"topology": {"A": 1, "B": 1, "R": 2, "W": 1}}}
+        (agg,) = run_spec_dict(d, None, seeds_override=[4], workers=1)
+        assert agg["seeds"] == [4]
+        assert d["n_seeds"] == 3
+
     def test_attack_and_defense_sections(self):
         spec = build_spec({
             "attack": {"kind": "scale", "scale": 0.5, "threshold": 0.4},
@@ -927,7 +977,6 @@ class TestSweepRun:
         for workers in (1, 2):
             run_spec_dict(d, str(tmp_path / f"w{workers}"), workers=workers)
         serial = file_tree(tmp_path / "w1")
-        assert "kind=sac/seed_1/checkpoint.pkl" in serial
         assert "kind=sac/seed_1/pipeline.jsonl" in serial
         assert serial == file_tree(tmp_path / "w2")
 

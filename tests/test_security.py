@@ -1,6 +1,5 @@
 import hashlib
 import json
-import pickle
 from collections import deque
 
 import numpy as np
@@ -256,7 +255,7 @@ PIN_DEFENSE = DefenseConfig(chi=2.0, warmup_count=12, stats_window=60)
 # sha256 of the pipeline log (one json.dumps line of the logged fields per
 # reward) for 300 rewards on a slow sine plus noise, with a spike every 37th
 # step: the records cover triggers switching on and off, clipping and
-# discards. At step 150 the state is pickled and restored into a fresh
+# discards. At step 150 the state is taken and restored into a fresh
 # pipeline with another generator. Recorded with numpy 2.4 on x86-64
 # with OpenBLAS's SkylakeX kernels, like the step-log pins.
 PIPELINE_LOG_SHA256 = {
@@ -290,7 +289,7 @@ def test_pipeline_log_digest_pinned(name):
     digest = hashlib.sha256()
     for i, r in enumerate(rewards):
         if i == 150:
-            st = pickle.loads(pickle.dumps(p.get_state()))
+            st = p.get_state()
             p = RewardPipeline(atk, dfn, rng=make_rng(15))
             p.set_state(st)
         digest.update((json.dumps(log_record(p.step(float(r))))
