@@ -34,8 +34,8 @@ for kappa in (1, 2, 4):
 pc = PowerConstraint(P_t=10.0, I_thr=10.0)
 caps = []
 for seed in range(2000):
-    ch = sample_channel_set(make_rng(seed), topo, CascadeSpec())
-    caps.append(power_cap(pc, ch.g_sp))
+    ch = sample_channel_set(make_rng(seed), topo, CascadeSpec(), 1)
+    caps.append(power_cap(pc, ch.g_sp[0]))
 caps = np.array(caps)
 print(f"\nwith W={topo.W} PUs: power cap mean {caps.mean():.2f} W "
       f"(budget {pc.P_t} W); cap binds on {np.mean(caps < pc.P_t):.0%} of slots")

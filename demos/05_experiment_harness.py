@@ -5,7 +5,7 @@ Run:  python3 demos/05_experiment_harness.py
 (writes artifacts under ./runs/demo)
 """
 
-import numpy as np
+from dataclasses import replace
 
 from hybridris import (CascadeSpec, EnvConfig, ExperimentSpec, RisMode,
                        Topology, compare, run_experiment)
@@ -17,7 +17,7 @@ env = EnvConfig(topo=Topology(A=1, B=1, R=2, W=1),
 hybrid = ExperimentSpec(name="hybrid", env=env, agent_kind="random",
                         seeds=(0, 1, 2), total_steps=2000)
 active = ExperimentSpec(name="active",
-                        env=env.with_(mode=RisMode.active()),
+                        env=replace(env, mode=RisMode.active()),
                         agent_kind="random", seeds=(0, 1, 2),
                         total_steps=2000)
 

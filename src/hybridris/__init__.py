@@ -3,8 +3,8 @@ with deep-RL control (SAC, TD3, DDPG) and reward-poisoning defenses."""
 
 from .agents import (DdpgAgent, DdpgConfig, RandomAgent, ReplayBuffer,
                      SacAgent, SacConfig, Td3Agent, Td3Config, random_action)
-from .channel import (CascadeSpec, ChannelSet, FadingMode, Topology,
-                      pu_power_gains, sample_channel_set)
+from .channel import (CascadeSpec, FadingMode, Topology, pu_power_gains,
+                      sample_channel_set)
 from .env import (STEP_LOG_FIELDS, EnvConfig, RisCrnEnv, StepOutcome,
                   action_size, observation_size)
 from .harness import (ExperimentSpec, RunSummary, TrainingLoop, build_spec,

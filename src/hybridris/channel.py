@@ -7,7 +7,7 @@ cascade level compare fading shape rather than mean power. No large-scale
 path loss is applied.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,39 +55,25 @@ class FadingMode:
 
 
 @dataclass(frozen=True)
-class ChannelSet:
-    """One time slot of channel realizations.
+class ChannelBlock:
+    """Channels of consecutive time slots, each link with a leading slot
+    axis:
 
-    H_s:  R x A, SU transmitter to RIS
-    h_b:  R x B, RIS to the SU receivers, one column per receiver
-    H_p:  A x W, SU transmitter to PU receivers
-    h_PB: R x 1, power beacon to RIS (plain Rayleigh)
-    g_sp: W per-PU power gains, squared norm of the matching H_p column
+    H_s:  slot x R x A, SU transmitter to RIS
+    h_b:  slot x R x B, RIS to the SU receivers, one column per receiver
+    H_p:  slot x A x W, SU transmitter to PU receivers
+    h_PB: slot x R x 1, power beacon to RIS (plain Rayleigh)
+    g_sp: slot x W per-PU power gains, squared norm of the matching H_p
+          column
     """
     H_s: np.ndarray
     h_b: np.ndarray
     H_p: np.ndarray
     h_PB: np.ndarray
-    g_sp: np.ndarray = field(default=None)
-
-    def tobytes(self) -> bytes:
-        """Raw bytes of every link; h_b is laid out receiver by receiver."""
-        return b"".join([self.H_s.tobytes(), self.H_p.tobytes(),
-                         self.h_PB.tobytes(), self.h_b.T.tobytes(),
-                         np.asarray(self.g_sp).tobytes()])
-
-
-class ChannelBlock(ChannelSet):
-    """Channels of consecutive slots: every ``ChannelSet`` field with a
-    leading slot axis. Item i is slot i's ``ChannelSet``, whose arrays are
-    views into the block's."""
+    g_sp: np.ndarray
 
     def __len__(self) -> int:
         return self.H_s.shape[0]
-
-    def __getitem__(self, i: int) -> ChannelSet:
-        return ChannelSet(self.H_s[i], self.h_b[i], self.H_p[i],
-                          self.h_PB[i], self.g_sp[i])
 
 
 def pu_power_gains(H_p: np.ndarray) -> np.ndarray:
@@ -116,31 +102,26 @@ def _cascade(x: np.ndarray, kappa: int, shape: tuple) -> np.ndarray:
 
 
 def sample_channel_set(rng: np.random.Generator, topo: Topology,
-                       spec: CascadeSpec, slots: int = None):
-    """Draw all channels for one time slot, or for ``slots`` slots at once.
+                       spec: CascadeSpec, slots: int) -> ChannelBlock:
+    """Draw all channels for ``slots`` consecutive time slots at once.
 
     The beacon link is plain Rayleigh (cascade level 1); everything else
     uses the configured cascade levels. Within a slot the entries are drawn
     in a fixed order (H_s, each h_b column, H_p, h_PB), one slot after
-    another, so a fixed seed reproduces every set byte-for-byte. One
+    another, so a fixed seed reproduces every block byte-for-byte. One
     ``standard_normal`` call feeds the whole block: it consumes the stream
     exactly as drawing each link's factors on their own, link after link,
     would.
-
-    Returns one ``ChannelSet`` when ``slots`` is None, else a
-    ``ChannelBlock`` of ``slots`` slots.
     """
     R, A, B, W = topo.R, topo.A, topo.B, topo.W
-    n = 1 if slots is None else slots
     draws = slot_draws(topo, spec)
-    z = rng.standard_normal((n, sum(draws)))
+    z = rng.standard_normal((slots, sum(draws)))
     ends = np.cumsum(draws)
     z_s, z_b, z_p, z_pb = (z[:, e - d:e] for d, e in zip(draws, ends))
     H_s = _cascade(z_s, spec.kappa_s, (R, A))
-    h_b = _cascade(z_b.reshape(n, B, -1), spec.kappa_b, (R,))
+    h_b = _cascade(z_b.reshape(slots, B, -1), spec.kappa_b, (R,))
     h_b = np.ascontiguousarray(h_b.transpose(0, 2, 1))     # slot x R x B
     H_p = _cascade(z_p, spec.kappa_p, (A, W))
     h_PB = _cascade(z_pb, 1, (R, 1))
-    block = ChannelBlock(H_s=H_s, h_b=h_b, H_p=H_p, h_PB=h_PB,
-                         g_sp=pu_power_gains(H_p))
-    return block[0] if slots is None else block
+    return ChannelBlock(H_s=H_s, h_b=h_b, H_p=H_p, h_PB=h_PB,
+                        g_sp=pu_power_gains(H_p))

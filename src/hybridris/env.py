@@ -35,7 +35,7 @@ imaginary parts, and the last R entries map linearly onto phases via
 eps = (x + 1) * pi.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -86,9 +86,6 @@ class EnvConfig:
         raise_broken((not self.penalty_weight >= 0,
                       "penalty_weight must be >= 0"))
 
-    def with_(self, **kwargs) -> "EnvConfig":
-        return replace(self, **kwargs)
-
 
 class StepOutcome(NamedTuple):
     """One step, its fields named as the step log names them; for a block
@@ -121,15 +118,13 @@ def action_size(topo: Topology) -> int:
 
 def _split_action(a, topo: Topology):
     """The raw complex beamformer and the wrapped phases of a flat action,
-    or of each action stacked on leading axes.
+    or of each action stacked on leading axes; the caller has checked the
+    last axis's length.
 
     Entries outside [-1, 1] are taken as they are: the projection onto the
     power cap keeps the beamformer feasible, and the phases wrap."""
     a = np.asarray(a, dtype=float)
     ab = topo.A * topo.B
-    if a.shape[-1:] != (2 * ab + topo.R,):
-        raise ValueError(f"action shape {a.shape}, expected length "
-                         f"{2 * ab + topo.R} on the last axis")
     shape = a.shape[:-1] + (topo.A, topo.B)
     re = a[..., :ab].reshape(shape)
     im = a[..., ab:2 * ab].reshape(shape)
@@ -150,8 +145,6 @@ class RisCrnEnv:
         self._settings = None     # slot settings, made at the first step
         self._t = 0
         self._violations = 0
-        # the previous step's beamformer, phases, gain and mode flag
-        self._prev = None
 
     @property
     def observation_size(self) -> int:
@@ -182,8 +175,6 @@ class RisCrnEnv:
         self._t = 0
         self._violations = 0
         topo = self.cfg.topo
-        self._prev = (np.zeros((topo.A, topo.B), dtype=np.complex128),
-                      np.zeros(topo.R), 0.0, 0.0)
         return np.concatenate((self._rows[0], np.zeros(2 * topo.A * topo.B
                                                        + topo.R + 2)))
 
@@ -246,7 +237,6 @@ class RisCrnEnv:
             self._first += len(rows)
             self._draw(CHANNEL_BLOCK)
             rows = np.concatenate((rows, self._rows[:1]))
-        self._prev = (G[-1], phases[-1], alpha[-1], float(tail[-1, 1]))
         G = G.reshape(n, -1)
         out = (np.concatenate((rows.take(nxt, 0), G.real, G.imag, phases, tail),
                               axis=1),
@@ -257,21 +247,16 @@ class RisCrnEnv:
     def get_state(self) -> dict:
         """Snapshot for exact run continuation: the generator state before
         the current channel block's draw, the block's length and the run's
-        slot of its first row, the previous-action fields and the counters.
-        ``set_state`` redraws the block from that state."""
+        slot of its first row and the counters. ``set_state`` redraws the
+        block from that state."""
         if self._rng is None:
             raise RuntimeError("call reset() before get_state()")
-        G, phases, alpha, flag = self._prev
         return {
             "block_start": rng_state(restore_rng(self._block_start)),
             "block": len(self._block),
             "first": self._first,
             "t": self._t,
             "violations": self._violations,
-            "prev_G": G.copy(),
-            "prev_phases": phases.copy(),
-            "prev_alpha": alpha,
-            "prev_mode_flag": float(flag),
         }
 
     def set_state(self, st: dict):
@@ -280,8 +265,6 @@ class RisCrnEnv:
         self._first = int(st["first"])
         self._t = int(st["t"])
         self._violations = int(st["violations"])
-        self._prev = (st["prev_G"], st["prev_phases"],
-                      float(st["prev_alpha"]), float(st["prev_mode_flag"]))
 
     def _draw(self, block: int):
         """Draws ``block`` slots and lays out their observation rows. Their

@@ -127,9 +127,10 @@ def converged_mean(rewards, fraction: float = CONVERGED_FRACTION) -> float:
 
 
 class TrainingLoop:
-    """One seeded env+agent(+pipeline) loop with step/pipeline logs of the
-    steps this loop ran, each kept as columns: one list per
-    ``STEP_LOG_FIELDS`` or ``PIPELINE_LOG_FIELDS`` entry."""
+    """One seeded env+agent(+pipeline) loop with logs of the steps this
+    loop ran: the step log kept as columns, one list per
+    ``STEP_LOG_FIELDS`` entry, and the pipeline log as the list of the
+    pipeline's records."""
 
     def __init__(self, env: RisCrnEnv, agent, pipeline: RewardPipeline = None):
         self.env = env
@@ -138,7 +139,7 @@ class TrainingLoop:
         self.t = 0
         self.obs = None
         self.step_log = {name: [] for name in STEP_LOG_FIELDS}
-        self.pipeline_log = {name: [] for name in PIPELINE_LOG_FIELDS}
+        self.pipeline_log = []
 
     def start(self, env_seed):
         self.obs = self.env.reset(env_seed)
@@ -169,12 +170,10 @@ class TrainingLoop:
             keep, r = [], []
             for i, reward in enumerate(out.reward):
                 rec = self.pipeline.step(reward)
-                # the record holds the logged fields first, in log order
-                for column, value in zip(self.pipeline_log.values(), rec):
-                    column.append(value)
+                self.pipeline_log.append(rec)
                 if rec.decision == ACCEPTED:
                     keep.append(i)
-                    r.append(rec.value)
+                    r.append(rec.clipped)
             if len(keep) < len(s):
                 # take reads a row list in a third of the time indexing does
                 s, actions, s2 = (s.take(keep, 0), actions.take(keep, 0),
@@ -311,7 +310,8 @@ def run_single(spec: ExperimentSpec, seed: int,
         _write_jsonl(os.path.join(out_dir, "steps.jsonl"), loop.step_log)
         if loop.pipeline is not None:
             _write_jsonl(os.path.join(out_dir, "pipeline.jsonl"),
-                         loop.pipeline_log)
+                         dict(zip(PIPELINE_LOG_FIELDS,
+                                  zip(*loop.pipeline_log))))
         _write_csv(os.path.join(out_dir, "curve.csv"), ("t", "ma_reward"),
                    enumerate(summary.curve.tolist()))
         with open(os.path.join(out_dir, "summary.json"), "w") as fh:
@@ -582,7 +582,8 @@ def expand_sweep(d: dict):
                         raise SpecError(
                             f"sweep[{i}]: {path}: {p!r} is not an object")
                 node[parts[-1]] = v
-                tag = (f"{leaf}={v:g}" if isinstance(v, (int, float))
+                # %g shortens a float; an int or a bool prints whole
+                tag = (f"{leaf}={v:g}" if isinstance(v, float)
                        else f"{leaf}={v}")
                 new_points.append((f"{label}_{tag}" if label else tag, dd))
         points = new_points

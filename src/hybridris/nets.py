@@ -149,19 +149,22 @@ def soft_update(target: DenseNet, source: DenseNet, tau: float):
     target.flat += tau * source.flat
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class Adam:
     """Per-parameter adaptive moment estimation over one float64 array.
 
     Updates p -= lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps),
-    computed with the bias corrections folded into the step size to avoid
-    per-parameter temporaries.
+    with b1, b2 and eps the module's ADAM_ constants, computed with the
+    bias corrections folded into the step size to avoid per-parameter
+    temporaries.
     """
 
-    def __init__(self, p, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, p, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = np.zeros_like(p)
         self.v = np.zeros_like(p)
@@ -169,17 +172,17 @@ class Adam:
 
     def step(self, p, g):
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        root_bc2 = math.sqrt(1.0 - self.beta2 ** self.t)
+        bc1 = 1.0 - ADAM_BETA1 ** self.t
+        root_bc2 = math.sqrt(1.0 - ADAM_BETA2 ** self.t)
         step_size = self.lr * root_bc2 / bc1
-        eps_hat = self.eps * root_bc2
+        eps_hat = ADAM_EPS * root_bc2
         m, v, s = self.m, self.v, self._scratch
-        m *= self.beta1
-        np.multiply(g, 1.0 - self.beta1, out=s)
+        m *= ADAM_BETA1
+        np.multiply(g, 1.0 - ADAM_BETA1, out=s)
         m += s
-        v *= self.beta2
+        v *= ADAM_BETA2
         np.multiply(g, g, out=s)
-        s *= 1.0 - self.beta2
+        s *= 1.0 - ADAM_BETA2
         v += s
         np.sqrt(v, out=s)
         s += eps_hat

@@ -84,11 +84,11 @@ class RewardPipelineRecord(NamedTuple):
     mean: float           # mean and std of the accepted window before it
     std: float
     triggered: bool
-    value: float          # reward for the learner, NaN if discarded; unlogged
 
 
-# the logged fields, in log order: every record field but the value
-PIPELINE_LOG_FIELDS = RewardPipelineRecord._fields[:-1]
+# the logged fields, in log order; an accepted record's clipped value is
+# the learner's reward
+PIPELINE_LOG_FIELDS = RewardPipelineRecord._fields
 
 
 def attack(cfg: AttackConfig, r: float, rng: np.random.Generator) -> float:
@@ -154,6 +154,10 @@ class RewardPipeline:
     def __init__(self, attack_cfg: AttackConfig = None,
                  defense_cfg: DefenseConfig = None,
                  rng: np.random.Generator = None):
+        raise_broken((rng is None and attack_cfg is not None
+                      and attack_cfg.kind == RANDOM_SCALE,
+                      "a random_scale attack draws its scales from rng, "
+                      "and no generator was given"))
         self.attack_cfg = attack_cfg
         self.defense_cfg = defense_cfg
         self.rng = rng
@@ -203,8 +207,7 @@ class RewardPipeline:
             self._stats = None
         return RewardPipelineRecord(
             t, float(raw), float(post), clipped,
-            ACCEPTED if accepted else DISCARDED, mean, std, triggered,
-            clipped if accepted else float("nan"))
+            ACCEPTED if accepted else DISCARDED, mean, std, triggered)
 
     def get_state(self) -> dict:
         return {

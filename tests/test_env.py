@@ -71,10 +71,6 @@ class TestDecodeAction:
             build_reflection(wrap_phase((x + 1.0) * np.pi), n_active, 1.6,
                              pp))
 
-    def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
-            decode_action(np.zeros(3), 1.0, Topology(A=2, B=2, R=4, W=2))
-
 
 class TestReset:
     def test_seed_is_required(self):
@@ -253,11 +249,11 @@ class TestStep:
         assert len(out.reward) == room
         assert env.steps_in_block == CHANNEL_BLOCK
 
-    @pytest.mark.parametrize("shape", [(1, 3, 12), (0, 12), ()])
+    @pytest.mark.parametrize("shape", [(1, 3, 12), (0, 12), (), (3,)])
     def test_malformed_action_refused_before_any_change(self, shape):
-        # a stack of stacks, an empty stack and a 0-d action are each
-        # refused with one message naming the accepted shapes, and the env
-        # is left as it was
+        # a stack of stacks, an empty stack, a 0-d action and an action of
+        # the wrong length are each refused with one message naming the
+        # accepted shapes, and the env is left as it was
         env = RisCrnEnv(EnvConfig())
         env.reset(0)
         env.step(np.zeros(env.action_size))
@@ -420,8 +416,7 @@ class TestCheckpointInsideBlock:
         self.advance_per_slot(expected, cfg, 1 + CHANNEL_BLOCK)
         st = env.get_state()
         assert set(st) == {"block_start", "block", "first", "t",
-                           "violations", "prev_G", "prev_phases",
-                           "prev_alpha", "prev_mode_flag"}
+                           "violations"}
         assert st["block_start"] == rng_state(expected)
         assert (st["block"], st["first"]) == (CHANNEL_BLOCK, 1 + CHANNEL_BLOCK)
         assert st["t"] // fading_block - st["first"] == 4

@@ -251,8 +251,7 @@ def rewards(loop) -> list:
 
 def pipeline_log(loop) -> list:
     """A loop's pipeline log, one dict per step as pipeline.jsonl holds."""
-    log = loop.pipeline_log
-    return [dict(zip(log, row)) for row in zip(*log.values())]
+    return [rec._asdict() for rec in loop.pipeline_log]
 
 
 LEARNER_CONFIGS = {"sac": hr.SacConfig, "ddpg": hr.DdpgConfig,
@@ -881,6 +880,16 @@ class TestSpecParsing:
         assert [label for label, _ in points] == ["tau=10", "tau=40"]
         assert points[0][1]["env"]["harvest"]["tau"] == 10
         assert d["env"]["harvest"]["tau"] == 50.0  # original untouched
+        # an int or a bool prints whole: %g would label both step counts
+        # total_steps=1e+06, and the bools =1 and =0
+        for path, values, labels in [
+                ("total_steps", [1000000, 1000001],
+                 ["total_steps=1000000", "total_steps=1000001"]),
+                ("agent.auto_entropy", [True, False],
+                 ["auto_entropy=True", "auto_entropy=False"])]:
+            points = expand_sweep({"sweep": [{"path": path,
+                                              "values": values}]})
+            assert [label for label, _ in points] == labels
 
     def test_sweep_values_with_one_label_rejected(self):
         # both values format as tau=10, so their runs would share a directory

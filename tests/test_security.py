@@ -141,10 +141,10 @@ class TestPipeline:
     def test_passthrough_without_attack_or_defense(self):
         p = RewardPipeline(None, None)
         rec = p.step(1.2)
-        assert (rec.decision == ACCEPTED and rec.value == 1.2
+        assert (rec.decision == ACCEPTED and rec.clipped == 1.2
                 and rec.post_attack == 1.2)
         rec = p.step(5.0)
-        assert rec.decision == ACCEPTED and rec.value == 2.0  # clipped
+        assert rec.decision == ACCEPTED and rec.clipped == 2.0
 
     def test_composed_invert_then_discard(self):
         atk = AttackConfig(kind="invert", threshold=0.5, trigger_window=1)
@@ -158,7 +158,6 @@ class TestPipeline:
         assert rec.post_attack == -1.2
         assert rec.clipped == -1.2
         assert rec.decision == DISCARDED
-        assert np.isnan(rec.value)
 
     def test_warmup_steps_always_accepted_and_clean(self):
         atk = AttackConfig(kind="invert", threshold=-100.0, trigger_window=1)
@@ -197,9 +196,10 @@ class TestPipeline:
         for _ in range(2000):
             r = float(rng.uniform(-1.5, 1.5))
             rec = p.step(r)
+            assert rec.decision == ACCEPTED
             if rec.triggered:
                 raws.append(r)
-                stored.append(rec.value)
+                stored.append(rec.clipped)
         assert np.mean(stored) == pytest.approx(-np.mean(raws), abs=1e-12)
 
     def test_discard_rate_bounded_for_stationary_rewards(self):
@@ -240,6 +240,13 @@ class TestPipeline:
         q.set_state(st)
         got = [log_record(q.step(r)) for r in tail]
         assert expected == got
+
+    def test_random_scale_without_a_generator_refused(self):
+        # refused when built, not at the first triggered step
+        with pytest.raises(ValueError, match="no generator was given"):
+            RewardPipeline(AttackConfig(kind="random_scale"))
+        RewardPipeline(AttackConfig(kind="scale"))
+        RewardPipeline(AttackConfig(kind="random_scale"), rng=make_rng(0))
 
 
 PIN_ATTACKS = {
@@ -331,8 +338,7 @@ def test_discarded_transitions_never_reach_buffer():
         seeds=(0,), total_steps=400)
     loop = build_loop(spec, 0)
     loop.run(400)
-    log = loop.pipeline_log
-    recs = [dict(zip(log, row)) for row in zip(*log.values())]
+    recs = [rec._asdict() for rec in loop.pipeline_log]
     accepted_values = [r for rec, r in
                        zip(recs, (json.loads(json.dumps(rec))["clipped"]
                                   for rec in recs))
