@@ -24,12 +24,11 @@ for tau in (10.0, 30.0, 40.0, 50.0):
     cfg = EnvConfig(mode=RisMode.dynamic_hybrid(),
                     hp=HarvestParams(tau=tau))
     env = RisCrnEnv(cfg)
-    obs = env.reset(0)
-    rng = make_rng(1)
+    env.reset(0)
     active, energy = 0, 0.0
     steps = 3000
-    for _ in range(steps):
-        out = env.step(random_action(rng, env.action_size))
+    for action in random_action(make_rng(1), env.action_size, steps):
+        out = env.step(action)
         active += out.mode == "active"
         energy += out.energy_J
     print(f"  {tau:5.1f}  |    {active / steps:6.1%}   |  {energy / steps:.4f}")

@@ -8,7 +8,8 @@ Run:  python3 demos/03_train_sac_frozen_channel.py
 import numpy as np
 
 from hybridris import (CascadeSpec, EnvConfig, FadingMode, PowerConstraint,
-                       RisCrnEnv, RisMode, SacAgent, SacConfig, Topology)
+                       RisCrnEnv, RisMode, SacAgent, SacConfig, Topology,
+                       TrainingLoop)
 
 topo = Topology(A=1, B=1, R=2, W=1)
 cfg = EnvConfig(topo=topo, cascade=CascadeSpec(1, 1, 1),
@@ -31,19 +32,14 @@ print(f"grid-search optimum rate: {best:.4f} bits/s/Hz")
 # --- SAC training on the same frozen channel ---------------------------------
 env = RisCrnEnv(cfg)
 agent = SacAgent(env.observation_size, env.action_size, SacConfig(), seed=1)
-obs = env.reset(123)
-for t in range(5000):
-    a = agent.act(obs, t)
-    out = env.step(a)
-    agent.observe(obs[None], a[None], [out.reward], out.observation[None])
-    agent.update(t)
-    obs = out.observation
-    if (t + 1) % 1000 == 0:
-        print(f"  step {t + 1}: entropy temperature {agent.entropy_alpha:.4f}")
+loop = TrainingLoop(env, agent, 123)
+for k in range(1, 6):
+    loop.run(1000)
+    print(f"  step {1000 * k}: entropy temperature {agent.entropy_alpha:.4f}")
 
-rates = []
+obs, rates = loop.obs, []
 for _ in range(20):
-    out = env.step(agent.act(obs, 10 ** 9, deterministic=True))
+    out = env.step(agent.act(obs, deterministic=True))
     rates.append(out.sum_rate)
     obs = out.observation
 print(f"deterministic policy rate: {np.mean(rates):.4f} "

@@ -2,19 +2,17 @@
 action vectors: soft actor-critic (primary), DDPG and TD3 baselines, and a
 uniform random policy.
 
-All agents share one loop contract: ``act(obs, t)`` returns an action in
-[-1, 1]^dim, ``observe(s, a, r, s2)`` stores a k-row stack of transitions
-in row order (k >= 0; the caller decides which transitions are stored at
-all, e.g. when a reward filter discards some), and ``update(t)`` performs
-one gradient step once the warmup phase is over. ``open_loop_steps(t, n)``
-says how many of the n steps from t on act without reading the
-observation (the random agent's steps and a learner's warmup), and
-``open_loop_actions(k)`` draws the actions of k such steps at once, from
-the stream k calls of ``act`` would use. Open-loop steps never train: the
-caller runs ``update`` only after a closed-loop step, and for every
-open-loop step ``update`` would do nothing. Every stochastic choice comes
-from the agent's own generator so a (seed, config) pair replays
-bit-for-bit.
+All agents share one loop contract. ``open_loop_steps(t, n)`` says how
+many of the n steps from t on act without reading the observation (every
+step of the random agent, the rest of a learner's warm-up), and
+``open_loop_actions(k)`` draws the actions of k such steps at once.
+``observe(s, a, r, s2)`` stores a k-row stack of transitions in row order
+(k >= 0; the caller decides which transitions are stored at all, e.g. when
+a reward filter discards some). A learner's ``act(obs, deterministic=False)``
+is its policy, whatever the step, and ``update()`` performs one gradient
+step; the training loop calls them on closed-loop steps only, so the
+random agent has neither. Every stochastic choice comes from the agent's
+own generator so a (seed, config) pair replays bit-for-bit.
 """
 
 import math
@@ -32,10 +30,10 @@ TANH_EPS = 1e-6
 HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 
 
-def random_action(rng: np.random.Generator, dim: int, k: int = None):
-    """Uniform action in [-1, 1]^dim, or k of them as rows: one draw of k
-    rows takes the stream and leaves the generator as k single draws do."""
-    return rng.uniform(-1.0, 1.0, dim if k is None else (k, dim))
+def random_action(rng: np.random.Generator, dim: int, k: int):
+    """k uniform actions in [-1, 1]^dim as rows: one draw of k rows takes
+    the stream and leaves the generator as k one-row draws do."""
+    return rng.uniform(-1.0, 1.0, (k, dim))
 
 
 def _clip_unit(x: np.ndarray) -> np.ndarray:
@@ -178,15 +176,13 @@ class Td3Config(DdpgConfig):
 
 
 class RandomAgent:
-    """Chooses uniform random actions; never learns. It takes a config as
-    the learners do, and has none to read."""
+    """Chooses uniform random actions; never learns. Every step is
+    open-loop, so it has no ``act`` or ``update``. It takes a config as the
+    learners do, and has none to read."""
 
     def __init__(self, obs_dim: int, act_dim: int, cfg=None, seed: int = 0):
         self.act_dim = act_dim
         self.rng = make_rng(seed)
-
-    def act(self, obs, t: int, deterministic: bool = False):
-        return random_action(self.rng, self.act_dim)
 
     def open_loop_steps(self, t: int, n: int) -> int:
         return n
@@ -197,9 +193,6 @@ class RandomAgent:
     def observe(self, s, a, r, s2):
         pass
 
-    def update(self, t: int):
-        return None
-
     def get_state(self) -> dict:
         return {"rng": rng_state(self.rng)}
 
@@ -208,7 +201,7 @@ class RandomAgent:
 
 
 class _OffPolicyAgent:
-    """Replay buffer, warmup gate, critic and resume state shared by the
+    """Replay buffer, warm-up length, critic and resume state shared by the
     learners. Subclasses set ``config_cls`` and ``n_critics``, build their
     nets from ``self.rng`` after this constructor (the critic through
     ``_build_critic``) and add their own parameter arrays and optimizers
@@ -230,12 +223,10 @@ class _OffPolicyAgent:
     def observe(self, s, a, r, s2):
         self.buffer.store(s, a, r, s2)
 
-    def _sample(self, t: int):
-        """``(batch, None)`` when step ``t`` trains, else ``(None, diag)``
-        with what ``update`` returns instead: None during warmup, a
-        warning while the buffer holds fewer transitions than a batch."""
-        if t < self.cfg.warmup_steps:
-            return None, None
+    def _sample(self):
+        """``(batch, None)``, or ``(None, diag)`` with what ``update``
+        returns instead: a warning while the buffer holds fewer
+        transitions than a batch."""
         if self.buffer.size < self.cfg.batch:
             return None, {"warning": "batch underflow"}
         return self.buffer.sample(self.rng, self.cfg.batch), None
@@ -358,9 +349,7 @@ class SacAgent(_OffPolicyAgent):
         z -= corr
         return a, np.add.reduce(z, axis=-1, keepdims=True), std
 
-    def act(self, obs, t: int, deterministic: bool = False):
-        if not deterministic and t < self.cfg.warmup_steps:
-            return random_action(self.rng, self.act_dim)
+    def act(self, obs, deterministic: bool = False):
         mu, log_std, _, _ = self._policy_stats(np.asarray(obs)[None, :])
         if deterministic:
             return np.tanh(mu[0])
@@ -372,8 +361,8 @@ class SacAgent(_OffPolicyAgent):
                    / logp.size)
         self.opt_alpha.step(self.log_alpha, np.array([g]))
 
-    def update(self, t: int):
-        batch, idle = self._sample(t)
+    def update(self):
+        batch, idle = self._sample()
         if batch is None:
             return idle
         # eps2 for the target actions is drawn first, then eps for the policy
@@ -463,9 +452,7 @@ class DdpgAgent(_OffPolicyAgent):
         out = net.forward(s)
         return np.tanh(out, out=out)
 
-    def act(self, obs, t: int, deterministic: bool = False):
-        if not deterministic and t < self.cfg.warmup_steps:
-            return random_action(self.rng, self.act_dim)
+    def act(self, obs, deterministic: bool = False):
         a = self._policy_action(self.actor, np.asarray(obs)[None, :])[0]
         if deterministic or self.cfg.expl_noise == 0.0:
             return a
@@ -491,8 +478,8 @@ class DdpgAgent(_OffPolicyAgent):
         self.opt_actor.step(self.actor.flat, grad)
         return float(-(np.add.reduce(pred, axis=None) / M))
 
-    def update(self, t: int):
-        batch, idle = self._sample(t)
+    def update(self):
+        batch, idle = self._sample()
         if batch is None:
             return idle
         cfg = self.cfg

@@ -3,9 +3,9 @@
     hybridris run <spec.json> [--seeds N] [--steps N] [--out DIR] [--workers N]
     hybridris compare <dir>... --out table.csv
 
-Spec files are JSON; see the README for the schema. HYBRIDRIS_WORKERS caps
-the worker pool, which serves every sweep point, when --workers is not
-given.
+Spec files are JSON; see the README for the schema. --workers caps the
+worker pool, which serves every sweep point; without it, the CPU count
+does.
 """
 
 import argparse

@@ -88,9 +88,9 @@ class EnvConfig:
 
 
 class StepOutcome(NamedTuple):
-    """One step, its fields named as the step log names them; for a block
-    of steps, each field holds one entry per step (the observations as
-    rows of one array)."""
+    """One step, its fields named as the step log names them. For a stack
+    of steps, each field holds a per-step list (a list or a tuple) and the
+    observations are the rows of one array."""
     observation: np.ndarray
     reward: float        # sum_rate - penalty
     sum_rate: float

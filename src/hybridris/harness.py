@@ -5,7 +5,7 @@ A run is fully determined by (spec, seed): the environment, agent, and
 reward pipeline each get an independent child stream of the run seed, so
 every artifact except the wall-clock metadata is reproducible
 byte-for-byte. The seed-runs of every sweep point of a call execute in one
-pool of worker processes (HYBRIDRIS_WORKERS caps it); the parent process
+pool of worker processes (``workers`` caps it); the parent process
 is the only writer of a point's summary files, and writes them as soon as
 that point's seed-runs are back.
 """
@@ -127,42 +127,43 @@ def converged_mean(rewards, fraction: float = CONVERGED_FRACTION) -> float:
 
 
 class TrainingLoop:
-    """One seeded env+agent(+pipeline) loop with logs of the steps this
-    loop ran: the step log kept as columns, one list per
-    ``STEP_LOG_FIELDS`` entry, and the pipeline log as the list of the
-    pipeline's records."""
+    """One seeded env+agent(+pipeline) loop, its env reset with
+    ``env_seed``, with logs of the steps this loop ran: the step log kept
+    as columns, one list per ``STEP_LOG_FIELDS`` entry, and the pipeline
+    log as the list of the pipeline's records."""
 
-    def __init__(self, env: RisCrnEnv, agent, pipeline: RewardPipeline = None):
+    def __init__(self, env: RisCrnEnv, agent, env_seed,
+                 pipeline: RewardPipeline = None):
         self.env = env
         self.agent = agent
         self.pipeline = pipeline
         self.t = 0
-        self.obs = None
+        self.obs = env.reset(env_seed)
         self.step_log = {name: [] for name in STEP_LOG_FIELDS}
         self.pipeline_log = []
-
-    def start(self, env_seed):
-        self.obs = self.env.reset(env_seed)
 
     def run(self, n_steps: int):
         """Runs ``n_steps`` steps. Steps whose actions do not read the
         observation are scored a channel block at a time."""
         end = self.t + n_steps
         while self.t < end:
-            self.one_step(self.agent.open_loop_steps(self.t, end - self.t))
+            self.one_step(end - self.t)
 
-    def one_step(self, open_loop: int = 0):
-        """Scores the next step's action in one ``env.step``, or with
-        ``open_loop`` > 0 the actions of that many next steps, as many as
-        the drawn channel block holds, which the agent draws at once. The
+    def one_step(self, limit: int = 1):
+        """Runs the next step, or the next open-loop steps, at most
+        ``limit`` of them. The agent says how many of the next ``limit``
+        steps are open-loop; their actions, as many as the drawn channel
+        block holds, are drawn at once and scored in one ``env.step``.
+        Otherwise the agent's ``act`` gives the next step's action. The
         reward pipeline then takes each reward in turn, the agent observes
         the accepted transitions as one stack, and a closed-loop step
         updates the agent (open-loop steps never train)."""
+        open_loop = self.agent.open_loop_steps(self.t, limit)
         if open_loop:
             actions = self.agent.open_loop_actions(
                 min(open_loop, self.env.steps_in_block))
         else:
-            actions = self.agent.act(self.obs, self.t)[None]
+            actions = self.agent.act(self.obs)[None]
         out = self.env.step(actions)
         s2, r = out.observation, out.reward
         s = np.concatenate((self.obs[None], s2[:-1]))
@@ -180,7 +181,7 @@ class TrainingLoop:
                                   s2.take(keep, 0))
         self.agent.observe(s, actions, r, s2)
         if not open_loop:
-            self.agent.update(self.t)
+            self.agent.update()
         n = len(out.reward)
         self.obs = out.observation[-1]
         self.t += n
@@ -195,7 +196,7 @@ class TrainingLoop:
         copies, so this loop may run on after taking it."""
         return {
             "t": self.t,
-            "obs": None if self.obs is None else np.asarray(self.obs).copy(),
+            "obs": self.obs.copy(),
             "env": self.env.get_state(),
             "agent": self.agent.get_state(),
             "pipeline": (self.pipeline.get_state()
@@ -220,9 +221,7 @@ def build_loop(spec: ExperimentSpec, seed: int) -> TrainingLoop:
     if spec.attack is not None or spec.defense is not None:
         pipeline = RewardPipeline(spec.attack, spec.defense,
                                   rng=make_rng(attack_ss))
-    loop = TrainingLoop(env, agent, pipeline)
-    loop.start(env_ss)
-    return loop
+    return TrainingLoop(env, agent, env_ss, pipeline)
 
 
 def _log_stats(step_log: dict) -> dict:
@@ -322,19 +321,12 @@ def run_single(spec: ExperimentSpec, seed: int,
 
 
 def resolve_workers(n_jobs: int, requested: int = None) -> int:
-    """Worker processes for ``n_jobs`` jobs: ``requested``, else
-    HYBRIDRIS_WORKERS, else the CPU count, and never more than the jobs.
+    """Worker processes for ``n_jobs`` jobs: ``requested``, else the CPU
+    count, and never more than the jobs.
     One pool serves all the points of a ``run_experiment`` or
     ``run_spec_dict`` call, so the jobs are the seed-runs of every point. A
     fork-started pool starts every worker at its first submit, so a worker
     beyond the jobs would only idle."""
-    env_val = os.environ.get("HYBRIDRIS_WORKERS")
-    if requested is None and env_val is not None:
-        try:
-            requested = int(env_val)
-        except ValueError:
-            raise ValueError(f"HYBRIDRIS_WORKERS must be an integer, not "
-                             f"{env_val!r}") from None
     if requested is None:
         requested = os.cpu_count() or 1
     return max(1, min(n_jobs, requested))

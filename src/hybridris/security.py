@@ -100,11 +100,11 @@ def attack(cfg: AttackConfig, r: float, rng: np.random.Generator) -> float:
     return float(rng.uniform(cfg.scale_low, cfg.scale_high)) * r
 
 
-def defend(cfg: DefenseConfig, mean: float, std: float, r: float):
-    """Clip, then accept iff the clipped value sits within chi standard
-    deviations of the running mean. Returns (accepted, clipped)."""
-    clipped = float(np.clip(r, cfg.r_min, cfg.r_max))
-    return abs(clipped - mean) <= cfg.chi * std, clipped
+def defend(cfg: DefenseConfig, mean: float, std: float,
+           clipped: float) -> bool:
+    """The filter: accept iff a clipped reward sits within chi standard
+    deviations of the running mean."""
+    return abs(clipped - mean) <= cfg.chi * std
 
 
 class _Window:
@@ -198,10 +198,8 @@ class RewardPipeline:
         history.push(raw)
 
         mean, std = self.stats() if dfn is not None else (0.0, 0.0)
-        if dfn is None or warmup:
-            accepted, clipped = True, float(np.clip(post, *self.clip))
-        else:
-            accepted, clipped = defend(dfn, mean, std, post)
+        clipped = float(np.clip(post, *self.clip))
+        accepted = dfn is None or warmup or defend(dfn, mean, std, clipped)
         if accepted:
             self._accepted.push(clipped)     # a no-op without a defense
             self._stats = None

@@ -170,7 +170,7 @@ class TestConfigRules:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ag = filled_agent(SacAgent(OBS, ACT, cfg, seed=3), n=10)
-            diag = ag.update(0)
+            diag = ag.update()
         assert ag.entropy_alpha == 0.0
         assert diag["entropy_alpha"] == 0.0
         assert np.all(np.isfinite(diag["critic_losses"]))
@@ -179,37 +179,37 @@ class TestConfigRules:
 
 class TestRandomPolicy:
     def test_bounds(self):
-        rng = make_rng(1)
-        draws = np.array([random_action(rng, 4) for _ in range(10_000)])
+        draws = random_action(make_rng(1), 4, 10_000)
+        assert draws.shape == (10_000, 4)
         assert np.all(draws >= -1.0) and np.all(draws <= 1.0)
 
     def test_mean_near_zero(self):
-        rng = make_rng(2)
-        draws = np.array([random_action(rng, 5) for _ in range(100_000)])
+        draws = random_action(make_rng(2), 5, 100_000)
         assert np.max(np.abs(draws.mean(axis=0))) < 0.02
 
     def test_seed_reproducible(self):
         a = RandomAgent(OBS, ACT, seed=3)
         b = RandomAgent(OBS, ACT, seed=3)
-        obs = np.zeros(OBS)
-        for t in range(10):
-            assert np.array_equal(a.act(obs, t), b.act(obs, t))
+        for k in (1, 10):
+            assert np.array_equal(a.open_loop_actions(k),
+                                  b.open_loop_actions(k))
 
 
 class TestOpenLoop:
     @pytest.mark.parametrize("cls", [RandomAgent, SacAgent, DdpgAgent,
                                      Td3Agent])
     def test_block_draw_equals_single_draws(self, cls):
-        # one draw of k rows takes the stream k warm-up acts take and
-        # leaves the generator where they leave it
-        block, single = cls(OBS, ACT, seed=4), cls(OBS, ACT, seed=4)
-        obs = np.zeros(OBS)
+        # one draw of k rows takes the stream k one-row draws from a twin
+        # of the agent's generator take, and leaves it where they leave it
+        block = cls(OBS, ACT, seed=4)
+        twin = restore_rng(rng_state(block.rng))
         for k in (1, 7, 64):
             rows = block.open_loop_actions(k)
             assert rows.shape == (k, ACT)
-            want = np.array([single.act(obs, t) for t in range(k)])
+            want = np.concatenate([random_action(twin, ACT, 1)
+                                   for _ in range(k)])
             assert rows.tobytes() == want.tobytes()
-            assert rng_state(block.rng) == rng_state(single.rng)
+            assert rng_state(block.rng) == rng_state(twin)
 
     @pytest.mark.parametrize("cls,cfg_cls", [
         (SacAgent, SacConfig), (DdpgAgent, DdpgConfig),
@@ -234,19 +234,19 @@ class TestSacPolicy:
         ag.policy.params[-1][ACT:] = -1e3
         _, log_std, _, _ = ag._policy_stats(np.zeros((1, OBS)))
         assert np.all(log_std >= -20.0)
-        a = ag.act(np.zeros(OBS), t=10)
+        a = ag.act(np.zeros(OBS))
         assert np.all(np.isfinite(a)) and np.all(np.abs(a) <= 1.0)
 
     def test_deterministic_action_repeats(self):
         ag = SacAgent(OBS, ACT, SacConfig(), seed=1)
         obs = make_rng(4).standard_normal(OBS)
-        a1 = ag.act(obs, 0, deterministic=True)
-        a2 = ag.act(obs, 0, deterministic=True)
+        a1 = ag.act(obs, deterministic=True)
+        a2 = ag.act(obs, deterministic=True)
         assert np.array_equal(a1, a2)
 
     def test_warmup_actions_uniform(self):
         ag = SacAgent(OBS, ACT, SacConfig(warmup_steps=100), seed=2)
-        draws = np.array([ag.act(np.zeros(OBS), t) for t in range(100)])
+        draws = ag.open_loop_actions(100)
         assert np.all(np.abs(draws) <= 1.0)
         # uniform warmup draws differ from the policy's tanh-gaussian shape:
         # spot-check spread is wide
@@ -256,7 +256,7 @@ class TestSacPolicy:
         ag = SacAgent(OBS, ACT, SacConfig(warmup_steps=0), seed=5)
         obs = make_rng(6).standard_normal(OBS)
         n = 10_000
-        actions = np.array([ag.act(obs, t=10) for t in range(n)])
+        actions = np.array([ag.act(obs) for _ in range(n)])
         mu, log_std, _, _ = ag._policy_stats(obs[None, :])
         rng = make_rng(7)
         eps = rng.standard_normal((200_000, ACT))
@@ -265,10 +265,11 @@ class TestSacPolicy:
         assert np.all(np.abs(actions.mean(axis=0) - ref.mean(axis=0)) <= 3 * se)
 
     def test_act_draws_one_normal_per_dim_and_matches_squash(self):
-        ag = SacAgent(OBS, ACT, SacConfig(warmup_steps=5), seed=9)
+        # the policy acts whatever the step: warm-up is the loop's to skip
+        ag = SacAgent(OBS, ACT, SacConfig(), seed=9)
         obs = make_rng(10).standard_normal(OBS)
         twin = restore_rng(rng_state(ag.rng))
-        a = ag.act(obs, t=5)
+        a = ag.act(obs)
         eps = twin.standard_normal((1, ACT))
         assert rng_state(ag.rng) == rng_state(twin)
         mu, log_std, _, _ = ag._policy_stats(obs[None, :])
@@ -400,8 +401,8 @@ class TestSacUpdate:
         a = np.zeros(ACT)
         r = 1.234
         ag.observe(s[None], a[None], [r], np.full((1, OBS), 0.1))
-        for t in range(200):
-            ag.update(t)
+        for _ in range(200):
+            ag.update()
         x = np.concatenate([s, a])[None, :]
         assert abs(ag.critic.member(0).forward(x)[0, 0] - r) < 1e-3
         assert abs(ag.critic.member(1).forward(x)[0, 0] - r) < 1e-3
@@ -413,9 +414,9 @@ class TestSacUpdate:
         obs_dim, act_dim = env.observation_size, env.action_size
         ag = SacAgent(obs_dim, act_dim, SacConfig(warmup_steps=0), seed=32)
         filled_agent(ag, n=200, seed=33)
-        for t in range(3):
+        for _ in range(3):
             ref = twin_of(ag)
-            ag.update(t)
+            ag.update()
             split_reference_update(ref)
             assert rng_state(ag.rng) == rng_state(ref.rng)
             got, want = ag.get_state(), ref.get_state()
@@ -448,7 +449,7 @@ class TestSacUpdate:
 
     def test_batch_underflow_warns(self):
         ag = SacAgent(OBS, ACT, SacConfig(warmup_steps=0, batch=16), seed=15)
-        out = ag.update(t=5)
+        out = ag.update()
         assert out == {"warning": "batch underflow"}
 
     def test_policy_update_descends_its_loss(self):
@@ -483,7 +484,7 @@ class TestSacUpdate:
                 p += 0.5
             frozen_target = [p.copy() for p in q1_target.params]
             filled_agent(ag, n=30, seed=19)
-            ag.update(t=100)
+            ag.update()
             if expect_equal:
                 assert all(np.array_equal(a, b) for a, b in
                            zip(q1_target.params, q1.params))
@@ -513,17 +514,17 @@ class TestSacStateRoundtrip:
         cfg = cfg_cls(warmup_steps=5, batch=4, hidden=(16, 16))
         ag = agent_cls(OBS, ACT, cfg, seed=21)
         filled_agent(ag, n=30, seed=22)
-        for t in range(10, 10 + n_updates):
-            ag.update(t)
+        for _ in range(n_updates):
+            ag.update()
         st = ag.get_state()
         obs = np.linspace(-1, 1, OBS)
-        expected_actions = [ag.act(obs, t) for t in range(30, 40)]
-        expected_diag = ag.update(50)
+        expected_actions = [ag.act(obs) for _ in range(10)]
+        expected_diag = ag.update()
 
         ag2 = agent_cls(OBS, ACT, cfg, seed=999)
         ag2.set_state(st)
-        got_actions = [ag2.act(obs, t) for t in range(30, 40)]
-        got_diag = ag2.update(50)
+        got_actions = [ag2.act(obs) for _ in range(10)]
+        got_diag = ag2.update()
         for a, b in zip(expected_actions, got_actions):
             assert np.array_equal(a, b)
         assert expected_diag == got_diag
@@ -544,13 +545,13 @@ class TestDdpg:
         ag = DdpgAgent(OBS, ACT, DdpgConfig(expl_noise=0.0, warmup_steps=0),
                        seed=23)
         obs = make_rng(24).standard_normal(OBS)
-        assert np.array_equal(ag.act(obs, 5), ag.act(obs, 5))
+        assert np.array_equal(ag.act(obs), ag.act(obs))
 
     def test_actor_updates_every_step(self):
         ag = DdpgAgent(OBS, ACT, DdpgConfig(warmup_steps=0, batch=4), seed=25)
         filled_agent(ag, n=10, seed=26)
         before = [p.copy() for p in ag.actor.params]
-        diag = ag.update(0)
+        diag = ag.update()
         assert diag["actor_updated"]
         assert any(not np.array_equal(p, q)
                    for p, q in zip(ag.actor.params, before))
@@ -561,11 +562,11 @@ class TestTd3:
         ag = Td3Agent(OBS, ACT, Td3Config(warmup_steps=0, batch=4), seed=27)
         filled_agent(ag, n=10, seed=28)
         before = [p.copy() for p in ag.actor.params]
-        d1 = ag.update(0)
+        d1 = ag.update()
         assert not d1["actor_updated"]
         assert all(np.array_equal(p, q)
                    for p, q in zip(ag.actor.params, before))
-        d2 = ag.update(1)
+        d2 = ag.update()
         assert d2["actor_updated"]
 
     def test_twin_min_target_matches_scalar_recompute(self):

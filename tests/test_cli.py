@@ -123,15 +123,19 @@ def test_malformed_seeds_and_steps_are_one_line_errors(tmp_path):
     assert not (tmp_path / "runs").exists()
 
 
-def test_bad_worker_count_is_a_one_line_error(tmp_path, monkeypatch):
-    monkeypatch.setenv("HYBRIDRIS_WORKERS", "two")
+def test_bad_worker_count_is_a_one_line_error(tmp_path):
     (tmp_path / "s.json").write_text(json.dumps(
         {"name": "s", "agent": {"kind": "random"}, "seeds": [0],
          "total_steps": 5}))
-    res = run_python(["-m", "hybridris.cli", "run", "s.json"], tmp_path)
+    res = run_python(["-m", "hybridris.cli", "run", "s.json",
+                      "--workers", "two"], tmp_path)
     assert res.returncode == 2
-    assert res.stderr.startswith("hybridris: error: HYBRIDRIS_WORKERS")
+    # argparse prints its usage, then the one error line
+    errors = [line for line in res.stderr.splitlines() if "error:" in line]
+    assert errors == ["hybridris run: error: argument --workers: invalid "
+                      "int value: 'two'"]
     assert "Traceback" not in res.stderr
+    assert not (tmp_path / "runs").exists()
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])

@@ -171,16 +171,10 @@ class TestRunExperiment:
         assert (tmp_path / "seed_0" / "steps.jsonl").exists()
         assert (tmp_path / "curve_mean.csv").exists()
 
-    @pytest.mark.parametrize("env_workers,workers,seeds,expected", [
-        ("8", None, (0, 1), [2]), (None, 8, (0, 1), [2]),
-        ("8", 3, (0, 1, 2, 3), [3]), (None, 1, (0, 1), [])])
-    def test_pool_is_capped_at_the_job_count(self, monkeypatch, pool_sizes,
-                                             env_workers, workers, seeds,
+    @pytest.mark.parametrize("workers,seeds,expected", [
+        (8, (0, 1), [2]), (3, (0, 1, 2, 3), [3]), (1, (0, 1), [])])
+    def test_pool_is_capped_at_the_job_count(self, pool_sizes, workers, seeds,
                                              expected):
-        if env_workers is None:
-            monkeypatch.delenv("HYBRIDRIS_WORKERS", raising=False)
-        else:
-            monkeypatch.setenv("HYBRIDRIS_WORKERS", env_workers)
         agg = run_experiment(tiny_spec(steps=20, seeds=seeds),
                              workers=workers)
         assert pool_sizes == expected
@@ -242,6 +236,33 @@ class TestOpenLoopBlocks:
             for name, stored in want["buffer"].items():
                 assert np.asarray(got["buffer"][name]).tobytes() == \
                     np.asarray(stored).tobytes(), name
+
+    # the loop alone decides warm-up: a learner's act and update are its
+    # policy and its gradient step, and the loop calls neither before
+    # warmup_steps, even one step at a time
+    @pytest.mark.parametrize("kind", ["sac", "ddpg", "td3"])
+    def test_one_step_skips_act_and_update_in_warmup(self, kind):
+        warmup = 40
+        spec = tiny_spec(agent_kind=kind, agent=LEARNER_CONFIGS[kind](
+            warmup_steps=warmup, batch=4, hidden=(8, 8)))
+        loop = build_loop(spec, 3)
+        calls = []
+
+        def closed_loop_only(name, method):
+            def wrapped(*args, **kwargs):
+                if loop.t < warmup:
+                    raise AssertionError(f"{name} called at step {loop.t}")
+                calls.append(name)
+                return method(*args, **kwargs)
+            return wrapped
+
+        for name in ("act", "update"):
+            setattr(loop.agent, name,
+                    closed_loop_only(name, getattr(loop.agent, name)))
+        for _ in range(warmup + 3):
+            loop.one_step()
+        assert loop.t == warmup + 3
+        assert calls == ["act", "update"] * 3
 
 
 def rewards(loop) -> list:
@@ -784,11 +805,6 @@ class TestSpecParsing:
         with pytest.raises(SpecError, match="reward_baseline"):
             build_spec({"agent": {"kind": "sac", "reward_baseline": True}})
 
-    def test_bad_worker_count_names_the_variable(self, monkeypatch):
-        monkeypatch.setenv("HYBRIDRIS_WORKERS", "two")
-        with pytest.raises(ValueError, match="HYBRIDRIS_WORKERS.*'two'"):
-            resolve_workers(4)
-
     def test_td3_and_ddpg_configs_validated(self):
         with pytest.raises(SpecError) as err:
             build_spec({"agent": {"kind": "td3", "policy_delay": 0,
@@ -956,14 +972,8 @@ class TestSweepRun:
         assert str(err.value) == message
         assert not out.exists()
 
-    @pytest.mark.parametrize("env_workers,workers", [
-        (None, None), (None, 2), (None, 8), ("5", None)])
-    def test_one_pool_serves_every_point(self, monkeypatch, pool_sizes,
-                                         tmp_path, env_workers, workers):
-        if env_workers is None:
-            monkeypatch.delenv("HYBRIDRIS_WORKERS", raising=False)
-        else:
-            monkeypatch.setenv("HYBRIDRIS_WORKERS", env_workers)
+    @pytest.mark.parametrize("workers", [None, 2, 8])
+    def test_one_pool_serves_every_point(self, pool_sizes, tmp_path, workers):
         size = resolve_workers(6, workers)     # 3 points x 2 seeds
         res = run_spec_dict(tau_sweep(), str(tmp_path), workers=workers)
         assert pool_sizes == ([size] if size > 1 else [])

@@ -63,19 +63,25 @@ class TestAttack:
 class TestDefend:
     def test_accept_within_band(self):
         cfg = DefenseConfig(chi=2.0)
-        accepted, clipped = defend(cfg, mean=1.0, std=0.2, r=1.3)
-        assert accepted and clipped == 1.3
+        assert defend(cfg, mean=1.0, std=0.2, clipped=1.3)
 
     def test_discard_outside_band(self):
         cfg = DefenseConfig(chi=2.0)
-        accepted, clipped = defend(cfg, mean=1.0, std=0.2, r=1.5)
-        assert not accepted
+        assert not defend(cfg, mean=1.0, std=0.2, clipped=1.5)
 
     def test_clip_applies_before_filter(self):
-        cfg = DefenseConfig(r_min=-2.0, r_max=2.0, chi=2.0)
-        accepted, clipped = defend(cfg, mean=1.9, std=0.1, r=5.0)
-        assert clipped == 2.0
-        assert accepted  # |2.0 - 1.9| <= 0.2
+        # the pipeline clips, then filters the clipped value: after a
+        # warm-up of 1.8 and 2.0 (mean 1.9, std 0.141), a raw 5.0 is
+        # clipped to 2.0 and accepted, though 5.0 lies far outside the band
+        cfg = DefenseConfig(r_min=-2.0, r_max=2.0, chi=2.0, warmup_count=2)
+        p = RewardPipeline(defense_cfg=cfg)
+        for r in (1.8, 2.0):
+            p.step(r)
+        rec = p.step(5.0)
+        assert rec.mean == pytest.approx(1.9)
+        assert not defend(cfg, rec.mean, rec.std, 5.0)
+        assert rec.clipped == 2.0
+        assert rec.decision == ACCEPTED
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
