@@ -16,7 +16,7 @@ own generator so a (seed, config) pair replays bit-for-bit.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,69 +93,60 @@ class ReplayBuffer:
         self.size = n
 
 
-def _check_config(cfg, *rules):
-    """Raise one ValueError naming every field that breaks its rule.
-
-    ``rules`` are (broken, message) pairs added to the rules that every
-    learning agent shares; the caller has run ``require_reals`` before
-    building them. gamma = 0 is allowed as a degenerate case (no
-    bootstrapping); a buffer smaller than a batch never trains.
-    """
-    batch_ok = is_count(cfg.batch, 1)
-    raise_broken(
-        (not 0.0 <= cfg.gamma <= 1.0, "gamma must lie in [0, 1]"),
-        (not cfg.lr > 0, "lr must be > 0"),
-        (not batch_ok, "batch must be an integer >= 1"),
-        (not 0.0 <= cfg.tau_soft <= 1.0, "tau_soft must lie in [0, 1]"),
-        (not is_count(cfg.buffer_capacity, cfg.batch if batch_ok else 1),
-         "buffer_capacity must be >= batch and an integer"),
-        (not is_count(cfg.warmup_steps, 0),
-         "warmup_steps must be an integer >= 0"),
-        (not isinstance(cfg.hidden, (tuple, list))
-         or not all(is_count(w, 1) for w in cfg.hidden),
-         "hidden widths must be integers >= 1"), *rules)
-
-
 @dataclass(frozen=True)
-class SacConfig:
+class _LearnerConfig:
+    """The off-policy settings every learner shares, and their rules.
+    gamma = 0 is allowed as a degenerate case (no bootstrapping); a buffer
+    smaller than a batch never trains. A subclass adds its own fields and
+    the rules on them in ``_own_rules``; one ValueError names every field
+    that breaks its rule."""
     gamma: float = 0.99
     lr: float = 1e-3
     batch: int = 16
     tau_soft: float = 0.005
+    buffer_capacity: int = 100_000
+    warmup_steps: int = 1000
+    hidden: tuple = (128, 128)
+
+    def __post_init__(self):
+        require_reals(self)
+        batch_ok = is_count(self.batch, 1)
+        raise_broken(
+            (not 0.0 <= self.gamma <= 1.0, "gamma must lie in [0, 1]"),
+            (not self.lr > 0, "lr must be > 0"),
+            (not batch_ok, "batch must be an integer >= 1"),
+            (not 0.0 <= self.tau_soft <= 1.0, "tau_soft must lie in [0, 1]"),
+            (not is_count(self.buffer_capacity, self.batch if batch_ok else 1),
+             "buffer_capacity must be >= batch and an integer"),
+            (not is_count(self.warmup_steps, 0),
+             "warmup_steps must be an integer >= 0"),
+            (not isinstance(self.hidden, (tuple, list))
+             or not all(is_count(w, 1) for w in self.hidden),
+             "hidden widths must be integers >= 1"), *self._own_rules())
+
+    def _own_rules(self) -> list:
+        return []
+
+
+@dataclass(frozen=True)
+class SacConfig(_LearnerConfig):
     entropy_alpha: float = 0.2
     auto_entropy: bool = True
     target_entropy: float = None   # default: -action_dim
-    buffer_capacity: int = 100_000
-    warmup_steps: int = 1000
-    hidden: tuple = (128, 128)
 
-    def __post_init__(self):
-        require_reals(self)
-        _check_config(
-            self,
-            (not self.entropy_alpha >= 0, "entropy_alpha must be >= 0"),
-            # log(alpha) is the tuned variable, so it must start finite
-            (self.auto_entropy and self.entropy_alpha == 0,
-             "entropy_alpha must be > 0 with auto_entropy"),
-            (self.target_entropy is not None
-             and not math.isfinite(self.target_entropy),
-             "target_entropy must be finite"))
+    def _own_rules(self) -> list:
+        return [(not self.entropy_alpha >= 0, "entropy_alpha must be >= 0"),
+                # log(alpha) is the tuned variable, so it must start finite
+                (self.auto_entropy and self.entropy_alpha == 0,
+                 "entropy_alpha must be > 0 with auto_entropy"),
+                (self.target_entropy is not None
+                 and not math.isfinite(self.target_entropy),
+                 "target_entropy must be finite")]
 
 
 @dataclass(frozen=True)
-class DdpgConfig:
-    gamma: float = 0.99
-    lr: float = 1e-3
-    batch: int = 16
-    tau_soft: float = 0.005
-    buffer_capacity: int = 100_000
-    warmup_steps: int = 1000
-    hidden: tuple = (128, 128)
+class DdpgConfig(_LearnerConfig):
     expl_noise: float = 0.1
-
-    def __post_init__(self):
-        require_reals(self)
-        _check_config(self, *self._own_rules())
 
     def _own_rules(self) -> list:
         return [(not self.expl_noise >= 0, "expl_noise must be >= 0")]
@@ -179,6 +170,8 @@ class RandomAgent:
     """Chooses uniform random actions; never learns. Every step is
     open-loop, so it has no ``act`` or ``update``. It takes a config as the
     learners do, and has none to read."""
+
+    config_cls = None
 
     def __init__(self, obs_dim: int, act_dim: int, cfg=None, seed: int = 0):
         self.act_dim = act_dim

@@ -11,6 +11,9 @@ that point's seed-runs are back.
 """
 
 import copy
+import ctypes
+import functools
+import glob
 import json
 import math
 import os
@@ -22,8 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .agents import (DdpgAgent, DdpgConfig, RandomAgent, SacAgent, SacConfig,
-                     Td3Agent, Td3Config)
+from .agents import DdpgAgent, RandomAgent, SacAgent, Td3Agent
 from .channel import CascadeSpec, FadingMode, Topology
 from .env import STEP_LOG_FIELDS, EnvConfig, RisCrnEnv
 from .phy import NoiseParams, PowerConstraint, db_to_linear
@@ -36,12 +38,9 @@ from .numerics import is_real, make_rng, raise_broken
 MA_WINDOW = 200
 CONVERGED_FRACTION = 0.1
 
-AGENT_KINDS = {
-    "sac": (SacAgent, SacConfig),
-    "ddpg": (DdpgAgent, DdpgConfig),
-    "td3": (Td3Agent, Td3Config),
-    "random": (RandomAgent, None),
-}
+# each agent kind's class; its ``config_cls`` is the kind's config class
+AGENT_KINDS = {"sac": SacAgent, "ddpg": DdpgAgent, "td3": Td3Agent,
+               "random": RandomAgent}
 
 
 class SpecError(ValueError):
@@ -90,7 +89,7 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.agent_kind not in AGENT_KINDS:
             raise SpecError(f"agent_kind: unknown kind {self.agent_kind!r}")
-        cfg_cls = AGENT_KINDS[self.agent_kind][1]
+        cfg_cls = AGENT_KINDS[self.agent_kind].config_cls
         if self.agent is not None and type(self.agent) is not cfg_cls:
             raise SpecError(f"agent: a {type(self.agent).__name__} cannot "
                             f"configure a {self.agent_kind!r} agent")
@@ -215,7 +214,7 @@ class TrainingLoop:
 def build_loop(spec: ExperimentSpec, seed: int) -> TrainingLoop:
     env = RisCrnEnv(spec.env)
     env_ss, agent_ss, attack_ss = np.random.SeedSequence(seed).spawn(3)
-    agent = AGENT_KINDS[spec.agent_kind][0](
+    agent = AGENT_KINDS[spec.agent_kind](
         env.observation_size, env.action_size, spec.agent, seed=agent_ss)
     pipeline = None
     if spec.attack is not None or spec.defense is not None:
@@ -322,14 +321,44 @@ def run_single(spec: ExperimentSpec, seed: int,
 
 def resolve_workers(n_jobs: int, requested: int = None) -> int:
     """Worker processes for ``n_jobs`` jobs: ``requested``, else the CPU
-    count, and never more than the jobs.
+    count, and never more than the jobs; a request below 1 is refused.
     One pool serves all the points of a ``run_experiment`` or
     ``run_spec_dict`` call, so the jobs are the seed-runs of every point. A
     fork-started pool starts every worker at its first submit, so a worker
     beyond the jobs would only idle."""
     if requested is None:
         requested = os.cpu_count() or 1
-    return max(1, min(n_jobs, requested))
+    elif requested < 1:
+        raise ValueError(f"workers must be >= 1, not {requested}")
+    return min(n_jobs, requested)
+
+
+@functools.cache
+def _openblas():
+    """numpy's bundled OpenBLAS library, or None where numpy has none (a
+    numpy built on another BLAS)."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    found = glob.glob(os.path.join(libs, "libscipy_openblas*"))
+    if not found:
+        return None
+    lib = ctypes.CDLL(found[0])
+    get, set_ = (lib.scipy_openblas_get_num_threads64_,
+                 lib.scipy_openblas_set_num_threads64_)
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return lib
+
+
+def _cap_blas_threads(workers: int):
+    """Pool initializer: caps numpy's OpenBLAS at this worker's share of
+    the cores and at least one thread, so ``workers`` workers together
+    run no more BLAS threads than there are cores, or one each when they
+    outnumber the cores."""
+    lib = _openblas()
+    if lib is not None:
+        share = (os.cpu_count() or 1) // workers
+        lib.scipy_openblas_set_num_threads64_(
+            max(1, min(lib.scipy_openblas_get_num_threads64_(), share)))
 
 
 def _aggregate(spec: ExperimentSpec, out_dir: str, summaries) -> dict:
@@ -374,7 +403,9 @@ def _run_points(points, workers: int) -> list:
              None if out_dir is None else os.path.join(out_dir, f"seed_{seed}"))
             for spec, out_dir in points for seed in spec.seeds]
     workers = resolve_workers(len(jobs), workers)
-    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
+    with (ProcessPoolExecutor(max_workers=workers,
+                              initializer=_cap_blas_threads,
+                              initargs=(workers,)) if workers > 1
           else nullcontext()) as pool:
         runs = (pool.map if pool else map)(run_single, *zip(*jobs))
         return [_aggregate(spec, out_dir, [next(runs) for _ in spec.seeds])
@@ -511,11 +542,10 @@ def build_spec(d: dict) -> ExperimentSpec:
     agent_cfg = None
     if kind not in AGENT_KINDS:
         errors.append(f"agent.kind: unknown kind {kind!r}")
-    elif kind != "random":
+    elif (cfg_cls := AGENT_KINDS[kind].config_cls) is not None:
         if isinstance(agent_d.get("hidden"), list):
             agent_d["hidden"] = tuple(agent_d["hidden"])
-        agent_cfg = _build_section(errors, "agent",
-                                   _fields(AGENT_KINDS[kind][1]), agent_d)
+        agent_cfg = _build_section(errors, "agent", _fields(cfg_cls), agent_d)
 
     # an empty object is the default config; null or no key is none
     attack, defense = [

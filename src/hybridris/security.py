@@ -109,14 +109,12 @@ def defend(cfg: DefenseConfig, mean: float, std: float,
 
 class _Window:
     """The most recent ``size`` values pushed, oldest first, as one
-    contiguous float array. Each value is stored twice, ``size`` apart, in
-    a ring of 2 * size, so the window is always a single slice of it and
-    its mean and std see the values in push order."""
+    contiguous float array, so its mean and std see the values in push
+    order. A push onto a full window shifts the others down by one."""
 
     def __init__(self, size: int, values=()):
         self.size = size
-        self._ring = np.empty(2 * size)
-        self._start = 0      # ring position of the oldest value
+        self._buf = np.empty(size)
         self._n = 0
         for v in values:
             self.push(v)
@@ -125,18 +123,15 @@ class _Window:
         return self._n
 
     def push(self, v: float):
-        size = self.size
-        if not size:
-            return
-        i = (self._start + self._n) % size
-        self._ring[i] = self._ring[i + size] = v
-        if self._n < size:
+        if self._n < self.size:
+            self._buf[self._n] = v
             self._n += 1
-        else:
-            self._start = (i + 1) % size
+        elif self.size:
+            self._buf[:-1] = self._buf[1:]
+            self._buf[-1] = v
 
     def values(self) -> np.ndarray:
-        return self._ring[self._start:self._start + self._n]
+        return self._buf[:self._n]
 
 
 class RewardPipeline:

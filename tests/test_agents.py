@@ -541,6 +541,12 @@ class TestSacStateRoundtrip:
 
 
 class TestDdpg:
+    @pytest.mark.parametrize("cls", [DdpgAgent, Td3Agent])
+    def test_batch_underflow_warns(self, cls):
+        cfg = cls.config_cls(warmup_steps=0, batch=16)
+        ag = filled_agent(cls(OBS, ACT, cfg, seed=15), n=15)
+        assert ag.update() == {"warning": "batch underflow"}
+
     def test_deterministic_policy_repeats(self):
         ag = DdpgAgent(OBS, ACT, DdpgConfig(expl_noise=0.0, warmup_steps=0),
                        seed=23)

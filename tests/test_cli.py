@@ -65,14 +65,20 @@ def test_run_twice_then_compare(tmp_path):
     (["run", "list.json", "--out", "lst"],
      "invalid spec: spec: must be an object, not [1]"),
     (["run", "list.json"], "invalid spec: spec: must be an object, not [1]"),
+    (["run", "ok.json", "--workers", "0"], "workers must be >= 1, not 0"),
+    (["run", "ok.json", "--workers", "-5"], "workers must be >= 1, not -5"),
 ], ids=["bad_spec", "missing_spec", "missing_run_dir", "malformed_sweep",
         "untrainable_agent", "non_integer_window", "non_real_field",
         "non_real_env_field", "non_integer_topology", "nan_env_field",
         "non_integer_fading_block", "sweep_through_string",
         "sweep_below_string", "sweep_invalid_point", "sweep_empty_values",
-        "spec_not_an_object_out", "spec_not_an_object"])
+        "spec_not_an_object_out", "spec_not_an_object", "workers_zero",
+        "workers_negative"])
 def test_user_error_is_one_line(argv, named, tmp_path):
     (tmp_path / "list.json").write_text("[1]")
+    (tmp_path / "ok.json").write_text(json.dumps(
+        {"name": "ok", "agent": {"kind": "random"}, "seeds": [0],
+         "total_steps": 5}))
     (tmp_path / "bad.json").write_text(json.dumps(
         {"name": "bad", "agent": {"kind": "td3", "policy_delay": 0}}))
     (tmp_path / "untrainable.json").write_text(json.dumps(

@@ -69,7 +69,7 @@ def pool_sizes(monkeypatch):
     sizes = []
 
     class RecordingPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None, initargs=()):
             sizes.append(max_workers)
 
         def __enter__(self):
@@ -84,6 +84,15 @@ def pool_sizes(monkeypatch):
     monkeypatch.setattr("hybridris.harness.ProcessPoolExecutor",
                         RecordingPool)
     return sizes
+
+
+def blas_threads_run(spec, seed, out_dir=None):
+    """``run_single``, its stats also holding the OpenBLAS thread count of
+    the process it ran in."""
+    summary = run_single(spec, seed, out_dir)
+    summary.stats["blas_threads"] = (
+        harness._openblas().scipy_openblas_get_num_threads64_())
+    return summary
 
 
 def dumps_per_row(log: dict) -> str:
@@ -185,6 +194,27 @@ class TestRunExperiment:
         a = run_experiment(spec, str(tmp_path / "ser"), workers=1)
         b = run_experiment(spec, str(tmp_path / "par"), workers=2)
         assert a == b
+
+    def test_pool_workers_share_the_cores_among_blas_threads(
+            self, monkeypatch):
+        cores, lib = os.cpu_count() or 1, harness._openblas()
+        if cores < 2 or lib is None:
+            pytest.skip("needs 2 cores and numpy's bundled OpenBLAS")
+        get, set_ = (lib.scipy_openblas_get_num_threads64_,
+                     lib.scipy_openblas_set_num_threads64_)
+        monkeypatch.setattr(harness, "run_single", blas_threads_run)
+        before = get()
+        set_(cores)
+        try:
+            agg = run_experiment(tiny_spec(steps=20, seeds=(0, 1)),
+                                 workers=2)
+            parent = get()
+        finally:
+            set_(before)
+        threads = [p["blas_threads"] for p in agg["per_seed"]]
+        assert all(2 * n <= cores for n in threads), threads
+        # the cap holds in the workers alone
+        assert parent == cores
 
     def test_energy_savings_recompute_from_logs(self, tmp_path):
         hyb = ExperimentSpec(name="h", env=tiny_env(), agent_kind="random",
@@ -970,6 +1000,14 @@ class TestSweepRun:
         with pytest.raises(SpecError) as err:
             run_spec_dict(d, str(out), workers=1)
         assert str(err.value) == message
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", [0, -5])
+    def test_worker_count_below_one_refused(self, tmp_path, workers):
+        out = tmp_path / "out"
+        with pytest.raises(ValueError) as err:
+            run_spec_dict(tau_sweep(), str(out), workers=workers)
+        assert str(err.value) == f"workers must be >= 1, not {workers}"
         assert not out.exists()
 
     @pytest.mark.parametrize("workers", [None, 2, 8])
