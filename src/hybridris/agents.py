@@ -350,9 +350,9 @@ class SacAgent(_OffPolicyAgent):
         return np.tanh(mu + np.exp(log_std) * eps)[0]
 
     def update_temperature(self, logp):
-        g = -float(np.add.reduce(logp + self.target_entropy, axis=None)
-                   / logp.size)
-        self.opt_alpha.step(self.log_alpha, np.array([g]))
+        g = -float(np.add.reduce(logp + self.target_entropy,
+                                 axis=None)) / logp.size
+        self.opt_alpha.step_one(self.log_alpha, g)
 
     def update(self):
         batch, idle = self._sample()
@@ -392,7 +392,8 @@ class SacAgent(_OffPolicyAgent):
         qmin = np.where(take1, p1, p2)
         policy_loss = float(np.add.reduce(alpha * logp - qmin, axis=None) / M)
 
-        gx = self.critic.backward(qc, np.stack([take1, ~take1]), wrt="input")
+        gx = self.critic.backward(
+            qc, np.concatenate((take1, ~take1)).reshape(2, M, 1), wrt="input")
         dq_da = gx[0, :, self.obs_dim:] + gx[1, :, self.obs_dim:]
         one_m_a2 = 1.0 - a_pi * a_pi
         corr = 2.0 * a_pi * one_m_a2 / (one_m_a2 + TANH_EPS)

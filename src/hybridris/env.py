@@ -198,7 +198,7 @@ class RisCrnEnv:
                 f"(k, {m}) with 1 <= k <= {room}: the drawn channel block "
                 f"holds {room} steps")
         finite = np.isfinite(actions)
-        if np.count_nonzero(finite) < finite.size:
+        if not np.logical_and.reduce(finite, axis=None):
             bad = np.logical_and.reduce(finite, axis=-1).argmin()
             raise ValueError(f"non-finite action at step {self._t + bad}")
         cfg = self.cfg

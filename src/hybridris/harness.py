@@ -321,13 +321,16 @@ def run_single(spec: ExperimentSpec, seed: int,
 
 def resolve_workers(n_jobs: int, requested: int = None) -> int:
     """Worker processes for ``n_jobs`` jobs: ``requested``, else the CPU
-    count, and never more than the jobs; a request below 1 is refused.
+    count, and never more than the jobs; a request that is no integer, or
+    is below 1, is refused.
     One pool serves all the points of a ``run_experiment`` or
     ``run_spec_dict`` call, so the jobs are the seed-runs of every point. A
     fork-started pool starts every worker at its first submit, so a worker
     beyond the jobs would only idle."""
     if requested is None:
         requested = os.cpu_count() or 1
+    elif not _is_int(requested):
+        raise ValueError(f"workers must be an integer, not {requested}")
     elif requested < 1:
         raise ValueError(f"workers must be >= 1, not {requested}")
     return min(n_jobs, requested)

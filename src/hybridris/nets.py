@@ -170,12 +170,16 @@ class Adam:
         self.v = np.zeros_like(p)
         self._scratch = np.empty_like(p)
 
-    def step(self, p, g):
+    def _advance(self):
+        """Counts one more step and returns its step size and eps, the
+        bias corrections folded in."""
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t
         root_bc2 = math.sqrt(1.0 - ADAM_BETA2 ** self.t)
-        step_size = self.lr * root_bc2 / bc1
-        eps_hat = ADAM_EPS * root_bc2
+        return self.lr * root_bc2 / bc1, ADAM_EPS * root_bc2
+
+    def step(self, p, g):
+        step_size, eps_hat = self._advance()
         m, v, s = self.m, self.v, self._scratch
         m *= ADAM_BETA1
         np.multiply(g, 1.0 - ADAM_BETA1, out=s)
@@ -189,6 +193,16 @@ class Adam:
         np.divide(m, s, out=s)
         s *= step_size
         p -= s
+
+    def step_one(self, p, g: float):
+        """``step`` on a one-element ``p`` with gradient ``g``, in Python
+        floats: each operation of ``step``, in its order, so the same bits
+        without a ufunc call per operation."""
+        step_size, eps_hat = self._advance()
+        m = float(self.m[0]) * ADAM_BETA1 + g * (1.0 - ADAM_BETA1)
+        v = float(self.v[0]) * ADAM_BETA2 + g * g * (1.0 - ADAM_BETA2)
+        self.m[0], self.v[0] = m, v
+        p[0] = float(p[0]) - m / (math.sqrt(v) + eps_hat) * step_size
 
     def get_state(self) -> dict:
         return {"t": self.t, "m": self.m.copy(), "v": self.v.copy()}

@@ -80,9 +80,9 @@ def project_beamformer(G: np.ndarray, cap):
     """
     power = tx_power(G)
     over = power > cap
-    if not np.count_nonzero(over):
+    if not np.logical_or.reduce(over, axis=None):
         return G, over
-    if np.count_nonzero(cap <= 0):
+    if np.logical_or.reduce(cap <= 0, axis=None):
         raise ValueError("cap must be > 0")
     scale = np.sqrt(cap / np.maximum(power, cap))[..., None, None]
     # the feasible ones are selected, not scaled by 1, so every bit of them
@@ -136,7 +136,7 @@ def rate_report(sinrs) -> RateReport:
     """Per-user rates log2(1 + sinr) and their sum, per slot of any
     leading axes."""
     lam = np.asarray(sinrs, dtype=float)
-    if np.count_nonzero(lam >= 0) < lam.size:
+    if not np.logical_and.reduce(lam >= 0, axis=None):
         raise ValueError("SINR values must be >= 0 and not NaN")
     rates = np.log2(1.0 + lam)
     return RateReport(lam, rates, np.add.reduce(rates, axis=-1))

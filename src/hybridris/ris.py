@@ -218,7 +218,7 @@ def wrap_phase(eps):
     wrapped = np.mod(eps, 2.0 * np.pi)
     # np.mod rounds a tiny negative phase up to 2*pi itself; checking the
     # maximum first costs less than a pass that maps every value
-    if wrapped.max(initial=0.0) < 2.0 * np.pi:
+    if np.maximum.reduce(wrapped, axis=None, initial=0.0) < 2.0 * np.pi:
         return wrapped
     return np.where(wrapped == 2.0 * np.pi, 0.0, wrapped)
 

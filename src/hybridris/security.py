@@ -100,6 +100,23 @@ def attack(cfg: AttackConfig, r: float, rng: np.random.Generator) -> float:
     return float(rng.uniform(cfg.scale_low, cfg.scale_high)) * r
 
 
+def clip(x: float, lo: float, hi: float) -> float:
+    """``float(np.clip(x, lo, hi))`` for float bounds lo < hi, by the rule
+    numpy's loop runs: only a value past a bound becomes that bound, so a
+    value on one (a -0.0 on a 0.0 bound too) and a NaN pass through."""
+    if x < lo:
+        return lo
+    if x > hi:
+        return hi
+    return x
+
+
+def _mean(vals: np.ndarray) -> float:
+    """``float(np.mean(vals))`` of a non-empty float array, by the
+    operations np.mean runs: the pairwise sum, divided by the count."""
+    return float(np.add.reduce(vals, axis=None)) / vals.size
+
+
 def defend(cfg: DefenseConfig, mean: float, std: float,
            clipped: float) -> bool:
     """The filter: accept iff a clipped reward sits within chi standard
@@ -157,7 +174,8 @@ class RewardPipeline:
         self.defense_cfg = defense_cfg
         self.rng = rng
         bounds = defense_cfg or DefenseConfig()
-        self.clip = (bounds.r_min, bounds.r_max)
+        # as floats, so a clipped reward is a float for integer bounds too
+        self.clip = (float(bounds.r_min), float(bounds.r_max))
         self._accepted = _Window(
             defense_cfg.stats_window if defense_cfg else 0)
         self._raw_history = _Window(
@@ -172,15 +190,21 @@ class RewardPipeline:
         was, so the pair is worked out again only after a push."""
         if self._stats is None:
             vals = self._accepted.values()
-            if vals.size < 2:
-                self._stats = (float(vals.mean()) if vals.size else 0.0,
-                               STD_FLOOR)
+            n = vals.size
+            if n < 2:
+                self._stats = (_mean(vals) if n else 0.0, STD_FLOOR)
             else:
-                self._stats = (float(vals.mean()),
-                               max(float(vals.std(ddof=1)), STD_FLOOR))
+                # np.std(ddof=1)'s operations: the squared deviations from
+                # the mean, summed pairwise, over n - 1, rooted
+                mu = _mean(vals)
+                d = vals - mu
+                d *= d
+                var = float(np.add.reduce(d, axis=None)) / (n - 1)
+                self._stats = (mu, max(math.sqrt(var), STD_FLOOR))
         return self._stats
 
     def step(self, raw: float) -> RewardPipelineRecord:
+        raw = float(raw)
         t = self._t
         self._t += 1
         atk, dfn = self.attack_cfg, self.defense_cfg
@@ -188,18 +212,18 @@ class RewardPipeline:
         warmup = dfn is not None and t < dfn.warmup_count
         triggered = (atk is not None and not warmup
                      and len(history) == history.size
-                     and float(history.values().mean()) > atk.threshold)
+                     and _mean(history.values()) > atk.threshold)
         post = attack(atk, raw, self.rng) if triggered else raw
         history.push(raw)
 
         mean, std = self.stats() if dfn is not None else (0.0, 0.0)
-        clipped = float(np.clip(post, *self.clip))
+        clipped = clip(post, *self.clip)
         accepted = dfn is None or warmup or defend(dfn, mean, std, clipped)
         if accepted:
             self._accepted.push(clipped)     # a no-op without a defense
             self._stats = None
         return RewardPipelineRecord(
-            t, float(raw), float(post), clipped,
+            t, raw, post, clipped,
             ACCEPTED if accepted else DISCARDED, mean, std, triggered)
 
     def get_state(self) -> dict:

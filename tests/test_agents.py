@@ -7,7 +7,7 @@ import hybridris as hr
 from hybridris.agents import (LOG_STD_MAX, LOG_STD_MIN, TANH_EPS, DdpgAgent,
                               DdpgConfig, RandomAgent, ReplayBuffer, SacAgent,
                               SacConfig, Td3Agent, Td3Config, random_action)
-from hybridris.nets import soft_update
+from hybridris.nets import Adam, soft_update
 from hybridris.numerics import make_rng, restore_rng, rng_state
 
 OBS, ACT = 6, 3
@@ -426,6 +426,31 @@ class TestSacUpdate:
                 assert got["opts"][k]["t"] == opt["t"], k
                 assert np.array_equal(got["opts"][k]["m"], opt["m"]), k
                 assert np.array_equal(got["opts"][k]["v"], opt["v"]), k
+
+    def test_temperature_step_is_adams_one_element_step(self):
+        # the float step leaves log_alpha, m, v and t where Adam.step on a
+        # one-element array leaves them, bit for bit, over 2 000 steps and
+        # across a get_state/set_state
+        cfg = SacConfig(warmup_steps=0, hidden=(4, 4), lr=1e-2)
+        ag = SacAgent(OBS, ACT, cfg, seed=35)
+        ref_p = ag.log_alpha.copy()
+        ref = Adam(ref_p, cfg.lr)
+        rng = make_rng(36)
+        for i in range(2000):
+            if i == 1000:
+                twin = SacAgent(OBS, ACT, cfg, seed=37)
+                twin.set_state(ag.get_state())
+                ag = twin
+            logp = rng.normal(rng.normal(0.0, 3.0), 2.0, (16, 1))
+            ag.update_temperature(logp)
+            g = -float(np.add.reduce(logp + ag.target_entropy, axis=None)
+                       / logp.size)
+            ref.step(ref_p, np.array([g]))
+            got = ag.opt_alpha.get_state()
+            assert got["t"] == ref.t
+            assert got["m"].tobytes() == ref.m.tobytes()
+            assert got["v"].tobytes() == ref.v.tobytes()
+            assert ag.log_alpha.tobytes() == ref_p.tobytes()
 
     # log-std is 10 * tanh(tanh(x0)) - 5 in every action dimension: it
     # clamps at LOG_STD_MAX for x0 = 3 and lies inside the box for x0 = -3;

@@ -1010,6 +1010,16 @@ class TestSweepRun:
         assert str(err.value) == f"workers must be >= 1, not {workers}"
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers", [2.5, True])
+    def test_worker_count_not_an_integer_refused(self, tmp_path, workers):
+        # refused before a pool starts, not inside it (2.5) or by running
+        # serially (True, which is 1 to a comparison)
+        out = tmp_path / "out"
+        with pytest.raises(ValueError) as err:
+            run_spec_dict(tau_sweep(), str(out), workers=workers)
+        assert str(err.value) == f"workers must be an integer, not {workers}"
+        assert not out.exists()
+
     @pytest.mark.parametrize("workers", [None, 2, 8])
     def test_one_pool_serves_every_point(self, pool_sizes, tmp_path, workers):
         size = resolve_workers(6, workers)     # 3 points x 2 seeds

@@ -8,8 +8,8 @@ import pytest
 from hybridris.harness import SpecError, build_spec
 from hybridris.numerics import make_rng
 from hybridris.security import (ACCEPTED, DISCARDED, PIPELINE_LOG_FIELDS,
-                                AttackConfig, DefenseConfig, RewardPipeline,
-                                _Window, attack, defend)
+                                STD_FLOOR, AttackConfig, DefenseConfig,
+                                RewardPipeline, _Window, attack, clip, defend)
 
 NAN = float("nan")
 
@@ -326,6 +326,55 @@ def test_window_keeps_push_order(size):
             assert got.std(ddof=1) == expected.std(ddof=1)
     restored = _Window(size, window.values().tolist())
     assert restored.values().tolist() == list(reference)
+
+
+def bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+# window lengths on each side of the pairwise sum's 8-wide unroll and
+# 128-long block, up to the default stats window and past it; the last
+# window holds one value over and over, so its std is below the floor
+@pytest.mark.parametrize("values", [
+    *(make_rng(n).normal(1.5, 0.7, n)
+      for n in (1, 2, 3, 7, 8, 9, 16, 17, 127, 128, 129, 255, 500, 600)),
+    np.full(50, 0.7)], ids=lambda w: f"n{w.size}")
+def test_stats_and_trigger_mean_are_numpys(values):
+    # stats() and the trigger's mean give np.mean's and np.std(ddof=1)'s
+    # bits for the window's values in push order
+    w = values.tolist()
+    n = len(w)
+    pipe = RewardPipeline(None, DefenseConfig(stats_window=600))
+    pipe.set_state({"t": 0, "raw_history": [], "accepted": w, "rng": None})
+    mean, std = pipe.stats()
+    want_std = float(np.std(w, ddof=1)) if n > 1 else STD_FLOOR
+    assert bits(mean) == bits(np.mean(w))
+    assert bits(std) == bits(max(want_std, STD_FLOOR))
+    if n == 50:
+        assert std == STD_FLOOR
+    # the trigger fires iff the mean exceeds the threshold: not at the
+    # mean itself, and at the float just below it
+    mean = float(np.mean(w))
+    for threshold, fires in ((mean, False),
+                             (np.nextafter(mean, -np.inf), True)):
+        pipe = RewardPipeline(AttackConfig(threshold=threshold,
+                                           trigger_window=n))
+        pipe.set_state({"t": n, "raw_history": w, "accepted": [],
+                        "rng": None})
+        assert pipe.step(0.0).triggered == fires
+
+
+@pytest.mark.parametrize("lo,hi", [(-2.0, 2.0), (0.0, 1.0), (-1.0, 0.0),
+                                   (-0.0, 1.0), (-2, 2), (0, 1)])
+def test_clip_is_numpys(lo, hi):
+    # np.clip's bits, signed zeros and NaN included; integer bounds are
+    # how a JSON spec gives them, and the pipeline clips to them as floats
+    for x in (-0.0, 0.0, -2.0, 2.0, -1.0, 1.0, 0.5, -3.5, 7.25, 1e-300,
+              -1e-300, NAN):
+        want = bits(np.clip(x, lo, hi))
+        assert bits(clip(x, float(lo), float(hi))) == want, x
+        rec = RewardPipeline(None, DefenseConfig(r_min=lo, r_max=hi)).step(x)
+        assert type(rec.clipped) is float and bits(rec.clipped) == want, x
 
 
 def test_discarded_transitions_never_reach_buffer():
