@@ -5,16 +5,15 @@ from .agents import (DdpgAgent, DdpgConfig, RandomAgent, ReplayBuffer,
                      SacAgent, SacConfig, Td3Agent, Td3Config, random_action)
 from .channel import (CascadeSpec, FadingMode, Topology, pu_power_gains,
                       sample_channel_set)
-from .env import (STEP_LOG_FIELDS, EnvConfig, RisCrnEnv, StepOutcome,
-                  action_size, observation_size)
+from .env import (STEP_LOG_FIELDS, EnvConfig, RisCrnEnv, Slots, StepOutcome,
+                  action_size, observation_size, score)
 from .harness import (ExperimentSpec, RunSummary, TrainingLoop, build_spec,
                       compare, moving_average, replay_summary,
                       run_experiment, run_single, run_spec_dict)
 from .nets import Adam, DenseNet, soft_update
 from .numerics import make_rng
-from .phy import (NoiseParams, PowerConstraint, RateReport, db_to_linear,
-                  power_cap, project_beamformer, rate_report, sinrs,
-                  tx_power)
+from .phy import (NoiseParams, PowerConstraint, db_to_linear, power_cap,
+                  project_beamformer, rate_report, sinrs, tx_power)
 from .ris import (ActiveParams, ConsumptionParams, EnergyLedger,
                   HarvestParams, PassiveParams, RisMode, build_reflection,
                   energy_consumed, energy_gain, harvest, passive_amplitude,

@@ -75,7 +75,7 @@ class ReplayBuffer:
 
     def sample(self, rng: np.random.Generator, batch: int):
         idx = rng.choice(self.size, size=batch, replace=False)
-        return self.s[idx], self.a[idx], self.r[idx], self.s2[idx]
+        return [x.take(idx, 0) for x in (self.s, self.a, self.r, self.s2)]
 
     def get_state(self) -> dict:
         n = self.size

@@ -9,9 +9,11 @@ surface amplifies without enough harvest. Runs have no terminal state; a
 Channels are drawn a block of slots at a time. Everything a step needs
 that its action does not change (harvest, surface setting, power cap,
 penalty, energy bill, noise variance and the channel part of the
-observation) is worked out for the whole block at once. ``step`` scores a
-stack of actions against consecutive slots of the drawn block in one pass,
-with the same bits as one step at a time; one action is a stack of one.
+observation) is worked out for the whole block at once, and ``slots(k)``
+views it for the next k steps. ``score`` weighs actions against such a view
+and changes no state; ``step`` is ``slots``, ``score`` and the bookkeeping,
+and scores a stack of actions against consecutive slots in one pass, with
+the same bits as one step at a time; one action is a stack of one.
 
 Observation layout (flat float64 vector, length 2 + 2RA + 2RB + 2AW + 2AB
 + R + 2):
@@ -116,19 +118,40 @@ def action_size(topo: Topology) -> int:
     return 2 * topo.A * topo.B + topo.R
 
 
-def _split_action(a, topo: Topology):
-    """The raw complex beamformer and the wrapped phases of a flat action,
-    or of each action stacked on leading axes; the caller has checked the
-    last axis's length.
+class Slots(NamedTuple):
+    """What the slots of k consecutive steps fix, whatever the action; each
+    field but ``n_amp`` has a leading step axis."""
+    H_s: np.ndarray        # k x R x A
+    h_b: np.ndarray        # k x R x B
+    cap: np.ndarray        # k, transmit power ceiling
+    n_active: np.ndarray   # k x 1, leading elements that amplify
+    noise_var: np.ndarray  # k x 1, receiver noise variance
+    amp_var: np.ndarray    # k x 1, amplifier noise variance
+    alpha: np.ndarray      # k x 1, amplifier gain (1.0 on passive slots)
+    penalty: np.ndarray    # k, energy-shortfall penalty
+    n_amp: int             # leading elements adding amplifier noise
 
-    Entries outside [-1, 1] are taken as they are: the projection onto the
-    power cap keeps the beamformer feasible, and the phases wrap."""
-    a = np.asarray(a, dtype=float)
-    ab = topo.A * topo.B
-    shape = a.shape[:-1] + (topo.A, topo.B)
-    re = a[..., :ab].reshape(shape)
-    im = a[..., ab:2 * ab].reshape(shape)
-    return re + 1j * im, ris.wrap_phase((a[..., 2 * ab:] + 1.0) * np.pi)
+
+def score(cfg: EnvConfig, slots: Slots, actions):
+    """The rewards, sum rates, projected beamformers, wrapped phases and
+    rescaled mask of a stack of flat actions on ``slots``; changes no state.
+    Leading action axes broadcast against the step axis: k actions score k
+    steps, and N candidates a one-step view. Entries outside [-1, 1] are
+    taken as they are: the projection keeps the beamformer under the cap,
+    and the phases wrap."""
+    a = np.asarray(actions, dtype=float)
+    A, B = cfg.topo.A, cfg.topo.B
+    raw = (a[..., :A * B] + 1j * a[..., A * B:2 * A * B]).reshape(
+        a.shape[:-1] + (A, B))
+    phases = ris.wrap_phase((a[..., 2 * A * B:] + 1.0) * np.pi)
+    G, rescaled = phy.project_beamformer(raw, slots.cap)
+    refl = ris.build_reflection(phases, slots.n_active, slots.alpha, cfg.pp)
+    # with no amplifying slot the amplifier noise term, exactly 0, is left out
+    amp = (slots.n_amp if np.logical_or.reduce(slots.n_active, axis=None)
+           else 0)
+    sum_rate = phy.rate_report(phy.sinrs(
+        slots.H_s, slots.h_b, refl, G, slots.noise_var, slots.amp_var, amp))
+    return sum_rate - slots.penalty, sum_rate, G, phases, rescaled
 
 
 class RisCrnEnv:
@@ -174,9 +197,8 @@ class RisCrnEnv:
         self._draw(1)
         self._t = 0
         self._violations = 0
-        topo = self.cfg.topo
-        return np.concatenate((self._rows[0], np.zeros(2 * topo.A * topo.B
-                                                       + topo.R + 2)))
+        return np.concatenate((self._rows[0], np.zeros(
+            self.observation_size - self._rows.shape[1])))
 
     def step(self, action) -> StepOutcome:
         """Scores a k x action_size array of actions against the next k
@@ -201,48 +223,45 @@ class RisCrnEnv:
         if not np.logical_and.reduce(finite, axis=None):
             bad = np.logical_and.reduce(finite, axis=-1).argmin()
             raise ValueError(f"non-finite action at step {self._t + bad}")
-        cfg = self.cfg
+        n = len(actions)
+        slots = self.slots(n)
+        reward, sum_rate, G, phases, over = score(self.cfg, slots, actions)
+        # only a rescaled G can round above its cap
+        if np.logical_or.reduce(over, axis=None):
+            self._violations += int(np.count_nonzero(
+                phy.tx_power(G[over]) > slots.cap[over] + CONSTRAINT_TOL))
+
+        # the block row of each step's slot and of the step after it
+        rows = self._block_rows(n + 1)
+        _, logged, flags = self._settings
+        mode, E_total, alpha, energy, cap = zip(
+            *[logged[i] for i in rows[:-1].tolist()])
+        obs_rows = self._rows
+        self._t += n
+        if rows[-1] == len(obs_rows):
+            # the step after the last takes the first slot of a fresh block
+            self._first += len(obs_rows)
+            self._draw(CHANNEL_BLOCK)
+            obs_rows = np.concatenate((obs_rows, self._rows[:1]))
+        G = G.reshape(n, -1)
+        out = (np.concatenate((obs_rows.take(rows[1:], 0), G.real, G.imag,
+                               phases, slots.alpha, flags.take(rows[:-1], 0)),
+                              axis=1),
+               reward.tolist(), sum_rate.tolist(), mode, E_total, alpha,
+               energy, cap, slots.penalty.tolist())
+        return StepOutcome(*[f[0] for f in out] if flat else out)
+
+    def slots(self, k: int = 1) -> Slots:
+        """The ``Slots`` of the next k steps, 1 <= k <= ``steps_in_block``;
+        reading them changes no state."""
+        if self._block is None:
+            raise RuntimeError("call reset() before slots()")
+        if not 1 <= k <= self.steps_in_block:
+            raise ValueError(f"k = {k} is not in [1, {self.steps_in_block}]")
         if self._settings is None:
             self._settings = self._slot_settings(self._block)
-        values, settings, n_amp = self._settings
-        n, t0, first = len(actions), self._t, self._first
-        L = cfg.fading.block_length
-        # the block slot of each step and of the step after it; ``take``
-        # reads a slot list's rows in 0.6 us where indexing with the list
-        # takes 1.6 us per array
-        slots = [(t0 + i) // L - first for i in range(n + 1)]
-        cur, nxt = slots[:-1], slots[1:]
-        mode, E_total, alpha, energy, cap, penalty, counts = \
-            zip(*[settings[i] for i in cur])
-        v = values.take(cur, 0)
-        caps, tail = v[:, 0], v[:, 4:]
-        raw, phases = _split_action(actions, cfg.topo)
-        G, over = phy.project_beamformer(raw, caps)
-        refl = ris.build_reflection(phases, v[:, 1:2], v[:, 4:5], cfg.pp)
-        blk = self._block
-        sinrs = phy.sinrs(blk.H_s.take(cur, 0), blk.h_b.take(cur, 0), refl, G,
-                          v[:, 2:3], v[:, 3:4], n_amp if any(counts) else 0)
-        sum_rate = phy.rate_report(sinrs).sum_rate.tolist()
-
-        # an unscaled G already has power <= cap; only a rescaled one can
-        # round above it
-        if G is not raw:
-            self._violations += int(np.count_nonzero(
-                phy.tx_power(G[over]) > caps[over] + CONSTRAINT_TOL))
-
-        rows = self._rows
-        self._t = t0 + n
-        if nxt[-1] == len(rows):
-            # the step after the last takes the first slot of a fresh block
-            self._first += len(rows)
-            self._draw(CHANNEL_BLOCK)
-            rows = np.concatenate((rows, self._rows[:1]))
-        G = G.reshape(n, -1)
-        out = (np.concatenate((rows.take(nxt, 0), G.real, G.imag, phases, tail),
-                              axis=1),
-               [r - p for r, p in zip(sum_rate, penalty)], sum_rate, mode,
-               E_total, alpha, energy, cap, penalty)
-        return StepOutcome(*[f[0] for f in out] if flat else out)
+        block, rows = self._settings[0], self._block_rows(k)
+        return Slots(*[f.take(rows, 0) for f in block[:-1]], block.n_amp)
 
     def get_state(self) -> dict:
         """Snapshot for exact run continuation: the generator state before
@@ -284,14 +303,15 @@ class RisCrnEnv:
             blk.H_p.imag.reshape(block, -1),
         ], axis=1)
 
+    def _block_rows(self, k: int) -> np.ndarray:
+        """The block row of each of the next k steps' slots."""
+        return (np.arange(self._t, self._t + k) // self.cfg.fading.block_length
+                - self._first)
+
     def _slot_settings(self, block: ChannelBlock):
-        """What each slot of ``block`` fixes for its step, whatever the
-        action, and how many leading elements add amplifier noise on an
-        amplifying slot. The settings come as a float array with one row
-        per slot (cap, amplifying elements, noise variance, amplifier noise
-        variance, gain, mode flag), and as one tuple per slot of the logged
-        values (mode, harvested total, gain, energy bill, cap), the penalty
-        and the amplifying elements, all Python numbers."""
+        """The block's ``Slots``, each slot's logged values (mode, harvested
+        total, gain, energy bill, cap) as Python numbers, and each slot's
+        resolved-mode flag, which the observation carries."""
         cfg = self.cfg
         ledger = ris.harvest(block.h_PB, cfg.hp)
         resolved, n_active, alpha = ris.resolve_mode(
@@ -307,13 +327,13 @@ class RisCrnEnv:
         # a slot capped at P_t logs P_t itself, so an integer P_t from a
         # spec is logged as that integer; an integer gain stays one too
         P_t = cfg.pc.P_t
-        settings = list(zip(
+        logged = list(zip(
             resolved.tolist(), ledger.total.tolist(), alpha.tolist(),
-            energy.tolist(), [P_t if c == P_t else c for c in cap.tolist()],
-            penalty.tolist(), n_active.tolist()))
-        values = np.stack((cap, n_active, noise_var, amp_var, alpha, active),
-                          axis=1)
+            energy.tolist(), [P_t if c == P_t else c for c in cap.tolist()]))
         # resolve_mode amplifies the same leading elements on every
         # amplifying slot, so one count serves the block
         n_amp = int(n_active.max()) if cfg.ap.amp_noise_var else 0
-        return values, settings, n_amp
+        *cols, flag = [np.asarray(x, float)[:, None] for x in
+                       (n_active, noise_var, amp_var, alpha, active)]
+        return (Slots(block.H_s, block.h_b, cap, *cols, penalty, n_amp),
+                logged, flag)

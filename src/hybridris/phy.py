@@ -1,4 +1,4 @@
-"""SINR, per-user rates, sum rates, and the PU interference power cap.
+"""SINR, sum rates, and the PU interference power cap.
 
 Data symbols are assumed i.i.d. unit power, so the transmit power of a
 beamformer G is tr(G G^H) and never needs per-symbol waveforms. All powers
@@ -7,7 +7,6 @@ config-load time.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -36,12 +35,6 @@ class PowerConstraint:
         require_reals(self)
         raise_broken((not self.P_t > 0, "P_t must be > 0"),
                      (not self.I_thr > 0, "I_thr must be > 0"))
-
-
-class RateReport(NamedTuple):
-    per_user_sinr: np.ndarray
-    per_user_rate: np.ndarray
-    sum_rate: np.ndarray      # one per slot of the leading axes
 
 
 def db_to_linear(db: float) -> float:
@@ -132,11 +125,10 @@ def sinrs(H_s: np.ndarray, h_b: np.ndarray, refl: np.ndarray, G: np.ndarray,
     return signal / interf
 
 
-def rate_report(sinrs) -> RateReport:
-    """Per-user rates log2(1 + sinr) and their sum, per slot of any
-    leading axes."""
+def rate_report(sinrs) -> np.ndarray:
+    """The sum of the per-user rates log2(1 + sinr) over the last axis, one
+    per slot of any leading axes."""
     lam = np.asarray(sinrs, dtype=float)
     if not np.logical_and.reduce(lam >= 0, axis=None):
         raise ValueError("SINR values must be >= 0 and not NaN")
-    rates = np.log2(1.0 + lam)
-    return RateReport(lam, rates, np.add.reduce(rates, axis=-1))
+    return np.add.reduce(np.log2(1.0 + lam), axis=-1)

@@ -230,9 +230,8 @@ def build_reflection(phases, n_active, gain, pp: PassiveParams) -> np.ndarray:
 
     The first ``n_active`` elements amplify at ``gain``; the rest reflect
     passively with beta(eps_r). Every element applies its phase e^{j eps_r}.
-    The phases are read as given: the env wraps an action's phases once,
-    with ``wrap_phase``, before the observation and this function read
-    them.
+    The phases are read as given: ``env.score`` wraps an action's phases
+    once, with ``wrap_phase``, for the observation and this function.
     """
     eps = np.asarray(phases, dtype=float)
     mag = np.where(np.arange(eps.shape[-1]) < n_active, gain,

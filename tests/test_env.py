@@ -7,11 +7,11 @@ import pytest
 
 from hybridris.channel import (CascadeSpec, FadingMode, Topology,
                                pu_power_gains)
+from hybridris import phy, ris
 from hybridris.env import (CHANNEL_BLOCK, STEP_LOG_FIELDS, EnvConfig,
-                           RisCrnEnv, _split_action, action_size,
-                           observation_size)
+                           RisCrnEnv, action_size, observation_size, score)
 from hybridris.numerics import make_rng, rng_state
-from hybridris.phy import PowerConstraint, power_cap, project_beamformer
+from hybridris.phy import PowerConstraint, power_cap
 from hybridris.ris import (ActiveParams, HarvestParams, PassiveParams,
                            RisMode, build_reflection, wrap_phase)
 from oracles import (naive_active_sinr, naive_beta, naive_passive_rates,
@@ -30,30 +30,33 @@ def log_record(t, out):
     return dict(zip(STEP_LOG_FIELDS, (t, *out[1:-1])))
 
 
-def decode_action(a, cap, topo):
-    """The cap-feasible beamformer and the wrapped phases that env.step
-    scores a flat action with."""
-    raw, phases = _split_action(a, topo)
-    return project_beamformer(raw, cap)[0], phases
+def score_at_cap(a, cap, topo):
+    """The projected beamformer, the wrapped phases and the rescaled flag
+    that ``score`` gives the flat action ``a`` on a slot capped at ``cap``."""
+    env = RisCrnEnv(EnvConfig(topo=topo))
+    env.reset(0)
+    _, _, G, phases, rescaled = score(
+        env.cfg, env.slots()._replace(cap=np.array([cap])), [a])
+    return G[0], phases[0], rescaled[0]
 
 
 class TestDecodeAction:
     def test_zero_action(self):
         topo = Topology(A=2, B=2, R=4, W=2)
-        a = np.zeros(action_size(topo))
-        G, phases = decode_action(a, cap=5.0, topo=topo)
+        G, phases, _ = score_at_cap(np.zeros(action_size(topo)), 5.0, topo)
         assert np.all(G == 0)
         assert np.allclose(phases, np.pi)
 
     def test_projection_applies(self):
         topo = Topology(A=1, B=1, R=2, W=1)
         a = np.array([np.sqrt(10.0), np.sqrt(10.0), 0.0, 0.0])  # power 20
-        G, _ = decode_action(a, cap=5.0, topo=topo)
+        G, _, rescaled = score_at_cap(a, 5.0, topo)
         assert np.sum(np.abs(G) ** 2) == pytest.approx(5.0, abs=1e-12)
+        assert rescaled
 
     def test_phase_boundary_wraps(self):
         topo = Topology(A=1, B=1, R=1, W=1)
-        _, phases = decode_action(np.array([0.0, 0.0, 1.0]), 1.0, topo)
+        _, phases, _ = score_at_cap(np.array([0.0, 0.0, 1.0]), 1.0, topo)
         assert phases[0] == pytest.approx(0.0, abs=1e-12)
 
     # the env wraps an action's phases once, and the reflection reads them
@@ -63,8 +66,8 @@ class TestDecodeAction:
     def test_phases_are_read_as_their_wrapped_values(self, n_active):
         phases = np.array([2 * np.pi + 0.3, -0.3, 7.5, 1.0, -1e-17])
         x = phases / np.pi - 1.0
-        _, wrapped = _split_action(np.concatenate([np.zeros(2), x]),
-                                   Topology(A=1, B=1, R=5, W=1))
+        _, wrapped, _ = score_at_cap(np.concatenate([np.zeros(2), x]), 1.0,
+                                     Topology(A=1, B=1, R=5, W=1))
         pp = PassiveParams(beta_min=0.6, exponent=1.5, offset_l=0.0)
         assert np.array_equal(
             build_reflection(wrapped, n_active, 1.6, pp),
@@ -307,9 +310,12 @@ class TestStep:
                                        for c in cols])
             assert np.array_equal(obs[block], expected)
             a = act_rng.uniform(-1, 1, env.action_size)
+            slots = env.slots()
+            assert slots.cap[0] == pytest.approx(
+                power_cap(cfg.pc, pu_power_gains(H_p)), rel=1e-12)
+            _, _, G, phases, _ = score(cfg, slots, [a])
+            G, phases = G[0], phases[0]
             out = env.step(a)
-            G, phases = decode_action(
-                a, power_cap(cfg.pc, pu_power_gains(H_p)), topo)
             refl = (naive_beta(phases, pp.beta_min, pp.exponent, pp.offset_l)
                     * np.exp(1j * phases))
             _, _, naive_sum = naive_passive_rates(cols, refl, H_s, G,
@@ -341,9 +347,12 @@ class TestStep:
             H_p = sample_cascaded(draws, kappa.kappa_p, (A, topo.W))
             h_PB = sample_cascaded(draws, 1, (R, 1))
             a = act_rng.uniform(-1, 1, env.action_size)
+            slots = env.slots()
+            assert slots.cap[0] == pytest.approx(
+                power_cap(cfg.pc, pu_power_gains(H_p)), rel=1e-12)
+            _, _, G, phases, _ = score(cfg, slots, [a])
+            G, phases = G[0], phases[0]
             out = env.step(a)
-            G, phases = decode_action(
-                a, power_cap(cfg.pc, pu_power_gains(H_p)), topo)
             if n_amp == R:
                 E = hp.eta * np.sum(np.abs(h_PB) ** 2) * hp.P_PB * hp.T
                 gain = min(ap.alpha_min + (ap.alpha_max - ap.alpha_min)
@@ -625,3 +634,76 @@ def test_block_scoring_equals_one_step_at_a_time(topo_name, env_name):
     assert block.violations == single.violations
     s_state, b_state = single.get_state(), block.get_state()
     assert pickle.dumps(b_state) == pickle.dumps(s_state)
+
+
+@pytest.mark.parametrize("block", [1, 3, 512])
+@pytest.mark.parametrize("topo_name", ["A1B1R1W1", "default"])
+@pytest.mark.parametrize("env_name", list(BLOCK_ENVS))
+def test_score_is_the_reward_step_gives(env_name, topo_name, block,
+                                        monkeypatch):
+    # the best of 64 candidates, scored against the next slot, is stepped
+    # and earns the reward score gave it, bit for bit; the steps cross
+    # refills at every block size, and scoring changes no state
+    monkeypatch.setattr("hybridris.env.CHANNEL_BLOCK", block)
+    topo, cascade = BLOCK_TOPOLOGIES[topo_name]
+    cfg = EnvConfig(topo=topo, cascade=cascade,
+                    hp=HarvestParams(tau=8.0 * topo.R),
+                    pc=PowerConstraint(P_t=10.0, I_thr=1.0),
+                    **BLOCK_ENVS[env_name])
+    env = RisCrnEnv(cfg)
+    with pytest.raises(RuntimeError, match=r"reset\(\) before slots"):
+        env.slots()
+    env.reset(3)
+    room = env.steps_in_block
+    for k in (0, room + 1):
+        with pytest.raises(ValueError,
+                           match=rf"k = {k} is not in \[1, {room}\]$"):
+            env.slots(k)
+    rng = make_rng(9)
+    m = env.action_size
+    for t in range(12):
+        if t == 4 and env.steps_in_block > 3:
+            # on to the last two steps before the refill
+            env.step(rng.uniform(-1.5, 1.5, (env.steps_in_block - 2, m)))
+        cands = rng.uniform(-1.5, 1.5, (64, m))
+        before = pickle.dumps(env.get_state())
+        reward, sum_rate, G, phases, _ = score(cfg, env.slots(), cands)
+        assert pickle.dumps(env.get_state()) == before
+        best = int(np.argmax(reward))
+        out = env.step(cands[best])
+        assert out.reward.hex() == float(reward[best]).hex()
+        assert out.sum_rate.hex() == float(sum_rate[best]).hex()
+        G = G[best].ravel()
+        assert out.observation[-(2 * G.size + topo.R + 2):-2].tobytes() == \
+            np.concatenate((G.real, G.imag, phases[best])).tobytes()
+    # past the reset's one-slot block and a drawn one
+    assert env.get_state()["first"] > 1
+
+
+def test_each_stage_runs_once_per_step_and_per_score(monkeypatch):
+    # the benchmark times these stages where they live, so step and score
+    # must reach each one through its module, once per call
+    calls = {}
+
+    def counted(module, name):
+        f = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return f(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("project_beamformer", "sinrs", "rate_report"):
+        counted(phy, name)
+    counted(ris, "build_reflection")
+    once = dict.fromkeys(("project_beamformer", "build_reflection", "sinrs",
+                          "rate_report"), 1)
+    env = RisCrnEnv(EnvConfig())
+    env.reset(0)
+    for actions in (np.zeros(env.action_size), np.zeros((5, env.action_size))):
+        calls.clear()
+        env.step(actions)
+        assert calls == once
+        calls.clear()
+        score(env.cfg, env.slots(), np.zeros((64, env.action_size)))
+        assert calls == once
