@@ -1,11 +1,11 @@
 """Continuous-control agents over the environment's flat observation and
 action vectors: soft actor-critic (primary), DDPG and TD3 baselines, and a
-uniform random policy.
+uniform random policy, which every learner extends.
 
-All agents share one loop contract. ``open_loop_steps(t, n)`` says how
-many of the n steps from t on act without reading the observation (every
-step of the random agent, the rest of a learner's warm-up), and
-``open_loop_actions(k)`` draws the actions of k such steps at once.
+All agents share one loop contract. ``open_loop_actions(t, n)`` draws at
+once the actions of those of the n steps from t that act without reading
+the observation (every step of the random agent, the rest of a learner's
+warm-up): no rows means the next step is closed-loop.
 ``observe(s, a, r, s2)`` stores a k-row stack of transitions in row order
 (k >= 0; the caller decides which transitions are stored at all, e.g. when
 a reward filter discards some). A learner's ``act(obs, deterministic=False)``
@@ -167,20 +167,25 @@ class Td3Config(DdpgConfig):
 
 
 class RandomAgent:
-    """Chooses uniform random actions; never learns. Every step is
-    open-loop, so it has no ``act`` or ``update``. It takes a config as the
-    learners do, and has none to read."""
+    """Chooses uniform random actions and never learns: every step is
+    open-loop, so it has no ``act`` or ``update``. Every learner extends
+    it and acts so until ``open_loop_end``, the end of its warm-up. It
+    takes a config as the learners do, and has none to read."""
 
     config_cls = None
+    open_loop_end = math.inf
 
     def __init__(self, obs_dim: int, act_dim: int, cfg=None, seed: int = 0):
+        self.obs_dim = obs_dim
         self.act_dim = act_dim
         self.rng = make_rng(seed)
 
-    def open_loop_steps(self, t: int, n: int) -> int:
-        return n
-
-    def open_loop_actions(self, k: int) -> np.ndarray:
+    def open_loop_actions(self, t: int, n: int) -> np.ndarray:
+        """One row for each of the n steps from t before ``open_loop_end``;
+        past it none, and the generator is left as it is."""
+        k = min(n, self.open_loop_end - t)
+        if k <= 0:
+            return np.empty((0, self.act_dim))
         return random_action(self.rng, self.act_dim, k)
 
     def observe(self, s, a, r, s2):
@@ -193,7 +198,7 @@ class RandomAgent:
         self.rng = restore_rng(st["rng"])
 
 
-class _OffPolicyAgent:
+class _OffPolicyAgent(RandomAgent):
     """Replay buffer, warm-up length, critic and resume state shared by the
     learners. Subclasses set ``config_cls`` and ``n_critics``, build their
     nets from ``self.rng`` after this constructor (the critic through
@@ -201,17 +206,10 @@ class _OffPolicyAgent:
     to ``_nets``/``_opts``, whose keys name them in ``get_state``."""
 
     def __init__(self, obs_dim: int, act_dim: int, cfg=None, seed: int = 0):
+        super().__init__(obs_dim, act_dim, cfg, seed)
         self.cfg = cfg or self.config_cls()
-        self.obs_dim = obs_dim
-        self.act_dim = act_dim
-        self.rng = make_rng(seed)
+        self.open_loop_end = self.cfg.warmup_steps
         self.buffer = ReplayBuffer(self.cfg.buffer_capacity, obs_dim, act_dim)
-
-    def open_loop_steps(self, t: int, n: int) -> int:
-        return min(n, max(0, self.cfg.warmup_steps - t))
-
-    def open_loop_actions(self, k: int) -> np.ndarray:
-        return random_action(self.rng, self.act_dim, k)
 
     def observe(self, s, a, r, s2):
         self.buffer.store(s, a, r, s2)
@@ -263,18 +261,18 @@ class _OffPolicyAgent:
 
     def get_state(self) -> dict:
         return {
+            **super().get_state(),
             "nets": {k: p.copy() for k, p in self._nets().items()},
             "opts": {k: opt.get_state() for k, opt in self._opts().items()},
-            "rng": rng_state(self.rng),
             "buffer": self.buffer.get_state(),
         }
 
     def set_state(self, st: dict):
+        super().set_state(st)
         for k, p in self._nets().items():
             p[...] = st["nets"][k]
         for k, opt in self._opts().items():
             opt.set_state(st["opts"][k])
-        self.rng = restore_rng(st["rng"])
         self.buffer.set_state(st["buffer"])
 
 

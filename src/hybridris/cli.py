@@ -20,7 +20,9 @@ def _cmd_run(args):
     with open(args.spec) as fh:
         d = spec_object(json.load(fh))
     seeds = list(range(args.seeds)) if args.seeds is not None else None
-    out = args.out or os.path.join("runs", d.get("name", ExperimentSpec.name))
+    # an ExperimentSpec checks the name before it names a directory
+    out = args.out or os.path.join("runs", ExperimentSpec(
+        name=d.get("name", ExperimentSpec.name)).name)
     results = run_spec_dict(d, out, seeds_override=seeds,
                             steps_override=args.steps, workers=args.workers)
     for agg in results:

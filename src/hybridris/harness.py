@@ -33,7 +33,7 @@ from .ris import (ACTIVE, ActiveParams, ConsumptionParams, HarvestParams,
                   PassiveParams, RisMode)
 from .security import (ACCEPTED, PIPELINE_LOG_FIELDS, AttackConfig,
                        DefenseConfig, RewardPipeline)
-from .numerics import is_real, make_rng, raise_broken
+from .numerics import is_int, is_real, make_rng, raise_broken
 
 MA_WINDOW = 200
 CONVERGED_FRACTION = 0.1
@@ -47,28 +47,30 @@ class SpecError(ValueError):
     """Invalid experiment spec; the message lists every offending field."""
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
-def _run_size_errors(seeds, total_steps) -> list:
-    """Every problem with a seed list and a step count. Seeds must be
-    distinct integers >= 0: each seed writes its own ``seed_<k>`` directory
-    and counts once in the aggregate."""
+def _run_errors(name, seeds, total_steps) -> list:
+    """Every problem with a run's name, seed list and step count. The name
+    names a directory and a column of ``compare``'s CSV; seeds must be
+    distinct integers >= 0: each seed writes its own ``seed_<k>``
+    directory and counts once in the aggregate."""
     errors = []
+    if not (isinstance(name, str) and name not in ("", ".", "..")
+            and name.splitlines() == [name] and not set(",/\\") & set(name)):
+        errors.append(f"name: must be a string without ',', '/', '\\' or "
+                      f"a line break, other than '', '.' and '..', not "
+                      f"{name!r}")
     if not isinstance(seeds, (list, tuple)):
         errors.append(f"seeds: must be a list of integers, not {seeds!r}")
     elif not seeds:
         errors.append("seeds: must be non-empty")
     else:
-        bad = [s for s in seeds if not _is_int(s) or s < 0]
+        bad = [s for s in seeds if not is_int(s) or s < 0]
         if bad:
             errors.append(f"seeds: {bad!r} are not integers >= 0")
-        ints = [s for s in seeds if _is_int(s)]
+        ints = [s for s in seeds if is_int(s)]
         if len(set(ints)) < len(ints):
             repeated = sorted({s for s in ints if ints.count(s) > 1})
             errors.append(f"seeds: {repeated!r} appear more than once")
-    if not _is_int(total_steps):
+    if not is_int(total_steps):
         errors.append(f"total_steps: must be an integer, not {total_steps!r}")
     elif total_steps < 1:
         errors.append("total_steps: must be >= 1")
@@ -93,7 +95,7 @@ class ExperimentSpec:
         if self.agent is not None and type(self.agent) is not cfg_cls:
             raise SpecError(f"agent: a {type(self.agent).__name__} cannot "
                             f"configure a {self.agent_kind!r} agent")
-        errors = _run_size_errors(self.seeds, self.total_steps)
+        errors = _run_errors(self.name, self.seeds, self.total_steps)
         if errors:
             raise SpecError("; ".join(errors))
 
@@ -150,18 +152,17 @@ class TrainingLoop:
 
     def one_step(self, limit: int = 1):
         """Runs the next step, or the next open-loop steps, at most
-        ``limit`` of them. The agent says how many of the next ``limit``
-        steps are open-loop; their actions, as many as the drawn channel
-        block holds, are drawn at once and scored in one ``env.step``.
-        Otherwise the agent's ``act`` gives the next step's action. The
-        reward pipeline then takes each reward in turn, the agent observes
-        the accepted transitions as one stack, and a closed-loop step
-        updates the agent (open-loop steps never train)."""
-        open_loop = self.agent.open_loop_steps(self.t, limit)
-        if open_loop:
-            actions = self.agent.open_loop_actions(
-                min(open_loop, self.env.steps_in_block))
-        else:
+        ``limit`` of them and no more than the drawn channel block holds.
+        The agent draws the actions of those that are open-loop at once,
+        and they are scored in one ``env.step``; if there are none, the
+        agent's ``act`` gives the next step's action. The reward pipeline
+        then takes each reward in turn, the agent observes the accepted
+        transitions as one stack, and a closed-loop step updates the agent
+        (open-loop steps never train)."""
+        actions = self.agent.open_loop_actions(
+            self.t, min(limit, self.env.steps_in_block))
+        closed_loop = not len(actions)
+        if closed_loop:
             actions = self.agent.act(self.obs)[None]
         out = self.env.step(actions)
         s2, r = out.observation, out.reward
@@ -179,7 +180,7 @@ class TrainingLoop:
                 s, actions, s2 = (s.take(keep, 0), actions.take(keep, 0),
                                   s2.take(keep, 0))
         self.agent.observe(s, actions, r, s2)
-        if not open_loop:
+        if closed_loop:
             self.agent.update()
         n = len(out.reward)
         self.obs = out.observation[-1]
@@ -329,7 +330,7 @@ def resolve_workers(n_jobs: int, requested: int = None) -> int:
     beyond the jobs would only idle."""
     if requested is None:
         requested = os.cpu_count() or 1
-    elif not _is_int(requested):
+    elif not is_int(requested):
         raise ValueError(f"workers must be an integer, not {requested}")
     elif requested < 1:
         raise ValueError(f"workers must be >= 1, not {requested}")
@@ -559,18 +560,19 @@ def build_spec(d: dict) -> ExperimentSpec:
     seeds = d.get("seeds")
     if seeds is None:
         n_seeds = d.get("n_seeds", len(ExperimentSpec.seeds))
-        if not _is_int(n_seeds):
+        if not is_int(n_seeds):
             errors.append(f"n_seeds: must be an integer, not {n_seeds!r}")
             n_seeds = 1
         seeds = list(range(n_seeds))
     elif "n_seeds" in d:
         errors.append("spec: give either seeds or n_seeds, not both")
     total_steps = d.get("total_steps", ExperimentSpec.total_steps)
-    errors += _run_size_errors(seeds, total_steps)
+    name = d.get("name", ExperimentSpec.name)
+    errors += _run_errors(name, seeds, total_steps)
 
     if errors:
         raise SpecError("invalid spec: " + "; ".join(errors))
-    return ExperimentSpec(name=d.get("name", ExperimentSpec.name), env=env,
+    return ExperimentSpec(name=name, env=env,
                           agent_kind=kind, agent=agent_cfg, attack=attack,
                           defense=defense, seeds=tuple(seeds),
                           total_steps=total_steps)
@@ -634,14 +636,14 @@ def run_spec_dict(d: dict, out_dir: str, seeds_override=None,
             point["total_steps"] = steps_override
         try:
             spec = build_spec(point)
+            if label:
+                spec = replace(spec, name=f"{spec.name}_{label}")
         except SpecError as exc:
             if label:
                 raise SpecError(f"{label}: {exc}") from None
             raise
-        sub = out_dir if not label else os.path.join(out_dir, label)
-        if label:
-            spec = replace(spec, name=f"{spec.name}_{label}")
-        runs.append((spec, sub))
+        runs.append((spec, os.path.join(out_dir, label) if label
+                     else out_dir))
     return _run_points(runs, workers)
 
 
@@ -679,45 +681,36 @@ def compare(run_dirs, out_csv: str) -> dict:
         if agg["seeds"] != base["seeds"]:
             raise ValueError("alignment error: seed sets differ")
 
-    seeds = base["seeds"]
-    conv = {a["name"]: {p["seed"]: p["converged_mean"] for p in a["per_seed"]}
-            for a in aggs}
-
-    rows = []
-    for seed in seeds:
-        row = {"seed": seed}
-        for name in names:
-            row[name] = conv[name][seed]
-        for name in names[1:]:
-            row[f"diff_{name}_vs_{names[0]}"] = (conv[name][seed]
-                                                 - conv[names[0]][seed])
-        rows.append(row)
-
-    result = {"names": names, "seeds": seeds, "rows": rows, "stats": {}}
-    cols = list(rows[0].keys())[1:]
-    means = {c: float(np.mean([r[c] for r in rows])) for c in cols}
-    stds = {c: float(np.std([r[c] for r in rows], ddof=1))
-            if len(rows) > 1 else 0.0 for c in cols}
-    tstats = {}
-    for c in cols:
-        if c.startswith("diff_") and len(rows) > 1 and stds[c] > 0:
-            tstats[c] = float(means[c] / (stds[c] / np.sqrt(len(rows))))
-        else:
-            tstats[c] = float("nan") if c.startswith("diff_") else None
-    result["stats"] = {"mean": means, "std": stds, "paired_t": tstats}
+    # one column per run, then one per paired difference against the first
+    seeds, n = base["seeds"], len(base["seeds"])
+    cols = {}
+    for agg in aggs:
+        conv = {p["seed"]: p["converged_mean"] for p in agg["per_seed"]}
+        cols[agg["name"]] = [conv[seed] for seed in seeds]
+    diffs = {f"diff_{name}_vs_{names[0]}":
+             [x - y for x, y in zip(cols[name], cols[names[0]])]
+             for name in names[1:]}
+    cols.update(diffs)
+    mean = {c: float(np.mean(x)) for c, x in cols.items()}
+    std = {c: float(np.std(x, ddof=1)) if n > 1 else 0.0
+           for c, x in cols.items()}
+    t = {c: float(mean[c] / (std[c] / np.sqrt(n))) if std[c] > 0
+         else math.nan for c in diffs}
+    stats = {"mean": mean, "std": std, "paired_t": {c: t.get(c) for c in cols}}
+    result = {"names": names, "seeds": seeds,
+              "rows": [{"seed": seed, **dict(zip(cols, cells))}
+                       for seed, *cells in zip(seeds, *cols.values())],
+              "stats": stats}
 
     # one row per seed, then one per statistic
-    _write_csv(out_csv, ["seed"] + cols,
-               [[row["seed"], *(row[c] for c in cols)] for row in rows]
-               + [[label, *(stat[c] for c in cols)]
-                  for label, stat in result["stats"].items()])
+    _write_csv(out_csv, ["seed", *cols],
+               [*zip(seeds, *cols.values()),
+                *([label, *stat.values()] for label, stat in stats.items())])
 
     curve_path = os.path.splitext(out_csv)[0] + "_curves.csv"
-    curves = []
-    for path, agg in zip(run_dirs, aggs):
-        data = np.genfromtxt(os.path.join(path, "curve_mean.csv"),
-                             delimiter=",", skip_header=1, ndmin=2)
-        curves.append(data[:, 1].tolist())
+    curves = [np.genfromtxt(os.path.join(path, "curve_mean.csv"), delimiter=",",
+                            skip_header=1, ndmin=2)[:, 1].tolist()
+              for path in run_dirs]
     _write_csv(curve_path, ["t"] + names,
                zip(range(len(curves[0])), *curves))
     return result

@@ -49,10 +49,14 @@ def restore_rng(state: dict) -> np.random.Generator:
     return np.random.Generator(bg)
 
 
+def is_int(x) -> bool:
+    """An integer, numpy's too, but not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def is_count(x, least) -> bool:
-    """An integer (numpy's too, but not a bool) of at least ``least``."""
-    return (isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-            and x >= least)
+    """An integer (as ``is_int`` says) of at least ``least``."""
+    return is_int(x) and x >= least
 
 
 def raise_broken(*rules):

@@ -191,8 +191,8 @@ class TestRandomPolicy:
         a = RandomAgent(OBS, ACT, seed=3)
         b = RandomAgent(OBS, ACT, seed=3)
         for k in (1, 10):
-            assert np.array_equal(a.open_loop_actions(k),
-                                  b.open_loop_actions(k))
+            assert np.array_equal(a.open_loop_actions(0, k),
+                                  b.open_loop_actions(0, k))
 
 
 class TestOpenLoop:
@@ -204,7 +204,7 @@ class TestOpenLoop:
         block = cls(OBS, ACT, seed=4)
         twin = restore_rng(rng_state(block.rng))
         for k in (1, 7, 64):
-            rows = block.open_loop_actions(k)
+            rows = block.open_loop_actions(0, k)
             assert rows.shape == (k, ACT)
             want = np.concatenate([random_action(twin, ACT, 1)
                                    for _ in range(k)])
@@ -214,14 +214,25 @@ class TestOpenLoop:
     @pytest.mark.parametrize("cls,cfg_cls", [
         (SacAgent, SacConfig), (DdpgAgent, DdpgConfig),
         (Td3Agent, Td3Config)])
-    def test_open_loop_steps_are_the_warmup_left(self, cls, cfg_cls):
+    def test_open_loop_rows_are_the_warmup_left(self, cls, cfg_cls):
         agent = cls(OBS, ACT, cfg_cls(warmup_steps=100, batch=4,
                                       hidden=(8, 8)), seed=0)
-        assert ([agent.open_loop_steps(t, 64) for t in (0, 60, 99, 100, 250)]
-                == [64, 40, 1, 0, 0])
+        rows = [agent.open_loop_actions(t, 64)
+                for t in (0, 60, 99, 100, 250)]
+        assert [a.shape for a in rows] == [(k, ACT) for k in (64, 40, 1, 0, 0)]
+        # past warm-up the empty stack leaves the generator where it was
+        before = rng_state(agent.rng)
+        for t in (100, 250):
+            assert agent.open_loop_actions(t, 64).shape == (0, ACT)
+            assert rng_state(agent.rng) == before
+        # and is made without calling the generator at all
+        agent.rng = None
+        assert agent.open_loop_actions(100, 64).shape == (0, ACT)
 
     def test_random_agent_never_reads_the_observation(self):
-        assert RandomAgent(OBS, ACT).open_loop_steps(10 ** 6, 64) == 64
+        agent = RandomAgent(OBS, ACT)
+        for t in (0, 100, 10 ** 6):
+            assert agent.open_loop_actions(t, 64).shape == (64, ACT)
 
 
 class TestSacPolicy:
@@ -246,7 +257,7 @@ class TestSacPolicy:
 
     def test_warmup_actions_uniform(self):
         ag = SacAgent(OBS, ACT, SacConfig(warmup_steps=100), seed=2)
-        draws = ag.open_loop_actions(100)
+        draws = ag.open_loop_actions(0, 100)
         assert np.all(np.abs(draws) <= 1.0)
         # uniform warmup draws differ from the policy's tanh-gaussian shape:
         # spot-check spread is wide

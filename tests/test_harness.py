@@ -675,6 +675,14 @@ def test_artifact_digests_pinned(tmp_path):
     assert digests == ARTIFACT_SHA256
 
 
+# names that cannot name a run: no string, empty, or holding a separator
+# of compare's table, of a path or of lines, or a directory's own alias
+BAD_NAMES = [None, 7, "", "a,b", "a/b", "a\\b", "a\nb", "a\r", ".", "..",
+             "../x"]
+BAD_NAME_IDS = ["null", "number", "empty", "comma", "slash", "backslash",
+                "newline", "carriage_return", "dot", "dotdot", "parent"]
+
+
 class TestSpecParsing:
     def test_defaults_build(self):
         spec = build_spec({"name": "d"})
@@ -830,6 +838,37 @@ class TestSpecParsing:
         # both runs would write seed_1/ and count twice in the aggregate
         with pytest.raises(SpecError, match="more than once"):
             ExperimentSpec(name="x", seeds=(1, 2, 1))
+
+    # a name names the run's default directory and its compare column
+    @pytest.mark.parametrize("name", BAD_NAMES, ids=BAD_NAME_IDS)
+    def test_bad_name_listed_with_other_errors(self, name):
+        with pytest.raises(SpecError) as err:
+            build_spec({"name": name, "total_steps": 0})
+        msg = str(err.value)
+        assert f"name: must be a string without ',', '/', '\\' or a line " \
+               f"break, other than '', '.' and '..', not {name!r}" in msg
+        assert "total_steps: must be >= 1" in msg
+
+    @pytest.mark.parametrize("name", BAD_NAMES, ids=BAD_NAME_IDS)
+    def test_bad_name_refused_by_the_spec(self, name):
+        with pytest.raises(SpecError, match="name: must be a string"):
+            ExperimentSpec(name=name)
+
+    def test_names_that_name_a_directory_accepted(self):
+        for name in ("t", "tau-sweep", "a b", "x.y", "...", "tau=30"):
+            assert build_spec({"name": name}).name == name
+
+    def test_sweep_label_that_cannot_name_a_run_refused(self, tmp_path):
+        # a point's name is the spec's name and its label, and a list
+        # value's label holds a comma
+        d = {"name": "s", "agent": {"kind": "sac"}, "total_steps": 5,
+             "sweep": [{"path": "agent.hidden", "values": [[8, 8]]}]}
+        with pytest.raises(SpecError) as err:
+            run_spec_dict(d, str(tmp_path))
+        assert str(err.value).startswith(
+            "hidden=[8, 8]: name: must be a string")
+        assert "not 's_hidden=[8, 8]'" in str(err.value)
+        assert not any(tmp_path.iterdir())
 
     def test_reward_baseline_is_not_an_agent_field(self):
         with pytest.raises(SpecError, match="reward_baseline"):
@@ -1165,6 +1204,37 @@ class TestCompare:
                 if cell:
                     float(cell)
 
+    # sha256 of both tables and of the result dict for 3 runs x 3 seeds:
+    # "h2" repeats "h" under another name, so its paired differences are
+    # all zero and its paired t is NaN, and "a" runs an always-active
+    # surface, so its differences are not
+    COMPARE_SHA256 = {
+        "table.csv":
+            "706e52b89fd9876b47e9417d6b435915656e53f8e7b4bff5044351ec8f6011be",
+        "table_curves.csv":
+            "2706ef4b2eb982e6bba69a41930ba0b0c31c8b335ddb300aa4890d8a5924318c",
+        "result":
+            "acffcb474150af57316ab6ec7897012e8373f5206dff204e78806ab6cc18ba38",
+    }
+
+    def test_tables_pinned(self, tmp_path):
+        seeds = (0, 1, 2)
+        runs = {"h": tiny_spec(name="h", steps=150, seeds=seeds),
+                "a": ExperimentSpec(name="a", agent_kind="random",
+                                    env=tiny_env(mode=hr.RisMode.active()),
+                                    seeds=seeds, total_steps=150),
+                "h2": tiny_spec(name="h2", steps=150, seeds=seeds)}
+        for name, spec in runs.items():
+            run_experiment(spec, str(tmp_path / name), workers=1)
+        res = compare([str(tmp_path / name) for name in runs],
+                      str(tmp_path / "table.csv"))
+        digests = {name: hashlib.sha256(
+            (tmp_path / name).read_bytes()).hexdigest()
+            for name in ("table.csv", "table_curves.csv")}
+        digests["result"] = hashlib.sha256(
+            json.dumps(res).encode()).hexdigest()
+        assert digests == self.COMPARE_SHA256
+
     def test_shared_name_rejected(self, tmp_path):
         dirs = [str(tmp_path / d) for d in ("a", "b")]
         for d in dirs:
@@ -1182,6 +1252,25 @@ class TestCompare:
 
 
 class TestCli:
+    # a bad name is refused before any run directory is named or written,
+    # with one line and exit code 2, with or without --out
+    @pytest.mark.parametrize("name", BAD_NAMES, ids=BAD_NAME_IDS)
+    @pytest.mark.parametrize("out", [[], ["--out", "o"]],
+                             ids=["default_out", "out"])
+    def test_bad_name_writes_nothing(self, name, out, tmp_path, monkeypatch,
+                                     capsys):
+        from hybridris.cli import main
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "s.json").write_text(json.dumps(
+            {"name": name, "agent": {"kind": "random"}, "seeds": [0],
+             "total_steps": 5}))
+        assert main(["run", "s.json", *out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hybridris: error: ")
+        assert "name: must be a string" in err
+        assert len(err.splitlines()) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["s.json"]
+
     def test_run_and_compare(self, tmp_path):
         from hybridris.cli import main
         spec = {

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hybridris.numerics import make_rng, restore_rng, rng_state
+from hybridris.numerics import (is_count, is_int, make_rng, restore_rng,
+                                rng_state)
 from oracles import sample_cn01
 
 
@@ -36,3 +37,14 @@ def test_rng_state_roundtrip():
     expected = rng.standard_normal(5)
     clone = restore_rng(st)
     assert np.array_equal(clone.standard_normal(5), expected)
+
+
+# an integer is an int or a numpy integer, and never a bool; a count is
+# such an integer of at least its bound
+@pytest.mark.parametrize("x,want", [
+    (3, True), (np.int64(3), True), (np.uint8(0), True), (True, False),
+    (np.bool_(True), False), (3.0, False), ("3", False), (None, False)])
+def test_is_int(x, want):
+    assert is_int(x) is want
+    assert bool(is_count(x, 0)) is want
+    assert not is_count(x, 4)
