@@ -13,18 +13,19 @@ import json
 import os
 import sys
 
-from .harness import ExperimentSpec, compare, run_spec_dict, spec_object
+from .harness import build_spec, compare, run_points, spec_object, spec_points
 
 
 def _cmd_run(args):
     with open(args.spec) as fh:
         d = spec_object(json.load(fh))
     seeds = list(range(args.seeds)) if args.seeds is not None else None
-    # an ExperimentSpec checks the name before it names a directory
-    out = args.out or os.path.join("runs", ExperimentSpec(
-        name=d.get("name", ExperimentSpec.name)).name)
-    results = run_spec_dict(d, out, seeds_override=seeds,
-                            steps_override=args.steps, workers=args.workers)
+    points = spec_points(d, seeds, args.steps)
+    # every point is checked first; a sweep of "name" leaves the spec's own
+    # name to check before it names runs/<name>
+    out = args.out or os.path.join("runs", build_spec(
+        {"name": d["name"]} if "name" in d else {}).name)
+    results = run_points(points, out, args.workers)
     for agg in results:
         print(f"{agg['name']}: converged mean reward "
               f"{agg['converged_mean']:.4f} +/- {agg['converged_std']:.4f} "

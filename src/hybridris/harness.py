@@ -398,22 +398,26 @@ def _aggregate(spec: ExperimentSpec, out_dir: str, summaries) -> dict:
     return aggregate
 
 
-def _run_points(points, workers: int) -> list:
-    """Run the seed-runs of every ``(spec, out_dir)`` point, in point
-    order, in one pool, and aggregate each point as soon as its seed-runs
-    are back. A raising seed-run reaches the caller after the points before
-    its own are aggregated; the seed-runs not yet started are cancelled."""
+def run_points(points, out_dir: str = None, workers: int = None) -> list:
+    """Run the seed-runs of every ``(label, spec)`` point, in point order,
+    in one pool, into ``out_dir/<label>`` if ``out_dir`` is given, and
+    aggregate each point as soon as its seed-runs are back. A raising
+    seed-run reaches the caller after the points before its own are
+    aggregated; the seed-runs not yet started are cancelled."""
+    points = [(spec, os.path.join(out_dir, label)
+               if label and out_dir is not None else out_dir)
+              for label, spec in points]
     jobs = [(spec, seed,
-             None if out_dir is None else os.path.join(out_dir, f"seed_{seed}"))
-            for spec, out_dir in points for seed in spec.seeds]
+             None if path is None else os.path.join(path, f"seed_{seed}"))
+            for spec, path in points for seed in spec.seeds]
     workers = resolve_workers(len(jobs), workers)
     with (ProcessPoolExecutor(max_workers=workers,
                               initializer=_cap_blas_threads,
                               initargs=(workers,)) if workers > 1
           else nullcontext()) as pool:
         runs = (pool.map if pool else map)(run_single, *zip(*jobs))
-        return [_aggregate(spec, out_dir, [next(runs) for _ in spec.seeds])
-                for spec, out_dir in points]
+        return [_aggregate(spec, path, [next(runs) for _ in spec.seeds])
+                for spec, path in points]
 
 
 def run_experiment(spec: ExperimentSpec, out_dir: str = None,
@@ -423,7 +427,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str = None,
     Returns the aggregate summary dict; per-seed artifacts land in
     ``out_dir/seed_<k>/`` when an output directory is given.
     """
-    return _run_points([(spec, out_dir)], workers)[0]
+    return run_points([("", spec)], out_dir, workers)[0]
 
 
 def replay_summary(steps_jsonl_path: str) -> dict:
@@ -578,6 +582,17 @@ def build_spec(d: dict) -> ExperimentSpec:
                           total_steps=total_steps)
 
 
+def _label_value(v) -> str:
+    """A sweep value as its point's label prints it, without a comma: a
+    float by %g, an int or a bool whole, a list's items joined by ``x``
+    (``hidden=8x8``) and an object's as ``key=value`` joined by ``+``."""
+    if isinstance(v, dict):
+        return "+".join(f"{k}={_label_value(x)}" for k, x in v.items())
+    if isinstance(v, list):
+        return "x".join(map(_label_value, v))
+    return f"{v:g}" if isinstance(v, float) else str(v)
+
+
 def expand_sweep(d: dict):
     """Expand the optional sweep section into (label, spec-dict) points,
     each without the sweep section.
@@ -596,22 +611,19 @@ def expand_sweep(d: dict):
             raise SpecError(f"sweep[{i}]: needs a \"path\" string and a "
                             f"non-empty \"values\" list")
         path, values = entry["path"], entry["values"]
-        leaf = path.split(".")[-1]
+        *parents, leaf = path.split(".")
         new_points = []
         for label, base in points:
             for v in values:
                 dd = copy.deepcopy(base)
                 node = dd
-                parts = path.split(".")
-                for p in parts[:-1]:
+                for p in parents:
                     node = node.setdefault(p, {})
                     if not isinstance(node, dict):
                         raise SpecError(
                             f"sweep[{i}]: {path}: {p!r} is not an object")
-                node[parts[-1]] = v
-                # %g shortens a float; an int or a bool prints whole
-                tag = (f"{leaf}={v:g}" if isinstance(v, float)
-                       else f"{leaf}={v}")
+                node[leaf] = v
+                tag = f"{leaf}={_label_value(v)}"
                 new_points.append((f"{label}_{tag}" if label else tag, dd))
         points = new_points
     labels = [label for label, _ in points]
@@ -622,12 +634,10 @@ def expand_sweep(d: dict):
     return points
 
 
-def run_spec_dict(d: dict, out_dir: str, seeds_override=None,
-                  steps_override=None, workers=None) -> list:
-    """Run every sweep point of a spec dict; returns aggregate summaries.
-    Every point's spec is built before any point runs, and a point's error
-    names its label. The seed-runs of all points share one pool."""
-    runs = []
+def spec_points(d: dict, seeds_override=None, steps_override=None) -> list:
+    """Every sweep point of a spec dict as a (label, spec) pair, each spec
+    named ``<name>_<label>``; a point's error names its label."""
+    points = []
     for label, point in expand_sweep(d):
         if seeds_override is not None:
             point.pop("n_seeds", None)
@@ -642,9 +652,16 @@ def run_spec_dict(d: dict, out_dir: str, seeds_override=None,
             if label:
                 raise SpecError(f"{label}: {exc}") from None
             raise
-        runs.append((spec, os.path.join(out_dir, label) if label
-                     else out_dir))
-    return _run_points(runs, workers)
+        points.append((label, spec))
+    return points
+
+
+def run_spec_dict(d: dict, out_dir: str, seeds_override=None,
+                  steps_override=None, workers=None) -> list:
+    """Run every sweep point of a spec dict; returns aggregate summaries.
+    Every point's spec is built before any point runs."""
+    return run_points(spec_points(d, seeds_override, steps_override),
+                      out_dir, workers)
 
 
 # ---------------------------------------------------------------------------

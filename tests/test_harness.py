@@ -858,17 +858,32 @@ class TestSpecParsing:
         for name in ("t", "tau-sweep", "a b", "x.y", "...", "tau=30"):
             assert build_spec({"name": name}).name == name
 
-    def test_sweep_label_that_cannot_name_a_run_refused(self, tmp_path):
-        # a point's name is the spec's name and its label, and a list
-        # value's label holds a comma
-        d = {"name": "s", "agent": {"kind": "sac"}, "total_steps": 5,
-             "sweep": [{"path": "agent.hidden", "values": [[8, 8]]}]}
-        with pytest.raises(SpecError) as err:
-            run_spec_dict(d, str(tmp_path))
-        assert str(err.value).startswith(
-            "hidden=[8, 8]: name: must be a string")
-        assert "not 's_hidden=[8, 8]'" in str(err.value)
-        assert not any(tmp_path.iterdir())
+    # a point's name is the spec's name and its label, so a list or an
+    # object value is labelled without a comma
+    @pytest.mark.parametrize("path, values, labels", [
+        ("agent.hidden", [[8, 8], [4]], ["hidden=8x8", "hidden=4"]),
+        ("env.mode", ["passive",
+                      {"kind": "fixed_hybrid", "active_fraction": 0.5}],
+         ["mode=passive", "mode=kind=fixed_hybrid+active_fraction=0.5"])],
+        ids=["hidden", "fixed_hybrid_mode"])
+    def test_list_and_object_sweeps_run_and_compare(self, path, values,
+                                                    labels, tmp_path):
+        d = {"name": "s", "agent": {"kind": "sac", "warmup_steps": 5,
+                                    "batch": 4, "hidden": [4]},
+             "env": {"topology": {"A": 1, "B": 1, "R": 2, "W": 1}},
+             "seeds": [0, 1], "total_steps": 8,
+             "sweep": [{"path": path, "values": values}]}
+        res = run_spec_dict(d, str(tmp_path), workers=1)
+        assert [a["name"] for a in res] == [f"s_{lb}" for lb in labels]
+        compare([str(tmp_path / lb) for lb in labels],
+                str(tmp_path / "t.csv"))
+        for table in ("t.csv", "t_curves.csv"):
+            header, *rows = (tmp_path / table).read_text().splitlines()
+            assert {len(r.split(",")) for r in rows} == {
+                len(header.split(","))}
+        assert (tmp_path / "t.csv").read_text().startswith(
+            f"seed,s_{labels[0]},s_{labels[1]},"
+            f"diff_s_{labels[1]}_vs_s_{labels[0]}\n")
 
     def test_reward_baseline_is_not_an_agent_field(self):
         with pytest.raises(SpecError, match="reward_baseline"):
@@ -1263,12 +1278,26 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "s.json").write_text(json.dumps(
             {"name": name, "agent": {"kind": "random"}, "seeds": [0],
-             "total_steps": 5}))
+             "total_steps": 0}))
         assert main(["run", "s.json", *out]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("hybridris: error: ")
-        assert "name: must be a string" in err
+        # the name is listed with the spec's other errors on either path
+        assert err.startswith("hybridris: error: invalid spec: name: must "
+                              "be a string")
+        assert "; total_steps: must be >= 1" in err
         assert len(err.splitlines()) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["s.json"]
+
+    def test_name_a_sweep_replaces_is_checked(self, tmp_path, monkeypatch,
+                                              capsys):
+        # every point is named by the sweep, and runs/<name> by the spec
+        from hybridris.cli import main
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "s.json").write_text(json.dumps(
+            {"name": "../x", "agent": {"kind": "random"}, "seeds": [0],
+             "total_steps": 5, "sweep": [{"path": "name", "values": ["a"]}]}))
+        assert main(["run", "s.json"]) == 2
+        assert "name: must be a string" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["s.json"]
 
     def test_run_and_compare(self, tmp_path):
