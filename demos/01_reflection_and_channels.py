@@ -9,7 +9,7 @@ import numpy as np
 
 from hybridris import (CascadeSpec, PassiveParams, PowerConstraint, Topology,
                        make_rng, passive_amplitude, power_cap,
-                       sample_channel_set)
+                       pu_power_gains, sample_channel_set)
 
 # --- reflection amplitude vs phase -----------------------------------------
 # Hardware cannot reflect at full amplitude for every phase: the amplitude
@@ -35,7 +35,7 @@ pc = PowerConstraint(P_t=10.0, I_thr=10.0)
 caps = []
 for seed in range(2000):
     ch = sample_channel_set(make_rng(seed), topo, CascadeSpec(), 1)
-    caps.append(power_cap(pc, ch.g_sp[0]))
+    caps.append(power_cap(pc, pu_power_gains(ch.H_p[0])))
 caps = np.array(caps)
 print(f"\nwith W={topo.W} PUs: power cap mean {caps.mean():.2f} W "
       f"(budget {pc.P_t} W); cap binds on {np.mean(caps < pc.P_t):.0%} of slots")

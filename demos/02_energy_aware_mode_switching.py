@@ -1,22 +1,19 @@
 """Show the energy-aware behavior of the dynamic hybrid surface: how the
 activation threshold tau drives the passive/active split, the harvested
-energy-to-gain mapping, and the energy-consumption ledger.
+energy-to-gain mapping, and the energy the surface consumes.
 
 Run:  python3 demos/02_energy_aware_mode_switching.py
 """
 
-import numpy as np
-
 from hybridris import (ActiveParams, EnvConfig, HarvestParams, RisCrnEnv,
                        RisMode, make_rng, random_action)
-from hybridris.ris import EnergyLedger, energy_gain
+from hybridris.ris import energy_gain
 
 # --- harvested energy -> amplification gain ---------------------------------
 ap = ActiveParams(alpha_min=1.2, alpha_max=2.0, E_max=9.0)
 print("total harvested energy (J, R=4) -> uniform amplification gain")
 for e in (0.0, 18.0, 36.0, 54.0, 100.0):
-    ledger = EnergyLedger(per_element=np.full(4, e / 4), total=e)
-    print(f"  {e:6.1f} J -> alpha = {energy_gain(ledger, 4, ap):.3f}")
+    print(f"  {e:6.1f} J -> alpha = {energy_gain(e, 4, ap):.3f}")
 
 # --- tau sweep: mode fractions and energy use --------------------------------
 print("\ntau (J) | active slots | mean energy per slot (J)")

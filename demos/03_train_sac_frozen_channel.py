@@ -7,15 +7,14 @@ Run:  python3 demos/03_train_sac_frozen_channel.py
 
 import numpy as np
 
-from hybridris import (CascadeSpec, EnvConfig, FadingMode, PowerConstraint,
-                       RisCrnEnv, RisMode, SacAgent, SacConfig, Topology,
-                       TrainingLoop)
+from hybridris import (CascadeSpec, EnvConfig, PowerConstraint, RisCrnEnv,
+                       RisMode, SacAgent, SacConfig, Topology, TrainingLoop)
 
 topo = Topology(A=1, B=1, R=2, W=1)
 cfg = EnvConfig(topo=topo, cascade=CascadeSpec(1, 1, 1),
                 mode=RisMode.passive(),
                 pc=PowerConstraint(P_t=1.0, I_thr=10.0),
-                fading=FadingMode(block_length=10 ** 9))
+                fading_block=10 ** 9)
 
 # --- grid search over the reachable action set ------------------------------
 env = RisCrnEnv(cfg)

@@ -45,16 +45,6 @@ class CascadeSpec:
 
 
 @dataclass(frozen=True)
-class FadingMode:
-    """Block fading: one independent realization per ``block_length`` steps."""
-    block_length: int = 1
-
-    def __post_init__(self):
-        raise_broken((not is_count(self.block_length, 1),
-                      "block_length must be an integer >= 1"))
-
-
-@dataclass(frozen=True)
 class ChannelBlock:
     """Channels of consecutive time slots, each link with a leading slot
     axis:
@@ -63,14 +53,11 @@ class ChannelBlock:
     h_b:  slot x R x B, RIS to the SU receivers, one column per receiver
     H_p:  slot x A x W, SU transmitter to PU receivers
     h_PB: slot x R x 1, power beacon to RIS (plain Rayleigh)
-    g_sp: slot x W per-PU power gains, squared norm of the matching H_p
-          column
     """
     H_s: np.ndarray
     h_b: np.ndarray
     H_p: np.ndarray
     h_PB: np.ndarray
-    g_sp: np.ndarray
 
     def __len__(self) -> int:
         return self.H_s.shape[0]
@@ -123,5 +110,4 @@ def sample_channel_set(rng: np.random.Generator, topo: Topology,
     h_b = np.ascontiguousarray(h_b.transpose(0, 2, 1))     # slot x R x B
     H_p = _cascade(z_p, spec.kappa_p, (A, W))
     h_PB = _cascade(z_pb, 1, (R, 1))
-    return ChannelBlock(H_s=H_s, h_b=h_b, H_p=H_p, h_PB=h_PB,
-                        g_sp=pu_power_gains(H_p))
+    return ChannelBlock(H_s=H_s, h_b=h_b, H_p=H_p, h_PB=h_PB)

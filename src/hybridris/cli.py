@@ -43,8 +43,9 @@ def _cmd_compare(args):
     print("converged mean reward per run:")
     for name in names:
         print(f"  {name}: {means[name]:.4f}")
+    # a paired t is worked out for the difference columns only
     for col, t in result["stats"]["paired_t"].items():
-        if col.startswith("diff_"):
+        if t is not None:
             print(f"  {col}: mean {means[col]:+.4f} (paired t = {t:.2f})")
     print(f"table written to {args.out}")
     return 0

@@ -43,13 +43,13 @@ from typing import NamedTuple
 import numpy as np
 
 from . import phy, ris
-from .channel import (CascadeSpec, ChannelBlock, FadingMode, Topology,
+from .channel import (CascadeSpec, ChannelBlock, Topology, pu_power_gains,
                       sample_channel_set)
-from .numerics import (make_rng, raise_broken, require_reals, restore_rng,
-                       rng_state)
+from .numerics import (is_count, make_rng, raise_broken, require_reals,
+                       restore_rng, rng_state)
 from .phy import NoiseParams, PowerConstraint
-from .ris import (ACTIVE, ActiveParams, ConsumptionParams, HarvestParams,
-                  PassiveParams, RisMode)
+from .ris import (ACTIVE, PASSIVE, ActiveParams, ConsumptionParams,
+                  HarvestParams, PassiveParams, RisMode)
 
 CONSTRAINT_TOL = 1e-9
 # Slots of channels drawn per refill; one draw per block instead of per slot
@@ -81,12 +81,14 @@ class EnvConfig:
     pc: PowerConstraint = field(default_factory=PowerConstraint)
     mode: RisMode = field(default_factory=RisMode.dynamic_hybrid)
     penalty_weight: float = 0.1
-    fading: FadingMode = field(default_factory=FadingMode)
+    fading_block: int = 1   # steps per independent channel realization
 
     def __post_init__(self):
         require_reals(self)
         raise_broken((not self.penalty_weight >= 0,
-                      "penalty_weight must be >= 0"))
+                      "penalty_weight must be >= 0"),
+                     (not is_count(self.fading_block, 1),
+                      "fading_block must be an integer >= 1"))
 
 
 class StepOutcome(NamedTuple):
@@ -183,8 +185,8 @@ class RisCrnEnv:
         holds: a block of actions this long is scored in one pass."""
         if self._block is None:
             raise RuntimeError("call reset() before steps_in_block")
-        L = self.cfg.fading.block_length
-        return (self._first + len(self._block)) * L - self._t
+        return ((self._first + len(self._block)) * self.cfg.fading_block
+                - self._t)
 
     @property
     def violations(self) -> int:
@@ -224,15 +226,15 @@ class RisCrnEnv:
             bad = np.logical_and.reduce(finite, axis=-1).argmin()
             raise ValueError(f"non-finite action at step {self._t + bad}")
         n = len(actions)
-        slots = self.slots(n)
+        # the block row of each step's slot and of the step after it
+        rows = self._block_rows(n + 1)
+        slots = self._slots_at(rows[:-1])
         reward, sum_rate, G, phases, over = score(self.cfg, slots, actions)
         # only a rescaled G can round above its cap
         if np.logical_or.reduce(over, axis=None):
             self._violations += int(np.count_nonzero(
                 phy.tx_power(G[over]) > slots.cap[over] + CONSTRAINT_TOL))
 
-        # the block row of each step's slot and of the step after it
-        rows = self._block_rows(n + 1)
         _, logged, flags = self._settings
         mode, E_total, alpha, energy, cap = zip(
             *[logged[i] for i in rows[:-1].tolist()])
@@ -258,9 +260,14 @@ class RisCrnEnv:
             raise RuntimeError("call reset() before slots()")
         if not 1 <= k <= self.steps_in_block:
             raise ValueError(f"k = {k} is not in [1, {self.steps_in_block}]")
+        return self._slots_at(self._block_rows(k))
+
+    def _slots_at(self, rows) -> Slots:
+        """The ``Slots`` of the drawn block's rows ``rows``; the block's
+        settings are made on the first read."""
         if self._settings is None:
             self._settings = self._slot_settings(self._block)
-        block, rows = self._settings[0], self._block_rows(k)
+        block = self._settings[0]
         return Slots(*[f.take(rows, 0) for f in block[:-1]], block.n_amp)
 
     def get_state(self) -> dict:
@@ -305,7 +312,7 @@ class RisCrnEnv:
 
     def _block_rows(self, k: int) -> np.ndarray:
         """The block row of each of the next k steps' slots."""
-        return (np.arange(self._t, self._t + k) // self.cfg.fading.block_length
+        return (np.arange(self._t, self._t + k) // self.cfg.fading_block
                 - self._first)
 
     def _slot_settings(self, block: ChannelBlock):
@@ -313,23 +320,23 @@ class RisCrnEnv:
         total, gain, energy bill, cap) as Python numbers, and each slot's
         resolved-mode flag, which the observation carries."""
         cfg = self.cfg
-        ledger = ris.harvest(block.h_PB, cfg.hp)
-        resolved, n_active, alpha = ris.resolve_mode(
-            cfg.mode, ledger, cfg.topo.R, cfg.hp, cfg.ap)
-        active = resolved == ACTIVE
-        shortfall = np.maximum(0.0, cfg.hp.tau - ledger.total)
+        total = ris.harvest(block.h_PB, cfg.hp)
+        active, n_active, alpha = ris.resolve_mode(
+            cfg.mode, total, cfg.topo.R, cfg.hp, cfg.ap)
+        shortfall = np.maximum(0.0, cfg.hp.tau - total)
         penalty = np.where(active, cfg.penalty_weight * shortfall, 0.0)
         noise_var = np.where(active, cfg.noise.sigma_a_sq,
                              cfg.noise.sigma_b_sq)
         amp_var = np.where(n_active > 0, cfg.ap.amp_noise_var, 0.0)
         energy = ris.energy_consumed(n_active, alpha, cfg.topo.R, cfg.cp)
-        cap = phy.power_cap(cfg.pc, block.g_sp)
+        cap = phy.power_cap(cfg.pc, pu_power_gains(block.H_p))
         # a slot capped at P_t logs P_t itself, so an integer P_t from a
         # spec is logged as that integer; an integer gain stays one too
         P_t = cfg.pc.P_t
         logged = list(zip(
-            resolved.tolist(), ledger.total.tolist(), alpha.tolist(),
-            energy.tolist(), [P_t if c == P_t else c for c in cap.tolist()]))
+            np.where(active, ACTIVE, PASSIVE).tolist(), total.tolist(),
+            alpha.tolist(), energy.tolist(),
+            [P_t if c == P_t else c for c in cap.tolist()]))
         # resolve_mode amplifies the same leading elements on every
         # amplifying slot, so one count serves the block
         n_amp = int(n_active.max()) if cfg.ap.amp_noise_var else 0

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .agents import DdpgAgent, RandomAgent, SacAgent, Td3Agent
-from .channel import CascadeSpec, FadingMode, Topology
+from .channel import CascadeSpec, Topology
 from .env import STEP_LOG_FIELDS, EnvConfig, RisCrnEnv
 from .phy import NoiseParams, PowerConstraint, db_to_linear
 from .ris import (ACTIVE, ActiveParams, ConsumptionParams, HarvestParams,
@@ -516,7 +516,7 @@ ENV_KEYS = {
     "noise": ("noise", _fields(NoiseParams)),
     "power": ("pc", _fields(_power)),
     "mode": ("mode", _mode_section),
-    "fading_block": ("fading", FadingMode),
+    "fading_block": ("fading_block", None),
     "penalty_weight": ("penalty_weight", None),
 }
 # The top-level keys of a spec; ``sweep`` is expand_sweep's.
@@ -678,16 +678,23 @@ def compare(run_dirs, out_csv: str) -> dict:
     per-seed paired differences against the first run.
 
     Writes ``out_csv`` plus an aligned moving-average curve file next to it.
-    Raises on mismatched step counts or seed sets, and on runs that share a
-    name, since each run's column is keyed by its name.
+    Raises on mismatched step counts or seed sets, on runs that share a
+    name, and on a run named like a difference column, since each column is
+    keyed by its name.
     """
     aggs = [_load_aggregate(p) for p in run_dirs]
     names = [a["name"] for a in aggs]
+    diff_of = {f"diff_{name}_vs_{names[0]}": name for name in names[1:]}
     for i, name in enumerate(names):
         if name in names[:i]:
             raise ValueError(
                 f"runs {run_dirs[names.index(name)]} and {run_dirs[i]} share "
                 f"the name {name!r}; give each run a distinct name")
+        if name in diff_of:
+            raise ValueError(
+                f"run {run_dirs[i]} is named {name!r}, as is the column of "
+                f"the difference {diff_of[name]} - {names[0]}; give it "
+                f"another name")
     base = aggs[0]
     for agg in aggs[1:]:
         if agg["total_steps"] != base["total_steps"]:
@@ -704,9 +711,8 @@ def compare(run_dirs, out_csv: str) -> dict:
     for agg in aggs:
         conv = {p["seed"]: p["converged_mean"] for p in agg["per_seed"]}
         cols[agg["name"]] = [conv[seed] for seed in seeds]
-    diffs = {f"diff_{name}_vs_{names[0]}":
-             [x - y for x, y in zip(cols[name], cols[names[0]])]
-             for name in names[1:]}
+    diffs = {col: [x - y for x, y in zip(cols[name], cols[names[0]])]
+             for col, name in diff_of.items()}
     cols.update(diffs)
     mean = {c: float(np.mean(x)) for c, x in cols.items()}
     std = {c: float(np.std(x, ddof=1)) if n > 1 else 0.0

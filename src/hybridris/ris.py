@@ -10,10 +10,12 @@ Covers four operating modes:
 * fixed hybrid: a static subset of elements amplifies at a fixed gain while
   the rest reflect passively.
 
-Each slot, ``resolve_mode`` turns any of them into one setting: the logged
-mode, how many leading elements amplify and their gain. Reflection and
-energy bill read only that setting. Every function here takes arrays with
-leading slot axes, so a whole block of slots is worked out at once.
+Each slot, ``harvest`` gives the energy the beacon delivers to the whole
+surface, one total per slot, and ``resolve_mode`` turns any mode and that
+total into one setting: whether the surface amplifies, how many leading
+elements do and their gain. Reflection and energy bill read only that
+setting. Every function here takes arrays with leading slot axes, so a
+whole block of slots is worked out at once.
 
 Harvested energy is collected fresh each slot from a dedicated power beacon;
 there is no battery carry-over between slots.
@@ -106,14 +108,6 @@ class ConsumptionParams:
 
 
 @dataclass(frozen=True)
-class EnergyLedger:
-    """Harvested energy per element (last axis) and in total, for one slot
-    or, with a leading slot axis, for each slot of a block."""
-    per_element: np.ndarray
-    total: np.ndarray
-
-
-@dataclass(frozen=True)
 class RisMode:
     """Operating mode; fixed_hybrid carries its element split and gain."""
     kind: str
@@ -163,17 +157,18 @@ def passive_amplitude(eps, p: PassiveParams):
     return (1.0 - p.beta_min) * shaped + p.beta_min
 
 
-def harvest(h_PB: np.ndarray, hp: HarvestParams) -> EnergyLedger:
-    """Per-element harvested energy E_r = eta * |h_PB_r|^2 * P_PB * T.
+def harvest(h_PB: np.ndarray, hp: HarvestParams):
+    """Harvested total sum_r E_r of the per-element energies
+    E_r = eta * |h_PB_r|^2 * P_PB * T.
 
     ``h_PB`` is the R x 1 beacon link of one slot, or a stack of them with
-    leading slot axes, which the ledger keeps.
+    leading slot axes, which the totals keep.
     """
     per = hp.eta * np.abs(np.asarray(h_PB)[..., 0]) ** 2 * hp.P_PB * hp.T
-    return EnergyLedger(per_element=per, total=np.sum(per, axis=-1))
+    return np.sum(per, axis=-1)
 
 
-def energy_gain(ledger: EnergyLedger, R: int, ap: ActiveParams):
+def energy_gain(total, R: int, ap: ActiveParams):
     """Uniform amplification gain scaled by the shared energy budget, one
     per harvested total.
 
@@ -182,35 +177,34 @@ def energy_gain(ledger: EnergyLedger, R: int, ap: ActiveParams):
     """
     if R < 1:
         raise ValueError("R must be >= 1")
-    f = (ledger.total / R) / ap.E_max
+    f = (total / R) / ap.E_max
     alpha = ap.alpha_min + (ap.alpha_max - ap.alpha_min) * f
     return np.minimum(alpha, ap.alpha_max)
 
 
-def resolve_mode(mode: RisMode, ledger: EnergyLedger, R: int,
-                 hp: HarvestParams, ap: ActiveParams):
-    """Each slot's surface setting ``(resolved, n_active, gain)``: the
-    logged mode, how many leading elements amplify, and their gain, as
-    arrays shaped like ``ledger.total``.
+def resolve_mode(mode: RisMode, total, R: int, hp: HarvestParams,
+                 ap: ActiveParams):
+    """Each slot's surface setting ``(active, n_active, gain)``: whether it
+    amplifies, how many leading elements do, and their gain, as arrays
+    shaped like the harvested ``total``; ``active`` is a bool mask.
 
-    Passive is (passive, 0, 1.0) and active (active, R, energy_gain). The
+    Passive is (False, 0, 1.0) and active (True, R, energy_gain). The
     dynamic hybrid is active iff the harvested total reaches tau and
     passive otherwise; the fixed hybrid runs its static split at its fixed
-    gain and is logged as active.
+    gain and counts as active.
     """
-    shape = np.shape(ledger.total)
+    shape = np.shape(total)
     if mode.kind == DYNAMIC_HYBRID:
-        active = ledger.total >= hp.tau
+        active = np.greater_equal(total, hp.tau)
     else:
         active = np.full(shape, mode.kind != PASSIVE)
-    resolved = np.where(active, ACTIVE, PASSIVE)
     if mode.kind == FIXED_HYBRID:
         # np.full keeps the type of the configured gain, so an integer
         # fixed_gain is reported as the integer it was given as
-        return (resolved, np.full(shape, mode.n_active(R)),
+        return (active, np.full(shape, mode.n_active(R)),
                 np.full(shape, mode.fixed_gain))
-    return (resolved, np.where(active, R, 0),
-            np.where(active, energy_gain(ledger, R, ap), 1.0))
+    return (active, np.where(active, R, 0),
+            np.where(active, energy_gain(total, R, ap), 1.0))
 
 
 def wrap_phase(eps):

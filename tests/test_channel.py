@@ -48,10 +48,10 @@ def test_cascaded_phase_addition():
 
 def slot_bytes(block, i) -> bytes:
     """Raw bytes of every link of slot i of a channel block, h_b laid out
-    receiver by receiver."""
+    receiver by receiver, and of slot i of the block's per-PU gains."""
     return b"".join([block.H_s[i].tobytes(), block.H_p[i].tobytes(),
                      block.h_PB[i].tobytes(), block.h_b[i].T.tobytes(),
-                     block.g_sp[i].tobytes()])
+                     pu_power_gains(block.H_p)[i].tobytes()])
 
 
 def replay_slot(rng, topo, spec) -> bytes:
@@ -75,7 +75,7 @@ def test_channel_set_shapes():
     assert ch.h_b.shape == (1, 4, 2)
     assert ch.H_p.shape == (1, 2, 2)
     assert ch.h_PB.shape == (1, 4, 1)
-    assert ch.g_sp.shape == (1, 2)
+    assert pu_power_gains(ch.H_p).shape == (1, 2)
 
 
 def test_gains_zero_column():
@@ -85,15 +85,17 @@ def test_gains_zero_column():
 def test_gains_match_scalar_loop():
     ch = sample_channel_set(make_rng(2), Topology(), CascadeSpec(), 1)
     expected = naive_column_gains(ch.H_p[0])
-    assert np.allclose(ch.g_sp[0], expected, atol=1e-12)
-    assert np.all(ch.g_sp >= 0)
+    gains = pu_power_gains(ch.H_p)
+    assert np.allclose(gains[0], expected, atol=1e-12)
+    assert np.all(gains >= 0)
 
 
 def test_gains_invariant_under_column_phase():
     ch = sample_channel_set(make_rng(3), Topology(), CascadeSpec(), 1)
     rotated = ch.H_p[0].copy()
     rotated[:, 0] *= np.exp(1j * 0.7)
-    assert np.allclose(pu_power_gains(rotated), ch.g_sp[0], atol=1e-12)
+    assert np.allclose(pu_power_gains(rotated), pu_power_gains(ch.H_p)[0],
+                       atol=1e-12)
 
 
 def test_fixed_seed_bitwise_identical():

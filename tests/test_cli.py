@@ -53,7 +53,7 @@ def test_run_twice_then_compare(tmp_path):
     (["run", "env_penalty.json"], "env: penalty_weight must be a real"),
     (["run", "env_count.json"], "env.topology: A must be an integer >= 1"),
     (["run", "env_nan.json"], "env.harvest: tau must be >= 0"),
-    (["run", "env_fading.json"], "env.fading_block: block_length must be"),
+    (["run", "env_fading.json"], "env: fading_block must be an integer"),
     (["run", "sweep_kind.json"],
      "sweep[0]: env.mode.kind: 'mode' is not an object"),
     (["run", "sweep_kind_x.json"],

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import pickle
@@ -5,8 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
-from hybridris.channel import (CascadeSpec, FadingMode, Topology,
-                               pu_power_gains)
+from hybridris.channel import CascadeSpec, Topology, pu_power_gains
 from hybridris import phy, ris
 from hybridris.env import (CHANNEL_BLOCK, STEP_LOG_FIELDS, EnvConfig,
                            RisCrnEnv, action_size, observation_size, score)
@@ -371,10 +371,18 @@ class TestStep:
             assert out.sum_rate == pytest.approx(naive_sum, abs=1e-10)
 
     def test_frozen_fading_keeps_channels(self):
-        env = RisCrnEnv(small_cfg(fading=FadingMode(block_length=10 ** 9)))
+        env = RisCrnEnv(small_cfg(fading_block=10 ** 9))
         obs0 = env.reset(9)
         out = env.step(np.zeros(env.action_size))
         assert np.allclose(obs0[2:10], out.observation[2:10])
+
+    def test_fading_block_is_a_count(self):
+        for bad in (0, 1.5, True):
+            with pytest.raises(ValueError, match=r"^fading_block must be an "
+                                                 r"integer >= 1$"):
+                EnvConfig(fading_block=bad)
+        assert dataclasses.replace(EnvConfig(),
+                                   fading_block=3).fading_block == 3
 
     def test_previous_action_fields_in_observation(self):
         env = RisCrnEnv(small_cfg(mode=RisMode.passive()))
@@ -408,7 +416,7 @@ class TestCheckpointInsideBlock:
     @pytest.mark.parametrize("fading_block", [1, 3])
     def test_state_is_the_block_start_and_its_first_slot(self,
                                                           fading_block):
-        cfg = EnvConfig(fading=FadingMode(fading_block))
+        cfg = EnvConfig(fading_block=fading_block)
         env = RisCrnEnv(cfg)
         env.reset(4)
         # reset's slot, a full block and 5 slots of the second block; the
@@ -437,7 +445,7 @@ class TestCheckpointInsideBlock:
     def test_checkpointing_leaves_the_run_unchanged(self, fading_block):
         # states are taken in the first three drawn channel blocks and,
         # when fading_block > 1, inside a fading block
-        cfg = EnvConfig(fading=FadingMode(fading_block))
+        cfg = EnvConfig(fading_block=fading_block)
         span = fading_block * CHANNEL_BLOCK
         actions = make_rng(9).uniform(-1, 1, (2 * span + 44,
                                               action_size(cfg.topo)))
@@ -466,7 +474,7 @@ class TestCheckpointInsideBlock:
         # the state is taken inside the second channel block and, when
         # fading_block > 1, inside a fading block; a fresh env restored from
         # it continues with the same step records and observations
-        cfg = EnvConfig(mode=mode, fading=FadingMode(fading_block),
+        cfg = EnvConfig(mode=mode, fading_block=fading_block,
                         pc=PowerConstraint(P_t=10.0, I_thr=3.0))
         start = (CHANNEL_BLOCK + 2) * fading_block + 1
         actions = make_rng(3).uniform(-1, 1, (start + 50,
@@ -592,7 +600,7 @@ BLOCK_ENVS = {
     "active": dict(mode=RisMode.active()),
     "fixed_hybrid_0.5": dict(mode=RisMode.fixed_hybrid(0.5)),
     "dynamic": dict(),
-    "dynamic_fading_block_3": dict(fading=FadingMode(3)),
+    "dynamic_fading_block_3": dict(fading_block=3),
     "dynamic_amp_noise_var_0": dict(ap=ActiveParams(amp_noise_var=0.0)),
 }
 
@@ -609,7 +617,7 @@ def test_block_scoring_equals_one_step_at_a_time(topo_name, env_name):
                     hp=HarvestParams(tau=8.0 * topo.R),
                     pc=PowerConstraint(P_t=10.0, I_thr=1.0),
                     **BLOCK_ENVS[env_name])
-    span = cfg.fading.block_length * CHANNEL_BLOCK
+    span = cfg.fading_block * CHANNEL_BLOCK
     chunks = (1, 40, span, 30, span + 1)
     actions = make_rng(9).uniform(-1.5, 1.5, (sum(chunks), action_size(topo)))
     single, block = RisCrnEnv(cfg), RisCrnEnv(cfg)

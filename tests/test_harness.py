@@ -751,7 +751,7 @@ class TestSpecParsing:
         ({"topology": {"A": True}}, "env.topology: A must be an integer"),
         ({"cascade": {"kappa_b": 2.0}}, "env.cascade: kappa_b must be an"),
         ({"fading_block": 1.5},
-         "env.fading_block: block_length must be an integer"),
+         "env: fading_block must be an integer >= 1"),
         ({"harvest": {"tau": NAN}}, "env.harvest: tau must be >= 0"),
         ({"noise": {"sigma_b_sq": NAN}}, "env.noise: sigma_b_sq must be > 0"),
         ({"power": {"I_thr": NAN}}, "env.power: I_thr must be > 0"),
@@ -1175,6 +1175,14 @@ class TestPaperClaimsRandomAgent:
         fractions = [self.aggregate({"harvest": {"tau": tau}})
                      ["mode_fraction_active"] for tau in (10, 30, 50, 100)]
         assert all(a > b for a, b in zip(fractions, fractions[1:]))
+def named_runs(tmp_path, *names):
+    """The directories of 20-step tiny runs, each named as its directory."""
+    dirs = [str(tmp_path / name) for name in names]
+    for name, d in zip(names, dirs):
+        run_experiment(tiny_spec(name=name, steps=20), d, workers=1)
+    return dirs
+
+
 class TestCompare:
     def test_self_comparison_zero_diff(self, tmp_path):
         # same spec under two names: the name does not enter the seeds
@@ -1258,6 +1266,15 @@ class TestCompare:
             compare(dirs, str(tmp_path / "t.csv"))
         assert dirs[0] in str(err.value) and dirs[1] in str(err.value)
 
+    def test_run_named_like_a_difference_column_rejected(self, tmp_path):
+        # the third run's name is the second run's difference column
+        dirs = named_runs(tmp_path, "a", "b", "diff_b_vs_a")
+        out = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match="'diff_b_vs_a'") as err:
+            compare(dirs, str(out))
+        assert dirs[2] in str(err.value)
+        assert list(tmp_path.glob("*.csv")) == []
+
     def test_alignment_error_on_step_mismatch(self, tmp_path):
         run_experiment(tiny_spec(steps=100), str(tmp_path / "a"), workers=1)
         run_experiment(tiny_spec(steps=120), str(tmp_path / "b"), workers=1)
@@ -1321,6 +1338,28 @@ class TestCli:
         assert main(["compare", str(out1), str(out2),
                      "--out", str(table)]) == 0
         assert table.exists()
+
+    def test_compare_prints_exactly_the_difference_columns(self, tmp_path,
+                                                            capsys):
+        # a run named like a difference is printed as a run
+        from hybridris.cli import main
+        dirs = named_runs(tmp_path, "a", "diff_x")
+        assert main(["compare", *dirs, "--out",
+                     str(tmp_path / "t.csv")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines[1:-1]] == \
+            ["  a", "  diff_x", "  diff_diff_x_vs_a"]
+        assert lines[3].startswith("  diff_diff_x_vs_a: mean ")
+
+    def test_difference_column_clash_writes_nothing(self, tmp_path, capsys):
+        from hybridris.cli import main
+        dirs = named_runs(tmp_path, "a", "b", "diff_b_vs_a")
+        assert main(["compare", *dirs, "--out",
+                     str(tmp_path / "clash.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hybridris: error: ") and "diff_b_vs_a" in err
+        assert len(err.splitlines()) == 1
+        assert list(tmp_path.glob("*.csv")) == []
 
     def test_seed_and_step_overrides(self, tmp_path):
         from hybridris.cli import main

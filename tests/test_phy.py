@@ -3,8 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hybridris.channel import CascadeSpec, Topology, pu_power_gains, \
-    sample_channel_set
+from hybridris.channel import CascadeSpec, Topology, sample_channel_set
 from hybridris.numerics import make_rng
 from hybridris.phy import (NoiseParams, PowerConstraint, power_cap,
                            project_beamformer, rate_report, sinrs, tx_power)
@@ -17,12 +16,11 @@ NOISE = NoiseParams()
 def scalar_channels(h=1.0, hs=1.0, B=1):
     """One slot's links, single-antenna single-element, with fixed
     entries."""
-    H_p = np.zeros((1, 1), dtype=complex)
     return SimpleNamespace(
         H_s=np.array([[hs]], dtype=complex),
         h_b=np.full((1, B), h, dtype=complex),
-        H_p=H_p, h_PB=np.ones((1, 1), dtype=complex),
-        g_sp=pu_power_gains(H_p))
+        H_p=np.zeros((1, 1), dtype=complex),
+        h_PB=np.ones((1, 1), dtype=complex))
 
 
 def one_slot(rng, topo, spec=CascadeSpec()):

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from hybridris.numerics import make_rng
-from hybridris.ris import (ACTIVE, PASSIVE, ActiveParams, ConsumptionParams,
-                           EnergyLedger, HarvestParams, PassiveParams,
-                           RisMode, build_reflection, energy_consumed,
-                           energy_gain, harvest, passive_amplitude,
-                           resolve_mode, wrap_phase)
+from hybridris.ris import (ActiveParams, ConsumptionParams, HarvestParams,
+                           PassiveParams, RisMode, build_reflection,
+                           energy_consumed, energy_gain, harvest,
+                           passive_amplitude, resolve_mode, wrap_phase)
 from oracles import naive_beta
 
 PP = PassiveParams(beta_min=0.6, exponent=1.5, offset_l=0.0)
@@ -14,11 +13,6 @@ AP = ActiveParams(alpha_min=1.2, alpha_max=2.0, E_max=20.0)
 HP = HarvestParams(eta=0.9, P_PB=10.0, T=1.0, tau=50.0)
 CP = ConsumptionParams(P_passive=0.1e-3, P_amp=50e-3, P_ctrl=10e-3,
                        slot_seconds=1.0)
-
-
-def ledger(total, R=4):
-    per = np.full(R, total / R)
-    return EnergyLedger(per_element=per, total=float(total))
 
 
 class TestPassiveAmplitude:
@@ -57,81 +51,103 @@ class TestPassiveAmplitude:
 class TestHarvest:
     def test_unit_gain_elements(self):
         h = np.ones((4, 1), dtype=complex)
-        led = harvest(h, HP)
-        assert np.allclose(led.per_element, 9.0)
-        assert led.total == pytest.approx(36.0)
+        assert harvest(h, HP) == pytest.approx(36.0)
+
+    def test_one_element_surface(self):
+        # one element's energy is eta * |h|^2 * P_PB * T
+        h = np.array([[0.3 - 1.1j]])
+        assert harvest(h, HP) == 0.9 * abs(h[0, 0]) ** 2 * 10.0 * 1.0
 
     def test_zero_beacon_power(self):
         h = np.ones((4, 1), dtype=complex)
-        led = harvest(h, HarvestParams(eta=0.9, P_PB=0.0, T=1.0, tau=50.0))
-        assert led.total == 0.0 and np.all(led.per_element == 0.0)
+        assert harvest(h, HarvestParams(eta=0.9, P_PB=0.0, T=1.0,
+                                        tau=50.0)) == 0.0
 
     def test_linear_in_duration(self):
         rng = make_rng(1)
         h = rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1))
-        led1 = harvest(h, HarvestParams(eta=0.5, P_PB=3.0, T=1.0, tau=1.0))
-        led2 = harvest(h, HarvestParams(eta=0.5, P_PB=3.0, T=2.0, tau=1.0))
-        assert np.allclose(led2.per_element, 2.0 * led1.per_element)
+        e1 = harvest(h, HarvestParams(eta=0.5, P_PB=3.0, T=1.0, tau=1.0))
+        e2 = harvest(h, HarvestParams(eta=0.5, P_PB=3.0, T=2.0, tau=1.0))
+        assert e2 == pytest.approx(2.0 * e1)
 
 
 class TestEnergyGain:
     def test_empty_ledger_gives_min_gain(self):
-        assert energy_gain(ledger(0.0), 4, AP) == pytest.approx(1.2)
+        assert energy_gain(0.0, 4, AP) == pytest.approx(1.2)
 
     def test_full_budget_gives_max_gain(self):
-        assert energy_gain(ledger(4 * 20.0), 4, AP) == pytest.approx(2.0)
+        assert energy_gain(4 * 20.0, 4, AP) == pytest.approx(2.0)
 
     def test_half_budget_interpolates(self):
-        assert energy_gain(ledger(40.0), 4, AP) == pytest.approx(1.6)
+        assert energy_gain(40.0, 4, AP) == pytest.approx(1.6)
 
     def test_clamped_and_monotone(self):
         rng = make_rng(2)
         totals = np.sort(rng.uniform(0, 500, 200))
-        gains = [energy_gain(ledger(t), 4, AP) for t in totals]
+        gains = [energy_gain(t, 4, AP) for t in totals]
         assert all(1.2 <= g <= 2.0 for g in gains)
         assert all(b >= a for a, b in zip(gains, gains[1:]))
 
 
 class TestResolveMode:
     def test_below_threshold_is_passive(self):
-        assert resolve_mode(RisMode.dynamic_hybrid(), ledger(49.9), 4, HP,
-                            AP)[0] == PASSIVE
+        assert not resolve_mode(RisMode.dynamic_hybrid(), 49.9, 4, HP, AP)[0]
 
     def test_at_threshold_is_active(self):
-        assert resolve_mode(RisMode.dynamic_hybrid(), ledger(50.0), 4, HP,
-                            AP)[0] == ACTIVE
+        assert resolve_mode(RisMode.dynamic_hybrid(), 50.0, 4, HP, AP)[0]
 
     def test_forced_modes_ignore_energy(self):
-        assert resolve_mode(RisMode.passive(), ledger(1e6), 4, HP,
-                            AP)[0] == PASSIVE
-        assert resolve_mode(RisMode.active(), ledger(0.0), 4, HP,
-                            AP)[0] == ACTIVE
-        assert resolve_mode(RisMode.fixed_hybrid(), ledger(0.0), 4, HP,
-                            AP)[0] == ACTIVE
+        assert not resolve_mode(RisMode.passive(), 1e6, 4, HP, AP)[0]
+        assert resolve_mode(RisMode.active(), 0.0, 4, HP, AP)[0]
+        assert resolve_mode(RisMode.fixed_hybrid(), 0.0, 4, HP, AP)[0]
 
     def test_raising_tau_never_flips_to_active(self):
-        led = ledger(30.0)
         taus = np.linspace(0, 100, 50)
-        states = [resolve_mode(RisMode.dynamic_hybrid(), led, 4,
+        states = [resolve_mode(RisMode.dynamic_hybrid(), 30.0, 4,
                                HarvestParams(tau=float(t)), AP)[0]
                   for t in taus]
-        flips = [(a, b) for a, b in zip(states, states[1:])
-                 if a == PASSIVE and b == ACTIVE]
+        flips = [(a, b) for a, b in zip(states, states[1:]) if b and not a]
         assert not flips
 
     def test_slot_settings(self):
-        # (resolved, leading amplifying elements, their gain) per mode
-        assert resolve_mode(RisMode.passive(), ledger(1e6), 4, HP,
-                            AP) == (PASSIVE, 0, 1.0)
-        assert resolve_mode(RisMode.active(), ledger(40.0), 4, HP,
-                            AP) == (ACTIVE, 4, energy_gain(ledger(40.0), 4, AP))
-        assert resolve_mode(RisMode.dynamic_hybrid(), ledger(49.9), 4, HP,
-                            AP) == (PASSIVE, 0, 1.0)
-        assert resolve_mode(RisMode.dynamic_hybrid(), ledger(60.0), 4, HP,
-                            AP) == (ACTIVE, 4, energy_gain(ledger(60.0), 4, AP))
+        # (amplifies, leading amplifying elements, their gain) per mode
+        assert resolve_mode(RisMode.passive(), 1e6, 4, HP,
+                            AP) == (False, 0, 1.0)
+        assert resolve_mode(RisMode.active(), 40.0, 4, HP,
+                            AP) == (True, 4, energy_gain(40.0, 4, AP))
+        assert resolve_mode(RisMode.dynamic_hybrid(), 49.9, 4, HP,
+                            AP) == (False, 0, 1.0)
+        assert resolve_mode(RisMode.dynamic_hybrid(), 60.0, 4, HP,
+                            AP) == (True, 4, energy_gain(60.0, 4, AP))
         for frac, n in ((0.0, 0), (0.5, 2), (0.6, 2), (1.0, 4)):
-            assert resolve_mode(RisMode.fixed_hybrid(frac, 3.0), ledger(0.0),
-                                4, HP, AP) == (ACTIVE, n, 3.0)
+            assert resolve_mode(RisMode.fixed_hybrid(frac, 3.0), 0.0, 4, HP,
+                                AP) == (True, n, 3.0)
+
+    @pytest.mark.parametrize("mode", [
+        RisMode.passive(), RisMode.active(), RisMode.dynamic_hybrid(),
+        RisMode.fixed_hybrid(0.5, 3.0)],
+        ids=["passive", "active", "dynamic_hybrid", "fixed_hybrid"])
+    def test_slot_stack_equals_one_slot_calls(self, mode):
+        # 7 slots of unit-power beacon links; tau at the mean harvest mixes
+        # passive and amplifying slots under the dynamic hybrid
+        rng = make_rng(5)
+        h = (rng.standard_normal((7, 4, 1))
+             + 1j * rng.standard_normal((7, 4, 1))) / np.sqrt(2.0)
+        hp = HarvestParams(tau=36.0)
+        totals = harvest(h, hp)
+        gains = energy_gain(totals, 4, AP)
+        stack = resolve_mode(mode, totals, 4, hp, AP)
+        assert totals.shape == (7,)
+        assert stack[0].dtype == bool and stack[0].shape == totals.shape
+        if mode.kind == "dynamic_hybrid":
+            assert 0 < np.count_nonzero(stack[0]) < 7
+        for i in range(7):
+            total = harvest(h[i], hp)
+            assert total.tobytes() == totals[i].tobytes()
+            assert energy_gain(total, 4, AP).tobytes() == gains[i].tobytes()
+            one = resolve_mode(mode, total, 4, hp, AP)
+            assert [np.asarray(x).tobytes() for x in one] == \
+                [x[i].tobytes() for x in stack]
 
 
 class TestBuildReflection:
